@@ -1,30 +1,22 @@
-// Macro-benchmark for the optimistic parallel network engine.
+// Macro-benchmark for sequential network scaling.
 //
-// Runs contended uniform topologies at a ladder of node counts, each at a
-// ladder of --sim-threads values, and reports committed events/sec per
-// cell plus parallel speedup and scaling efficiency versus the sequential
-// kernel at the same node count. Because the engine's contract is
-// bit-identity, events/sec measures *useful* throughput: rolled-back
-// speculative executions never enter events_executed, so speculation
-// overhead shows up as wall-clock, not as inflated event counts. The
-// binary also asserts that contract once per invocation (sequential vs
-// parallel aggregate row on the smallest rung) — a perf bench that
-// silently benchmarks wrong results would be worse than none.
+// Runs contended uniform topologies at a ladder of node counts on the
+// sequential kernel and reports events/sec per rung. Deeper event heaps
+// and a longer shared-medium ledger make every event dearer as N grows,
+// so this is the N-scaling curve of the event kernel, the medium and the
+// event-path MAC together. The run is single-threaded by construction;
+// the JSON records `host_cores` and `threads: 1` so baselines from
+// different hosts are never mistaken for a scaling claim.
 //
 // `--check <json>` re-runs the workload and fails (exit 1) if the
-// calibration-normalized sequential events/sec regressed by more than the
-// tolerance versus the committed BENCH_network.json — the CI perf-smoke
-// gate. `--min-speedup X` additionally requires the 4-thread speedup on
-// the largest rung to reach X, but only when the host actually has >= 4
-// hardware threads; on smaller hosts (including the 1-core container this
-// baseline was first recorded on) the speedup gate prints a skip and
-// passes, because demanding parallel speedup without parallel hardware
-// gates on noise.
+// calibration-normalized events/sec on the largest rung regressed by more
+// than the tolerance versus the committed BENCH_network.json — the CI
+// perf-smoke gate.
 //
 // Usage:
 //   perf_network [--out BENCH_network.json] [--check BENCH_network.json]
-//                [--tolerance 0.30] [--min-speedup 0] [--nodes 64,256,1024]
-//                [--threads 1,2,4] [--packets 15] [--repeat 1]
+//                [--tolerance 0.30] [--nodes 64,256,1024] [--packets 15]
+//                [--repeat 1]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "experiment/contention.h"
 #include "node/network_simulation.h"
 #include "util/args.h"
 
@@ -78,31 +69,24 @@ std::vector<int> ParseIntList(const std::string& list, const char* flag) {
   return out;
 }
 
-wsnlink::node::NetworkOptions Topology(int nodes, int packets,
-                                       int sim_threads) {
+wsnlink::node::NetworkOptions Topology(int nodes, int packets) {
   wsnlink::node::SimulationOptions base;
   base.config.distance_m = 20.0;
   base.config.pkt_interval_ms = 25.0;
   base.seed = 20150629;
   base.packet_count = packets;
-  // Pure emergent contention: every conflict the engine resolves comes
-  // from the contenders, as in the contention study.
+  // Pure emergent contention: every CCA hit and collision comes from the
+  // contenders, as in the contention study.
   base.disable_interference = true;
   base.interferer_duty_cycle = 0.0;
-  auto network = wsnlink::node::UniformNetwork(
+  return wsnlink::node::UniformNetwork(
       base, std::vector<double>(static_cast<std::size_t>(nodes), 20.0));
-  network.sim_threads = sim_threads;
-  return network;
 }
 
-struct Cell {
+struct Rung {
   int nodes = 0;
-  int threads = 0;
   std::uint64_t events = 0;
-  double seconds = 0.0;
   double events_per_sec = 0.0;
-  double speedup = 0.0;     // vs threads=1 at the same node count
-  double efficiency = 0.0;  // speedup / threads
 };
 
 // Pulls `"key": <number>` out of a JSON file written by this tool (the
@@ -125,52 +109,35 @@ double JsonNumber(const std::string& text, const std::string& key) {
   }
 }
 
-void WriteJson(const std::string& path, const std::vector<Cell>& grid,
-               const std::vector<int>& nodes, const std::vector<int>& threads,
+void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
                int packets, unsigned host_cores, double calib_mops,
-               double seq_normalized, double speedup_4t) {
+               double normalized) {
   std::ofstream out(path);
+  char buf[64];
   out << "{\n";
-  out << "  \"schema\": \"wsnlink-bench-network-v1\",\n";
+  out << "  \"schema\": \"wsnlink-bench-network-v2\",\n";
   out << "  \"workload\": {\n    \"nodes\": [";
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    out << (i ? "," : "") << nodes[i];
-  }
-  out << "],\n    \"threads\": [";
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    out << (i ? "," : "") << threads[i];
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    out << (i ? "," : "") << rungs[i].nodes;
   }
   out << "],\n    \"packets_per_node\": " << packets
       << ",\n    \"base_seed\": 20150629\n  },\n";
   out << "  \"host_cores\": " << host_cores << ",\n";
-  char buf[64];
+  out << "  \"threads\": 1,\n";
   std::snprintf(buf, sizeof(buf), "%.1f", calib_mops);
   out << "  \"calibration_mops\": " << buf << ",\n";
-  out << "  \"grid\": [\n";
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const Cell& c = grid[i];
-    std::snprintf(buf, sizeof(buf), "%.0f", c.events_per_sec);
-    out << "    {\"nodes\": " << c.nodes << ", \"threads\": " << c.threads
-        << ", \"events_per_sec\": " << buf;
-    std::snprintf(buf, sizeof(buf), "%.3f", c.speedup);
-    out << ", \"speedup\": " << buf;
-    std::snprintf(buf, sizeof(buf), "%.3f", c.efficiency);
-    out << ", \"efficiency\": " << buf << "}"
-        << (i + 1 < grid.size() ? "," : "") << "\n";
+  out << "  \"rungs\": [\n";
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].events_per_sec);
+    out << "    {\"nodes\": " << rungs[i].nodes
+        << ", \"events\": " << rungs[i].events
+        << ", \"events_per_sec\": " << buf << "}"
+        << (i + 1 < rungs.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  std::snprintf(buf, sizeof(buf), "%.2f", seq_normalized);
-  out << "  \"seq_events_per_sec_per_calib_mop\": " << buf << ",\n";
-  std::snprintf(buf, sizeof(buf), "%.3f", speedup_4t);
-  out << "  \"speedup_4t_largest\": " << buf << "\n";
+  std::snprintf(buf, sizeof(buf), "%.2f", normalized);
+  out << "  \"events_per_sec_per_calib_mop\": " << buf << "\n";
   out << "}\n";
-}
-
-std::string AggregateRow(const wsnlink::node::NetworkResult& r) {
-  wsnlink::experiment::ContentionPoint point;
-  point.nodes = static_cast<int>(r.nodes.size());
-  point.result = r;
-  return wsnlink::experiment::SerializeContentionRow(point);
 }
 
 }  // namespace
@@ -181,84 +148,49 @@ int main(int argc, char** argv) {
   util::Args args(argc, argv, {});
   const auto node_list = ParseIntList(args.GetString("--nodes", "64,256,1024"),
                                       "--nodes");
-  const auto thread_list =
-      ParseIntList(args.GetString("--threads", "1,2,4"), "--threads");
   const int packets = args.GetPositiveInt("--packets", 15);
   const auto repeat = args.GetSize("--repeat", 1);
   const double tolerance = args.GetDouble("--tolerance", 0.30);
-  const double min_speedup = args.GetDouble("--min-speedup", 0.0);
   const std::string out_path = args.GetString("--out", "");
   const std::string check_path = args.GetString("--check", "");
   const unsigned host_cores = std::thread::hardware_concurrency();
 
-  std::printf("perf_network: %zu node rungs x %zu thread counts, %d "
-              "packets/node, host_cores=%u\n",
-              node_list.size(), thread_list.size(), packets, host_cores);
-
-  // Bit-identity spot check on the smallest rung: a perf number for an
-  // engine that diverges from the sequential kernel is meaningless.
-  {
-    const int smallest = node_list.front();
-    const auto seq =
-        node::RunNetworkSimulation(Topology(smallest, packets, 1));
-    const auto par =
-        node::RunNetworkSimulation(Topology(smallest, packets, 4));
-    if (AggregateRow(seq) != AggregateRow(par)) {
-      std::fprintf(stderr,
-                   "perf_network: BIT-IDENTITY VIOLATION at %d nodes — "
-                   "sequential and 4-thread aggregate rows differ\n",
-                   smallest);
-      return 1;
-    }
-  }
+  std::printf("perf_network: %zu node rungs, %d packets/node, threads=1, "
+              "host_cores=%u\n",
+              node_list.size(), packets, host_cores);
 
   const double calib_mops = CalibrationScore();
-  std::vector<Cell> grid;
-  double seq_events_largest = 0.0;
-  double speedup_4t = 0.0;
+  std::vector<Rung> rungs;
   for (const int nodes : node_list) {
-    double seq_eps = 0.0;
-    for (const int threads : thread_list) {
-      Cell cell;
-      cell.nodes = nodes;
-      cell.threads = threads;
-      cell.seconds = 1e300;
-      for (std::size_t r = 0; r < repeat; ++r) {
-        const auto options = Topology(nodes, packets, threads);
-        const auto t0 = Clock::now();
-        const auto result = node::RunNetworkSimulation(options);
-        const auto t1 = Clock::now();
-        const double elapsed = Seconds(t0, t1);
-        if (elapsed < cell.seconds) {
-          cell.seconds = elapsed;
-          cell.events = result.events_executed;
-        }
+    Rung rung;
+    rung.nodes = nodes;
+    // Untimed warm-up: the first run of a rung pays for page faults and
+    // allocator growth that the timed repeats should not see.
+    (void)node::RunNetworkSimulation(Topology(nodes, packets));
+    double best = 1e300;
+    for (std::size_t r = 0; r < repeat; ++r) {
+      const auto options = Topology(nodes, packets);
+      const auto t0 = Clock::now();
+      const auto result = node::RunNetworkSimulation(options);
+      const auto t1 = Clock::now();
+      const double elapsed = Seconds(t0, t1);
+      if (elapsed < best) {
+        best = elapsed;
+        rung.events = result.events_executed;
       }
-      cell.events_per_sec =
-          static_cast<double>(cell.events) / cell.seconds;
-      if (threads == 1) seq_eps = cell.events_per_sec;
-      cell.speedup = seq_eps > 0.0 ? cell.events_per_sec / seq_eps : 0.0;
-      cell.efficiency = cell.speedup / threads;
-      std::printf("  nodes=%5d threads=%2d  %12.0f events/sec  "
-                  "speedup %5.2f  efficiency %5.2f\n",
-                  nodes, threads, cell.events_per_sec, cell.speedup,
-                  cell.efficiency);
-      if (nodes == node_list.back()) {
-        if (threads == 1) seq_events_largest = cell.events_per_sec;
-        if (threads == 4) speedup_4t = cell.speedup;
-      }
-      grid.push_back(cell);
     }
+    rung.events_per_sec = static_cast<double>(rung.events) / best;
+    std::printf("  nodes=%5d  %12.0f events/sec\n", nodes,
+                rung.events_per_sec);
+    rungs.push_back(rung);
   }
-  const double seq_normalized = seq_events_largest / calib_mops;
+  const double normalized = rungs.back().events_per_sec / calib_mops;
   std::printf("  calib        %10.1f Mops/s\n", calib_mops);
-  std::printf("  seq normalized (largest rung) %10.2f events/sec per "
-              "calib Mop\n",
-              seq_normalized);
+  std::printf("  normalized (largest rung) %10.2f events/sec per calib Mop\n",
+              normalized);
 
   if (!out_path.empty()) {
-    WriteJson(out_path, grid, node_list, thread_list, packets, host_cores,
-              calib_mops, seq_normalized, speedup_4t);
+    WriteJson(out_path, rungs, packets, host_cores, calib_mops, normalized);
     std::printf("wrote %s\n", out_path.c_str());
   }
 
@@ -272,7 +204,7 @@ int main(int argc, char** argv) {
     std::stringstream ss;
     ss << in.rdbuf();
     const double committed =
-        JsonNumber(ss.str(), "seq_events_per_sec_per_calib_mop");
+        JsonNumber(ss.str(), "events_per_sec_per_calib_mop");
     if (committed <= 0.0) {
       std::fprintf(stderr, "perf_network: no baseline metric in %s\n",
                    check_path.c_str());
@@ -280,34 +212,15 @@ int main(int argc, char** argv) {
     }
     const double floor = committed * (1.0 - tolerance);
     std::printf("check: normalized %.2f vs committed %.2f (floor %.2f)\n",
-                seq_normalized, committed, floor);
-    if (seq_normalized < floor) {
+                normalized, committed, floor);
+    if (normalized < floor) {
       std::fprintf(stderr,
-                   "perf_network: REGRESSION — normalized sequential "
-                   "throughput %.2f is below %.2f (committed %.2f - %g%%)\n",
-                   seq_normalized, floor, committed, tolerance * 100);
+                   "perf_network: REGRESSION — normalized events/sec %.2f "
+                   "is below %.2f (committed %.2f - %g%%)\n",
+                   normalized, floor, committed, tolerance * 100);
       return 1;
     }
     std::printf("check: OK\n");
-  }
-
-  if (min_speedup > 0.0) {
-    if (host_cores < 4) {
-      std::printf("speedup gate: SKIPPED — host has %u hardware threads, "
-                  "gate needs >= 4\n",
-                  host_cores);
-    } else {
-      std::printf("speedup gate: %.2fx at 4 threads on %d nodes "
-                  "(minimum %.2fx)\n",
-                  speedup_4t, node_list.back(), min_speedup);
-      if (speedup_4t < min_speedup) {
-        std::fprintf(stderr,
-                     "perf_network: REGRESSION — 4-thread speedup %.2fx "
-                     "on the largest rung is below the %.2fx floor\n",
-                     speedup_4t, min_speedup);
-        return 1;
-      }
-    }
   }
   return 0;
 }

@@ -50,16 +50,13 @@ int main(int argc, char** argv) try {
         << "usage: contention_sweep [--nodes N1,N2,...] [--packets N]\n"
            "                        [--seed N] [--distance M] [--spacing M]\n"
            "                        [--mac csma|lpl] [--interferer-duty D]\n"
-           "                        [--no-shared-medium] [--sim-threads N]\n"
-           "                        [--csv FILE]\n"
+           "                        [--no-shared-medium] [--csv FILE]\n"
            "  --nodes             node-count ladder (default 1,2,4)\n"
            "  --spacing           extra sink distance per node [m]\n"
            "  --interferer-duty   synthetic duty-cycle interferer (ablation)\n"
            "  --no-shared-medium  disable emergent contention (ablation)\n"
-           "  --sim-threads       worker threads inside each network run\n"
-           "                      (optimistic parallel engine; default 1,\n"
-           "                      output is byte-identical for any value)\n"
-           "  --csv               write the ladder as deterministic CSV\n";
+           "  --csv               write the ladder as deterministic CSV\n"
+           "Rungs run in parallel; each network run is sequential.\n";
     return 0;
   }
 
@@ -73,7 +70,6 @@ int main(int argc, char** argv) try {
   options.node_spacing_m = args.GetDouble("--spacing", 0.0);
   options.interferer_duty_cycle = args.GetDouble("--interferer-duty", 0.0);
   options.shared_medium = !args.Has("--no-shared-medium");
-  options.sim_threads = args.GetPositiveInt("--sim-threads", 1);
   const std::string mac = args.GetString("--mac", "csma");
   if (mac == "csma") {
     options.mac = node::MacKind::kCsma;

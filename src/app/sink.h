@@ -77,56 +77,12 @@ class PacketSink {
     return lqi_stats_;
   }
 
-  /// Tallies plus the reception-log high-water mark for speculative
-  /// save/restore. The dense seen-table is not copied: rolling back walks
-  /// the reception tail and un-marks exactly the ids first seen after the
-  /// snapshot, which costs O(rolled-back receptions) instead of O(run).
-  struct State {
-    std::size_t receptions_size = 0;
-    std::size_t unique_count = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t unique_bytes = 0;
-    sim::Time last_at = 0;
-    util::RunningStats rssi_stats;
-    util::RunningStats snr_stats;
-    util::RunningStats lqi_stats;
-  };
-
-  void SaveState(State& out) const {
-    out.receptions_size = receptions_->size();
-    out.unique_count = unique_count_;
-    out.duplicates = duplicates_;
-    out.unique_bytes = unique_bytes_;
-    out.last_at = last_at_;
-    out.rssi_stats = rssi_stats_;
-    out.snr_stats = snr_stats_;
-    out.lqi_stats = lqi_stats_;
-  }
-
-  void RestoreState(const State& state) {
-    for (std::size_t i = state.receptions_size; i < receptions_->size();
-         ++i) {
-      const ReceptionRecord& record = (*receptions_)[i];
-      if (!record.duplicate) (*seen_)[record.packet_id] = 0;
-    }
-    receptions_->resize(state.receptions_size);
-    unique_count_ = state.unique_count;
-    duplicates_ = state.duplicates;
-    unique_bytes_ = state.unique_bytes;
-    last_at_ = state.last_at;
-    rssi_stats_ = state.rssi_stats;
-    snr_stats_ = state.snr_stats;
-    lqi_stats_ = state.lqi_stats;
-  }
-
  private:
   /// Duplicate suppression: packet ids are small sequential integers, so a
   /// dense byte-per-id table beats a hash set on the delivery hot path.
   [[nodiscard]] bool MarkSeen(std::uint64_t packet_id);
-  // wsnstatic:transient(own_seen_, own_receptions_): default backing stores; live state sits behind seen_/receptions_, which Save/Restore round-trip
   std::vector<std::uint8_t> own_seen_;
   std::vector<ReceptionRecord> own_receptions_;
-  // wsnstatic:transient(seen_): RestoreState rewrites the pointee in place; the pointer itself is construction-time wiring
   std::vector<std::uint8_t>* seen_ = &own_seen_;
   std::vector<ReceptionRecord>* receptions_ = &own_receptions_;
   std::size_t unique_count_ = 0;
@@ -138,7 +94,6 @@ class PacketSink {
   util::RunningStats lqi_stats_;
 
   // Observability (null = off).
-  // wsnstatic:transient(counters_, id_rx_unique_, id_rx_duplicates_): trace wiring fixed at attach time; counter rollback is handled by the caller, not the snapshot
   trace::CounterRegistry* counters_ = nullptr;
   trace::CounterRegistry::Id id_rx_unique_ = 0;
   trace::CounterRegistry::Id id_rx_duplicates_ = 0;

@@ -55,39 +55,17 @@ class TrafficGenerator {
   /// First generated packet id (ids are sequential from here).
   [[nodiscard]] std::uint64_t FirstPacketId() const noexcept { return 1; }
 
-  /// Arrival-process state for speculative save/restore (the Poisson gap
-  /// RNG rewinds with the counters).
-  struct State {
-    util::Rng rng;
-    int generated = 0;
-    std::uint64_t next_id = 1;
-  };
-
-  void SaveState(State& out) const {
-    out.rng = rng_;
-    out.generated = generated_;
-    out.next_id = next_id_;
-  }
-
-  void RestoreState(const State& state) {
-    rng_ = state.rng;
-    generated_ = state.generated;
-    next_id_ = state.next_id;
-  }
-
  private:
   void Emit();
 
   sim::Simulator& sim_;
   link::LinkLayer& link_;
-  // wsnstatic:transient(params_): traffic configuration fixed at construction; never mutated during a run
   TrafficParams params_;
   util::Rng rng_;
   int generated_ = 0;
   std::uint64_t next_id_ = 1;
 
   // Observability (null = off).
-  // wsnstatic:transient(tracer_, counters_, node_, id_generated_): trace wiring fixed at attach time; counter rollback is handled by the caller, not the snapshot
   trace::Tracer* tracer_ = nullptr;
   trace::CounterRegistry* counters_ = nullptr;
   std::int32_t node_ = 0;

@@ -146,61 +146,17 @@ class Channel {
   [[nodiscard]] const ChannelConfig& Config() const noexcept { return config_; }
   [[nodiscard]] const BerModel& Ber() const noexcept { return *ber_; }
 
-  /// Every mutable channel member: the stochastic processes (with their
-  /// RNG lineages), the per-frame RNGs and the memoised path-loss cache.
-  /// A SaveState/RestoreState round trip makes subsequent Transmit calls
-  /// replay bit-identically — the channel half of a speculative rollback.
-  struct State {
-    ShadowingProcess::State shadowing;
-    NoiseFloorProcess::State noise;
-    InterfererProcess::State interferer;
-    util::Rng loss_rng;
-    util::Rng lqi_rng;
-    double rssi_cache_tx_dbm = 0.0;
-    double rssi_cache_dist_m = 0.0;
-    double rssi_cache_value = 0.0;
-    bool rssi_cache_valid = false;
-  };
-
-  void SaveState(State& out) const {
-    shadowing_.SaveState(out.shadowing);
-    noise_.SaveState(out.noise);
-    interferer_.SaveState(out.interferer);
-    out.loss_rng = loss_rng_;
-    out.lqi_rng = lqi_rng_;
-    out.rssi_cache_tx_dbm = rssi_cache_tx_dbm_;
-    out.rssi_cache_dist_m = rssi_cache_dist_m_;
-    out.rssi_cache_value = rssi_cache_value_;
-    out.rssi_cache_valid = rssi_cache_valid_;
-  }
-
-  void RestoreState(const State& state) {
-    shadowing_.RestoreState(state.shadowing);
-    noise_.RestoreState(state.noise);
-    interferer_.RestoreState(state.interferer);
-    loss_rng_ = state.loss_rng;
-    lqi_rng_ = state.lqi_rng;
-    rssi_cache_tx_dbm_ = state.rssi_cache_tx_dbm;
-    rssi_cache_dist_m_ = state.rssi_cache_dist_m;
-    rssi_cache_value_ = state.rssi_cache_value;
-    rssi_cache_valid_ = state.rssi_cache_valid;
-  }
-
  private:
-  // wsnstatic:transient(config_, path_loss_): placement configuration fixed at construction; never mutated during a run
   ChannelConfig config_;
   PathLoss path_loss_;
-  // wsnstatic:transient(ber_owned_): owning slot for the BER model; the model itself is immutable after construction
   std::unique_ptr<BerModel> ber_owned_;  // empty in non-owning mode
   const BerModel* ber_;                  // always valid; what Transmit uses
   ShadowingProcess shadowing_;
   NoiseFloorProcess noise_;
   InterfererProcess interferer_;
-  // wsnstatic:transient(mobility_): pure function of sim time; holds no mutable state between calls
   MobilityModel mobility_;
   util::Rng loss_rng_;  // per-frame delivery coin flips
   util::Rng lqi_rng_;   // LQI measurement noise
-  // wsnstatic:transient(medium_, node_id_): construction-time wiring to the shared air; the medium owns its own rollback
   Medium* medium_ = nullptr;  // shared air (multi-node runs only)
   int node_id_ = 0;
 

@@ -44,33 +44,9 @@ class InterfererProcess {
     return params_;
   }
 
-  /// Mutable-state image for speculative save/restore (`enabled_` is
-  /// configuration, not run state).
-  struct State {
-    util::Rng rng;
-    sim::Time frame_start = 0;
-    sim::Time frame_end = -1;
-    bool started = false;
-  };
-
-  void SaveState(State& out) const {
-    out.rng = rng_;
-    out.frame_start = frame_start_;
-    out.frame_end = frame_end_;
-    out.started = started_;
-  }
-
-  void RestoreState(const State& state) {
-    rng_ = state.rng;
-    frame_start_ = state.frame_start;
-    frame_end_ = state.frame_end;
-    started_ = state.started;
-  }
-
  private:
   void AdvanceTo(sim::Time t);
 
-  // wsnstatic:transient(params_, enabled_): process configuration fixed at construction; never mutated during a run
   InterfererParams params_;
   util::Rng rng_;
   bool enabled_;

@@ -5,6 +5,17 @@
 
 namespace wsnlink::channel {
 
+namespace {
+
+// How far back a finished frame can still matter to any query. Receivers
+// look back one frame airtime from the reception instant; the largest
+// 802.15.4 frame is 133 bytes at 32 us/byte = 4256 us. Twice that is a
+// comfortable margin and keeps the active list a handful of entries
+// regardless of run length.
+constexpr sim::Duration kMediumRetentionWindow = 8'512;
+
+}  // namespace
+
 Medium::Medium(double capture_margin_db)
     : capture_margin_db_(capture_margin_db) {
   if (capture_margin_db < 0.0) {

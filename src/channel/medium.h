@@ -31,15 +31,6 @@
 
 namespace wsnlink::channel {
 
-/// How far back a finished frame can still matter to any query. Receivers
-/// look back one frame airtime from the reception instant; the largest
-/// 802.15.4 frame is 133 bytes at 32 us/byte = 4256 us. Twice that is a
-/// comfortable margin and keeps the active list a handful of entries
-/// regardless of run length. Shared with the optimistic engine's fossil
-/// collection: committed frames older than GVT minus this window can never
-/// influence a query and are reclaimed.
-inline constexpr sim::Duration kMediumRetentionWindow = 8'512;
-
 /// Aggregate activity statistics of a shared medium (diagnostics; summed
 /// over the whole run).
 struct MediumStats {
@@ -57,10 +48,6 @@ struct MediumStats {
 ///
 /// Not thread-safe: one Medium belongs to one simulation run (runs in a
 /// sweep are embarrassingly parallel and each owns its medium).
-///
-/// The query/registration surface is virtual so the optimistic parallel
-/// engine can interpose a per-LP view (node/timewarp.h) that logs reads
-/// for cross-LP conflict detection while the stacks stay oblivious.
 class Medium {
  public:
   /// `capture_margin_db`: a reception survives an overlap when its RSSI at
@@ -69,40 +56,33 @@ class Medium {
   /// ~3 dB co-channel rejection).
   explicit Medium(double capture_margin_db = 3.0);
 
-  virtual ~Medium() = default;
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
   /// Registers a frame node `node` radiates over [start, end) whose mean
   /// received power at the sink is `sink_rssi_dbm`. `start` must be
   /// non-decreasing across calls (simulated time is monotonic).
-  virtual void Begin(int node, sim::Time start, sim::Time end,
-                     double sink_rssi_dbm);
+  void Begin(int node, sim::Time start, sim::Time end, double sink_rssi_dbm);
 
   /// True when a frame from any node other than `listener` is on the air at
   /// `t` (single collision domain: every sender hears every other sender).
-  [[nodiscard]] virtual bool BusyAt(sim::Time t, int listener);
+  [[nodiscard]] bool BusyAt(sim::Time t, int listener);
 
   /// Strongest sink-side RSSI among frames from nodes other than `node`
   /// overlapping the open interval (start, end); nullopt when the air was
   /// clear. Pure: no RNG, no stats mutation.
-  [[nodiscard]] virtual std::optional<double> StrongestOverlapDbm(
-      sim::Time start, sim::Time end, int node) const;
+  [[nodiscard]] std::optional<double> StrongestOverlapDbm(sim::Time start,
+                                                         sim::Time end,
+                                                         int node) const;
 
   /// Records the outcome of a collided reception (diagnostics).
-  virtual void NoteCollision(bool captured) noexcept;
+  void NoteCollision(bool captured) noexcept;
 
   [[nodiscard]] double CaptureMarginDb() const noexcept {
     return capture_margin_db_;
   }
 
   [[nodiscard]] const MediumStats& Stats() const noexcept { return stats_; }
-
-  /// Frames currently tracked (diagnostics/tests; includes recently ended
-  /// frames not yet pruned).
-  [[nodiscard]] std::size_t TrackedFrames() const noexcept {
-    return active_.size();
-  }
 
  private:
   struct Frame {

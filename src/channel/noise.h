@@ -50,38 +50,10 @@ class NoiseFloorProcess {
 
   [[nodiscard]] const NoiseParams& Params() const noexcept { return params_; }
 
-  /// Mutable-state image for speculative save/restore: the burst schedule
-  /// and the RNG that drives it rewind together, so a rolled-back sample
-  /// sequence replays bit-identically.
-  struct State {
-    util::Rng rng;
-    sim::Time burst_start = 0;
-    sim::Time burst_end = -1;
-    double burst_elevation_db = 0.0;
-    bool schedule_started = false;
-  };
-
-  void SaveState(State& out) const {
-    out.rng = rng_;
-    out.burst_start = burst_start_;
-    out.burst_end = burst_end_;
-    out.burst_elevation_db = burst_elevation_db_;
-    out.schedule_started = schedule_started_;
-  }
-
-  void RestoreState(const State& state) {
-    rng_ = state.rng;
-    burst_start_ = state.burst_start;
-    burst_end_ = state.burst_end;
-    burst_elevation_db_ = state.burst_elevation_db;
-    schedule_started_ = state.schedule_started;
-  }
-
  private:
   /// Advances the burst schedule so it covers `now`.
   void AdvanceBursts(sim::Time now);
 
-  // wsnstatic:transient(params_): process configuration fixed at construction; never mutated during a run
   NoiseParams params_;
   util::Rng rng_;
   // Current / next burst window.

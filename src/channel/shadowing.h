@@ -45,32 +45,7 @@ class ShadowingProcess {
 
   [[nodiscard]] const ShadowingParams& Params() const noexcept { return params_; }
 
-  /// Mutable-state image for speculative save/restore (the optimistic
-  /// engine rolls the process — including its RNG lineage — back to the
-  /// last committed instant).
-  struct State {
-    util::Rng rng;
-    sim::Time last_time = 0;
-    double value = 0.0;
-    bool initialised = false;
-  };
-
-  void SaveState(State& out) const {
-    out.rng = rng_;
-    out.last_time = last_time_;
-    out.value = value_;
-    out.initialised = initialised_;
-  }
-
-  void RestoreState(const State& state) {
-    rng_ = state.rng;
-    last_time_ = state.last_time;
-    value_ = state.value;
-    initialised_ = state.initialised;
-  }
-
  private:
-  // wsnstatic:transient(params_): process configuration fixed at construction; never mutated during a run
   ShadowingParams params_;
   util::Rng rng_;
   sim::Time last_time_ = 0;

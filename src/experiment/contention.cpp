@@ -29,6 +29,10 @@ std::vector<ContentionPoint> RunContentionSweep(
           "RunContentionSweep: node counts must be >= 1");
     }
   }
+  if (options.sim_threads != 1) {
+    throw std::invalid_argument(
+        "RunContentionSweep: sim_threads must be 1 (runs are sequential)");
+  }
 
   std::vector<ContentionPoint> points(options.node_counts.size());
   // Chunk size 1: a rung is a whole network run, orders of magnitude
@@ -48,7 +52,6 @@ std::vector<ContentionPoint> RunContentionSweep(
         network.base = base;
         network.shared_medium = options.shared_medium;
         network.capture_margin_db = options.capture_margin_db;
-        network.sim_threads = options.sim_threads;
         const int count = options.node_counts[i];
         network.nodes.reserve(static_cast<std::size_t>(count));
         for (int n = 0; n < count; ++n) {

@@ -46,10 +46,8 @@ struct ContentionOptions {
   bool disable_interference = true;
   /// Upper bound on concurrent rungs; 0 = the shared pool's full width.
   unsigned threads = 0;
-  /// Worker threads *inside* each network run (the optimistic parallel
-  /// engine, node/timewarp.h). 1 = the sequential kernel; results are
-  /// byte-identical either way, so this is purely a wall-clock knob for
-  /// ladders whose rungs are large. Must be >= 1.
+  /// Kept only so existing callers that assign it still compile; every
+  /// network run is sequential and any value other than 1 is rejected.
   int sim_threads = 1;
 };
 

@@ -54,7 +54,7 @@ node::SimulationOptions MakeOptions(const core::StackConfig& config,
 /// runs stop allocating. (ParallelFor has the caller participate too, so
 /// the main thread gets its own scratch the same way.)
 node::LinkRunScratch& WorkerScratch() {
-  // wsnstatic:allow(lp-isolation): thread_local scratch is per-worker by construction; no state crosses logical processes
+  // wsnstatic:allow(lp-isolation): thread_local scratch is per-worker by construction; no state crosses worker threads
   thread_local node::LinkRunScratch scratch;
   return scratch;
 }

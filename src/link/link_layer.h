@@ -62,44 +62,6 @@ class LinkLayer {
   [[nodiscard]] PacketLog& MutableLog() noexcept { return log_; }
   [[nodiscard]] const TransmitQueue& Queue() const noexcept { return queue_; }
 
-  /// Queue state, log high-water marks, deep copies of the records still
-  /// open (only those can mutate after the snapshot) and the open-record
-  /// table — everything a speculative rollback must rewind. Open entries
-  /// are bounded by the queue capacity, so images stay small and reusable.
-  struct State {
-    TransmitQueue::State queue;
-    std::size_t packets_size = 0;
-    std::size_t attempts_size = 0;
-    std::vector<std::pair<std::size_t, PacketRecord>> open_packets;
-    std::vector<std::pair<std::uint64_t, std::size_t>> open_records;
-    std::uint64_t in_service_id = 0;
-  };
-
-  void SaveState(State& out) const {
-    queue_.SaveState(out.queue);
-    out.packets_size = log_.Packets().size();
-    out.attempts_size = log_.Attempts().size();
-    out.open_records.assign(open_records_->begin(), open_records_->end());
-    out.open_packets.clear();
-    for (const OpenRecord& open : *open_records_) {
-      out.open_packets.emplace_back(open.second, log_.Packets()[open.second]);
-    }
-    out.in_service_id = in_service_id_;
-  }
-
-  void RestoreState(const State& state) {
-    queue_.RestoreState(state.queue);
-    // Closed records never mutate again, so truncating the append tail and
-    // rewriting the then-open records restores the log exactly.
-    log_.Truncate(state.packets_size, state.attempts_size);
-    for (const auto& [index, record] : state.open_packets) {
-      log_.MutablePacket(index) = record;
-    }
-    open_records_->assign(state.open_records.begin(),
-                          state.open_records.end());
-    in_service_id_ = state.in_service_id;
-  }
-
  private:
   void ServeNext();
   void OnSendDone(const mac::SendResult& result);
@@ -109,21 +71,18 @@ class LinkLayer {
   mac::Mac& mac_;
   TransmitQueue queue_;
   PacketLog log_;
-  // wsnstatic:transient(on_delivery_): caller-supplied callback wiring fixed at construction; not simulation state
   DeliveryCallback on_delivery_;
 
   // Index into log_.Packets() for each unfinished packet id. Live entries
   // are bounded by the queue capacity (queued + in-service packets), so a
   // flat array with linear lookup beats a hash map on the packet hot path.
   using OpenRecord = std::pair<std::uint64_t, std::size_t>;
-  // wsnstatic:transient(own_open_records_): default backing store; live state sits behind open_records_, which Save/Restore round-trip
   std::vector<OpenRecord> own_open_records_;
   std::vector<OpenRecord>* open_records_;  // &own_open_records_ or external
   [[nodiscard]] OpenRecord* FindOpen(std::uint64_t packet_id) noexcept;
   std::uint64_t in_service_id_ = 0;
 
   // Observability (null = off).
-  // wsnstatic:transient(tracer_, counters_, node_, id_accepted_, id_queue_drops_, id_served_, id_completed_, id_acked_, id_deliveries_): trace wiring fixed at attach time; counter rollback is handled by the caller, not the snapshot
   trace::Tracer* tracer_ = nullptr;
   trace::CounterRegistry* counters_ = nullptr;
   std::int32_t node_ = 0;

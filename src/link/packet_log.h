@@ -87,13 +87,6 @@ class PacketLog {
     attempts_.reserve(attempts);
   }
 
-  /// Drops every record appended after a snapshot (speculative rollback).
-  /// Requires both sizes <= the current sizes; capacity is kept.
-  void Truncate(std::size_t packets, std::size_t attempts) {
-    packets_.resize(packets);
-    attempts_.resize(attempts);
-  }
-
   /// Takes ownership of recycled vectors (cleared here, capacity kept) so a
   /// reused sweep worker logs into warm heap blocks instead of growing
   /// fresh ones each run.

@@ -75,40 +75,8 @@ class TransmitQueue {
   /// before attaching are carried over; nullptr detaches.
   void AttachCounters(trace::CounterRegistry* registry);
 
-  /// Occupancy, tallies and a copy of the ring for speculative
-  /// save/restore. The ring is fixed-capacity, so the copy reuses the
-  /// image's storage across rounds (no steady-state allocation).
-  struct State {
-    std::vector<QueuedPacket> ring;
-    std::size_t head = 0;
-    std::size_t count = 0;
-    bool in_service = false;
-    std::uint64_t drops = 0;
-    std::uint64_t accepted = 0;
-  };
-
-  void SaveState(State& out) const {
-    out.ring.assign(ring_->begin(), ring_->end());
-    out.head = head_;
-    out.count = count_;
-    out.in_service = in_service_;
-    out.drops = drops_;
-    out.accepted = accepted_;
-  }
-
-  void RestoreState(const State& state) {
-    ring_->assign(state.ring.begin(), state.ring.end());
-    head_ = state.head;
-    count_ = state.count;
-    in_service_ = state.in_service;
-    drops_ = state.drops;
-    accepted_ = state.accepted;
-  }
-
  private:
-  // wsnstatic:transient(capacity_): queue bound fixed at construction; never mutated during a run
   int capacity_;
-  // wsnstatic:transient(own_storage_): default backing store; live state sits behind ring_, which Save/Restore round-trip
   std::vector<QueuedPacket> own_storage_;
   std::vector<QueuedPacket>* ring_;  // &own_storage_ or caller-owned
   std::size_t head_ = 0;             // oldest waiting packet
@@ -116,7 +84,6 @@ class TransmitQueue {
   bool in_service_ = false;
   std::uint64_t drops_ = 0;
   std::uint64_t accepted_ = 0;
-  // wsnstatic:transient(counters_, id_accepted_, id_drops_): trace wiring fixed at attach time; counter rollback is handled by the caller, not the snapshot
   trace::CounterRegistry* counters_ = nullptr;
   trace::CounterRegistry::Id id_accepted_ = 0;
   trace::CounterRegistry::Id id_drops_ = 0;

@@ -61,38 +61,6 @@ class CsmaMac final : public Mac {
     return cca_busy_;
   }
 
-  void SaveState(MacSnapshot& out) const override {
-    out.rng = rng_;
-    out.busy = busy_;
-    out.packet_id = packet_id_;
-    out.payload_bytes = payload_bytes_;
-    out.frame_bytes = frame_bytes_;
-    out.tries_done = tries_done_;
-    out.delivered_any = delivered_any_;
-    out.acked = acked_;
-    out.accepted_at = accepted_at_;
-    out.tx_energy_uj = tx_energy_uj_;
-    out.listen_time = listen_time_;
-    out.done = done_;
-    out.cca_busy = cca_busy_;
-  }
-
-  void RestoreState(const MacSnapshot& snapshot) override {
-    rng_ = snapshot.rng;
-    busy_ = snapshot.busy;
-    packet_id_ = snapshot.packet_id;
-    payload_bytes_ = snapshot.payload_bytes;
-    frame_bytes_ = snapshot.frame_bytes;
-    tries_done_ = snapshot.tries_done;
-    delivered_any_ = snapshot.delivered_any;
-    acked_ = snapshot.acked;
-    accepted_at_ = snapshot.accepted_at;
-    tx_energy_uj_ = snapshot.tx_energy_uj;
-    listen_time_ = snapshot.listen_time;
-    done_ = snapshot.done;
-    cca_busy_ = snapshot.cca_busy;
-  }
-
  private:
   void StartAttempt();
   void DoCca(int cca_retries_left);
@@ -110,10 +78,8 @@ class CsmaMac final : public Mac {
 
   sim::Simulator& sim_;
   channel::Channel& channel_;
-  // wsnstatic:transient(params_): MAC configuration fixed at construction; never mutated during a run
   MacParams params_;
   util::Rng rng_;
-  // wsnstatic:transient(on_delivery_, on_attempt_): caller-supplied callback wiring fixed at construction; not simulation state
   DeliveryCallback on_delivery_;
   AttemptCallback on_attempt_;
 
@@ -133,7 +99,6 @@ class CsmaMac final : public Mac {
   std::uint64_t cca_busy_ = 0;
 
   // Observability (null = off).
-  // wsnstatic:transient(tracer_, counters_, node_, id_sends_, id_tx_attempts_, id_cca_busy_, id_frames_decoded_, id_acks_received_, id_bytes_radiated_): trace wiring fixed at attach time; counter rollback is handled by the caller, not the snapshot
   trace::Tracer* tracer_ = nullptr;
   trace::CounterRegistry* counters_ = nullptr;
   std::int32_t node_ = 0;

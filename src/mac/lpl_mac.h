@@ -84,42 +84,6 @@ class LplMac final : public Mac {
     return cca_busy_;
   }
 
-  void SaveState(MacSnapshot& out) const override {
-    out.rng = rng_;
-    out.busy = busy_;
-    out.packet_id = packet_id_;
-    out.payload_bytes = payload_bytes_;
-    out.frame_bytes = frame_bytes_;
-    out.tries_done = trains_done_;
-    out.copies_this_packet = copies_this_packet_;
-    out.delivered_any = delivered_any_;
-    out.receiver_latched = receiver_latched_;
-    out.acked = acked_;
-    out.accepted_at = accepted_at_;
-    out.tx_energy_uj = tx_energy_uj_;
-    out.done = done_;
-    out.cca_busy = cca_busy_;
-    out.copies_sent = copies_sent_;
-  }
-
-  void RestoreState(const MacSnapshot& snapshot) override {
-    rng_ = snapshot.rng;
-    busy_ = snapshot.busy;
-    packet_id_ = snapshot.packet_id;
-    payload_bytes_ = snapshot.payload_bytes;
-    frame_bytes_ = snapshot.frame_bytes;
-    trains_done_ = snapshot.tries_done;
-    copies_this_packet_ = snapshot.copies_this_packet;
-    delivered_any_ = snapshot.delivered_any;
-    receiver_latched_ = snapshot.receiver_latched;
-    acked_ = snapshot.acked;
-    accepted_at_ = snapshot.accepted_at;
-    tx_energy_uj_ = snapshot.tx_energy_uj;
-    done_ = snapshot.done;
-    cca_busy_ = snapshot.cca_busy;
-    copies_sent_ = snapshot.copies_sent;
-  }
-
  private:
   /// True if the receiver is awake at `t` (probe window each wakeup, plus
   /// it stays awake once a copy for the in-flight packet was decoded).
@@ -137,15 +101,12 @@ class LplMac final : public Mac {
 
   sim::Simulator& sim_;
   channel::Channel& channel_;
-  // wsnstatic:transient(params_): MAC configuration fixed at construction; never mutated during a run
   LplParams params_;
   util::Rng rng_;
-  // wsnstatic:transient(on_delivery_, on_attempt_): caller-supplied callback wiring fixed at construction; not simulation state
   DeliveryCallback on_delivery_;
   AttemptCallback on_attempt_;
 
   // Receiver wake schedule: wakes at phase_ + k * wakeup_interval.
-  // wsnstatic:transient(phase_): drawn once in the constructor; constant for the node's lifetime
   sim::Duration phase_ = 0;
 
   // In-flight state.
@@ -166,7 +127,6 @@ class LplMac final : public Mac {
   std::uint64_t cca_busy_ = 0;
 
   // Observability (null = off).
-  // wsnstatic:transient(tracer_, counters_, node_, id_sends_, id_trains_, id_cca_busy_, id_copies_, id_frames_decoded_, id_acks_received_, id_bytes_radiated_): trace wiring fixed at attach time; counter rollback is handled by the caller, not the snapshot
   trace::Tracer* tracer_ = nullptr;
   trace::CounterRegistry* counters_ = nullptr;
   std::int32_t node_ = 0;

@@ -67,8 +67,6 @@ struct AttemptInfo {
   bool acked = false;
 };
 
-struct MacSnapshot;
-
 /// Abstract sender-side MAC entity: one packet in flight at a time.
 class Mac {
  public:
@@ -103,35 +101,6 @@ class Mac {
   [[nodiscard]] virtual std::uint64_t CcaBusyCount() const noexcept {
     return 0;
   }
-
-  /// Copies the MAC's in-flight state into `out` so a speculative execution
-  /// can later be rolled back with RestoreState. The image pairs with a
-  /// simulator snapshot taken at the same instant (pending MAC events are
-  /// the kernel's to save). Defaults are no-ops for stateless MACs.
-  virtual void SaveState(MacSnapshot& /*out*/) const {}
-  virtual void RestoreState(const MacSnapshot& /*snapshot*/) {}
-};
-
-/// Union of both MACs' in-flight members (csma tries and lpl trains share
-/// `tries_done`; lpl-only fields stay defaulted under CSMA). A plain value
-/// struct so per-LP snapshot arrays can reuse their storage across rounds.
-struct MacSnapshot {
-  util::Rng rng;
-  bool busy = false;
-  std::uint64_t packet_id = 0;
-  int payload_bytes = 0;
-  int frame_bytes = 0;
-  int tries_done = 0;
-  int copies_this_packet = 0;
-  bool delivered_any = false;
-  bool receiver_latched = false;
-  bool acked = false;
-  sim::Time accepted_at = 0;
-  double tx_energy_uj = 0.0;
-  sim::Duration listen_time = 0;
-  Mac::DoneCallback done;
-  std::uint64_t cca_busy = 0;
-  std::uint64_t copies_sent = 0;
 };
 
 }  // namespace wsnlink::mac

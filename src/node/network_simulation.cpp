@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "node/node_stack.h"
-#include "node/timewarp.h"
 #include "sim/simulator.h"
 
 namespace wsnlink::node {
@@ -38,8 +37,11 @@ NetworkOptions UniformNetwork(const SimulationOptions& base,
   return network;
 }
 
-namespace detail {
+namespace {
 
+// Folds a NodeSpec over the shared base options into the per-node
+// SimulationOptions a NodeStack consumes, validating as the single-link
+// runner always has.
 SimulationOptions ResolveNodeOptions(const NetworkOptions& options,
                                      const NodeSpec& spec) {
   SimulationOptions resolved = options.base;
@@ -62,6 +64,10 @@ SimulationOptions ResolveNodeOptions(const NetworkOptions& options,
   return resolved;
 }
 
+// Computes the aggregate tallies (PER, PLR, drops, ...) over
+// `result.nodes` and, when `collect_counters`, the merged aggregate counter
+// snapshot from the per-node counters, `result.run_counters` and the
+// medium.* samples.
 void FinalizeNetworkAggregates(NetworkResult& result, bool collect_counters) {
   std::uint64_t failed_attempts = 0;
   for (const SimulationResult& node : result.nodes) {
@@ -107,36 +113,23 @@ void FinalizeNetworkAggregates(NetworkResult& result, bool collect_counters) {
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
   if (options.nodes.empty()) {
     throw std::invalid_argument(
         "RunNetworkSimulation: topology needs at least one node");
   }
-  if (options.sim_threads < 1) {
+  if (options.sim_threads != 1) {
     throw std::invalid_argument(
-        "RunNetworkSimulation: sim_threads must be >= 1");
-  }
-
-  // The optimistic engine needs at least two nodes to partition, a null
-  // tracer (traced event streams are defined by the sequential
-  // interleaving) and a topology within the kernel's lane limit. Results
-  // are byte-identical either way — the engines differ only in wall-clock.
-  if (options.sim_threads > 1 && options.nodes.size() >= 2 &&
-      options.base.tracer == nullptr &&
-      options.nodes.size() <= sim::Simulator::kMaxLanes) {
-    return RunNetworkSimulationTimeWarp(
-        options, static_cast<unsigned>(options.sim_threads),
-        static_cast<unsigned>(options.sim_threads));
+        "RunNetworkSimulation: sim_threads must be 1 (runs are sequential)");
   }
 
   sim::Simulator simulator;
   // Lane-structured event keys: same-time events tie-break by (node,
-  // per-node sequence) instead of global scheduling order, the invariant
-  // the parallel engine reproduces per-LP. Oversized topologies (beyond
-  // the 16-bit lane space) keep the legacy single-lane keys — they can
-  // only run sequentially anyway.
+  // per-node sequence) instead of global scheduling order, which fixes the
+  // contention output bytes (sim/simulator.h). Oversized topologies
+  // (beyond the 16-bit lane space) keep the single-lane keys.
   const bool laned = options.nodes.size() <= sim::Simulator::kMaxLanes;
   if (laned) {
     simulator.ConfigureLanes(static_cast<std::uint32_t>(options.nodes.size()));
@@ -160,7 +153,7 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
     const util::Rng node_root =
         i == 0 ? root : root.Derive("node-" + std::to_string(i));
     stacks.push_back(std::make_unique<NodeStack>(
-        simulator, detail::ResolveNodeOptions(options, options.nodes[i]),
+        simulator, ResolveNodeOptions(options, options.nodes[i]),
         node_root, medium ? &*medium : nullptr, static_cast<int>(i)));
   }
 
@@ -198,7 +191,7 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
   if (options.base.collect_counters) {
     result.run_counters = run_registry.Snapshot();
   }
-  detail::FinalizeNetworkAggregates(result, options.base.collect_counters);
+  FinalizeNetworkAggregates(result, options.base.collect_counters);
   return result;
 }
 

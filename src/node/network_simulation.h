@@ -47,12 +47,8 @@ struct NetworkOptions {
   bool shared_medium = true;
   /// SINR capture threshold of the shared medium, dB.
   double capture_margin_db = 3.0;
-  /// Worker threads for the optimistic parallel engine (node/timewarp.h).
-  /// 1 (the default) runs the sequential kernel; >= 2 partitions the
-  /// topology into logical processes and executes them speculatively, with
-  /// results byte-identical to the sequential run. Single-node topologies
-  /// and runs with a tracer attached always use the sequential kernel
-  /// (event traces need the global interleaving). Must be >= 1.
+  /// Kept only so existing callers that assign it still compile; the run
+  /// is always sequential and any value other than 1 is rejected.
   int sim_threads = 1;
 };
 
@@ -105,23 +101,5 @@ struct NetworkResult {
 /// (merging the node's counters with the run-scoped ones exactly as the
 /// pre-refactor single registry reported them). Requires nodes.size() == 1.
 [[nodiscard]] SimulationResult CollapseToSingleLink(NetworkResult&& network);
-
-namespace detail {
-
-/// Folds a NodeSpec over the shared base options into the per-node
-/// SimulationOptions a NodeStack consumes, validating as the single-link
-/// runner always has. Shared between the sequential and optimistic
-/// engines so both build identical stacks.
-[[nodiscard]] SimulationOptions ResolveNodeOptions(const NetworkOptions& options,
-                                                   const NodeSpec& spec);
-
-/// Computes the aggregate tallies (PER, PLR, drops, ...) over
-/// `result.nodes` and — when `collect_counters` — the merged aggregate
-/// counter snapshot from the per-node counters, `result.run_counters` and
-/// the medium.* samples. Both engines finish through this, which is what
-/// keeps their aggregates byte-identical.
-void FinalizeNetworkAggregates(NetworkResult& result, bool collect_counters);
-
-}  // namespace detail
 
 }  // namespace wsnlink::node

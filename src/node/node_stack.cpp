@@ -95,24 +95,6 @@ void NodeStack::AttachTrace(trace::Tracer* tracer, bool collect_counters) {
 
 void NodeStack::Start() { generator_->Start(); }
 
-void NodeStack::SaveState(Snapshot& out) const {
-  channel_->SaveState(out.channel);
-  mac_->SaveState(out.mac);
-  link_->SaveState(out.link);
-  sink_.SaveState(out.sink);
-  generator_->SaveState(out.traffic);
-  registry_->SaveValues(out.counters);
-}
-
-void NodeStack::RestoreState(const Snapshot& snapshot) {
-  channel_->RestoreState(snapshot.channel);
-  mac_->RestoreState(snapshot.mac);
-  link_->RestoreState(snapshot.link);
-  sink_.RestoreState(snapshot.sink);
-  generator_->RestoreState(snapshot.traffic);
-  registry_->RestoreValues(snapshot.counters);
-}
-
 SimulationResult NodeStack::Harvest(sim::Time end_time,
                                     std::uint64_t events_executed) {
   SimulationResult result;

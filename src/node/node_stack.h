@@ -71,41 +71,17 @@ class NodeStack {
   [[nodiscard]] SimulationResult Harvest(sim::Time end_time,
                                          std::uint64_t events_executed);
 
-  [[nodiscard]] int NodeId() const noexcept { return node_id_; }
-  [[nodiscard]] const channel::Channel& Link() const noexcept {
-    return *channel_;
-  }
-
-  /// Every layer's mutable state plus this node's counter values — the
-  /// whole-stack image the optimistic engine saves before speculating and
-  /// restores on a causality violation. Pair with a simulator snapshot
-  /// taken at the same instant (pending events belong to the kernel).
-  struct Snapshot {
-    channel::Channel::State channel;
-    mac::MacSnapshot mac;
-    link::LinkLayer::State link;
-    app::PacketSink::State sink;
-    app::TrafficGenerator::State traffic;
-    std::vector<std::uint64_t> counters;
-  };
-
-  void SaveState(Snapshot& out) const;
-  void RestoreState(const Snapshot& snapshot);
-
  private:
-  // wsnstatic:transient(options_, node_id_): run configuration fixed at construction; never mutated during a run
   SimulationOptions options_;
   int node_id_;
   // Both BER models are cheap value members; the channel borrows whichever
   // the options select (no per-stack model allocation either way).
-  // wsnstatic:transient(analytic_ber_, calibrated_ber_): immutable BER model values; pure functions of SNR
   channel::AnalyticOQpskBer analytic_ber_;
   channel::CalibratedExponentialBer calibrated_ber_;
   // Components live in an arena: the stack's own in default mode, the
   // caller's recycled one in scratch mode. The arena destroys them in
   // reverse construction order (generator → link → mac → channel), which
   // respects their reference dependencies.
-  // wsnstatic:transient(own_arena_, arena_): component storage, not state; each arena-hosted component snapshots itself in the stack Snapshot
   util::MonotonicArena own_arena_;
   util::MonotonicArena* arena_;
   channel::Channel* channel_ = nullptr;
@@ -113,11 +89,9 @@ class NodeStack {
   link::LinkLayer* link_ = nullptr;
   app::PacketSink sink_;
   app::TrafficGenerator* generator_ = nullptr;
-  // wsnstatic:transient(own_registry_): default backing registry; live counters sit behind registry_, whose values Save/Restore round-trip
   trace::CounterRegistry own_registry_;
   trace::CounterRegistry* registry_;  // &own_registry_ or scratch's
   const trace::CounterRegistry* run_registry_ = nullptr;
-  // wsnstatic:transient(collect_counters_, receiver_idle_duty_): run configuration fixed at construction; never mutated during a run
   bool collect_counters_ = false;
   double receiver_idle_duty_ = 1.0;
 };

@@ -1,6 +1,8 @@
 #include "serve/query_service.h"
 
 #include <exception>
+#include <set>
+#include <string_view>
 
 #include "core/opt/epsilon_constraint.h"
 #include "experiment/checkpoint.h"
@@ -302,9 +304,21 @@ std::vector<std::string> QueryService::AnswerBatch(
     responses[0] = Answer(lines[0]);
     return responses;
   }
+  // Clients often send the same miss in one poll cycle. Answering each
+  // distinct line once in parallel and its repeats afterwards computes it
+  // once; the repeats count as cache hits, so requests, cache_hits and
+  // cache_misses still advance per line.
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> repeats;
+  std::set<std::string_view> seen;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    (seen.insert(lines[i]).second ? firsts : repeats).push_back(i);
+  }
   util::ThreadPool::Shared().ParallelFor(
-      lines.size(), /*chunk=*/1, options_.threads,
-      [&](std::size_t i) { responses[i] = Answer(lines[i]); });
+      firsts.size(), /*chunk=*/1, options_.threads, [&](std::size_t k) {
+        responses[firsts[k]] = Answer(lines[firsts[k]]);
+      });
+  for (const std::size_t i : repeats) responses[i] = Answer(lines[i]);
   return responses;
 }
 

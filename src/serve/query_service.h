@@ -87,7 +87,8 @@ class QueryService {
 
   /// Answers a batch via the shared pool (at most options.threads active
   /// workers). results[i] is Answer(lines[i]); the vector is bit-identical
-  /// for any thread count.
+  /// for any thread count. Repeats of a line are answered after its first
+  /// copy, so a miss sent several times computes once.
   [[nodiscard]] std::vector<std::string> AnswerBatch(
       const std::vector<std::string>& lines);
 

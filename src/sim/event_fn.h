@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <memory>
 #include <new>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -45,14 +44,6 @@ class EventFn {
       invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Decayed*>(p)))(); };
       manage_ = [](Op op, void* p, void* dst) {
         auto* self = std::launder(reinterpret_cast<Decayed*>(p));
-        if (op == Op::kCopy) {
-          if constexpr (std::is_copy_constructible_v<Decayed>) {
-            ::new (dst) Decayed(*self);
-          } else {
-            throw std::logic_error("EventFn::Clone: callback not copyable");
-          }
-          return;
-        }
         if (op == Op::kMove) ::new (dst) Decayed(std::move(*self));
         self->~Decayed();
       };
@@ -65,14 +56,6 @@ class EventFn {
       };
       manage_ = [](Op op, void* p, void* dst) {
         auto* slot = std::launder(reinterpret_cast<Decayed**>(p));
-        if (op == Op::kCopy) {
-          if constexpr (std::is_copy_constructible_v<Decayed>) {
-            ::new (dst) Decayed*(new Decayed(**slot));
-          } else {
-            throw std::logic_error("EventFn::Clone: callback not copyable");
-          }
-          return;
-        }
         if (op == Op::kMove) ::new (dst) Decayed*(*slot);
         else delete *slot;
       };
@@ -104,24 +87,8 @@ class EventFn {
     manage_ = nullptr;
   }
 
-  /// Deep copy of the stored callable (the speculative engine's event-queue
-  /// snapshots clone pending events so a rollback can re-schedule them).
-  /// Every callback the stack schedules captures `this` plus scalars and is
-  /// therefore copyable; a non-copyable capture throws std::logic_error.
-  [[nodiscard]] EventFn Clone() const {
-    EventFn copy;
-    if (manage_ != nullptr) {
-      manage_(Op::kCopy,
-              const_cast<unsigned char*>(buffer_),  // read-only for kCopy
-              copy.buffer_);
-      copy.invoke_ = invoke_;
-      copy.manage_ = manage_;
-    }
-    return copy;
-  }
-
  private:
-  enum class Op { kMove, kCopy, kDestroy };
+  enum class Op { kMove, kDestroy };
 
   void MoveFrom(EventFn& other) noexcept {
     invoke_ = other.invoke_;

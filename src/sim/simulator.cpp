@@ -19,7 +19,6 @@ void Simulator::Reset() noexcept {
   for (const HeapEntry& entry : heap_) ReleaseSlot(entry.slot);
   heap_.clear();
   now_ = 0;
-  last_event_at_ = 0;
   lane_seq_.assign(1, 0);  // back to the single default lane, capacity kept
   current_lane_ = 0;
   executed_ = 0;
@@ -40,36 +39,6 @@ void Simulator::SetCurrentLane(std::uint32_t lane) {
     throw std::invalid_argument("Simulator::SetCurrentLane: unknown lane");
   }
   current_lane_ = lane;
-}
-
-void Simulator::SaveState(Snapshot& out) const {
-  out.now = now_;
-  out.last_event_at = last_event_at_;
-  out.executed = executed_;
-  out.current_lane = current_lane_;
-  out.lane_seq.assign(lane_seq_.begin(), lane_seq_.end());
-  out.events.clear();
-  out.events.reserve(heap_.size());
-  for (const HeapEntry& entry : heap_) {
-    EventImage image;
-    image.at = entry.at;
-    image.key = entry.seq;
-    image.fn = slots_[entry.slot].fn.Clone();
-    out.events.push_back(std::move(image));
-  }
-}
-
-void Simulator::RestoreState(const Snapshot& snapshot) {
-  for (const HeapEntry& entry : heap_) ReleaseSlot(entry.slot);
-  heap_.clear();
-  now_ = snapshot.now;
-  last_event_at_ = snapshot.last_event_at;
-  executed_ = snapshot.executed;
-  current_lane_ = snapshot.current_lane;
-  lane_seq_.assign(snapshot.lane_seq.begin(), snapshot.lane_seq.end());
-  for (const EventImage& image : snapshot.events) {
-    InsertWithKey(image.at, image.key, image.fn.Clone());
-  }
 }
 
 void Simulator::AttachTrace(const trace::TraceContext& ctx) {
@@ -176,21 +145,11 @@ EventHandle Simulator::ScheduleAt(Time at, EventFn fn) {
   return EventHandle(this, slot, s.generation);
 }
 
-void Simulator::InsertWithKey(Time at, std::uint64_t key, EventFn fn) {
-  const std::uint32_t slot = AcquireSlot();
-  Slot& s = slots_[slot];
-  s.at = at;
-  s.fn = std::move(fn);
-  heap_.push_back(HeapEntry{at, key, slot});
-  SiftUp(static_cast<std::uint32_t>(heap_.size() - 1));
-}
-
 bool Simulator::Step() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_[0];
   HeapRemove(0);
   now_ = top.at;
-  last_event_at_ = top.at;
   // The event executes in its scheduler's lane, so events it schedules in
   // turn inherit that lane (node-local causality keeps its own key stream).
   current_lane_ = static_cast<std::uint32_t>(top.seq >> kLaneShift);

@@ -9,9 +9,11 @@
 // runs use the single default lane, whose keys are numerically identical to
 // a plain global counter) and the low 48 bits a per-lane counter. Same-time
 // events therefore order by (lane, lane-local order) instead of global
-// scheduling order — a tie-break that any partition of the lanes across
-// per-LP simulators reproduces exactly, which is what makes the optimistic
-// parallel engine (node/timewarp.h) bit-identical to this sequential loop.
+// scheduling order. Multi-node output bytes depend on this tie-break: when
+// two nodes' events land on the same microsecond, whichever runs first
+// decides who senses the channel busy, so a plain global counter would
+// reorder them and change contention results. The contention ladder
+// golden (tests/golden/contention_ladder.csv) pins the lane order.
 //
 // Event storage is pooled: each scheduled event lives in a reusable slot of
 // a per-simulator slab (no per-event heap allocation), its callback in
@@ -70,26 +72,6 @@ class EventHandle {
 /// The event loop.
 class Simulator {
  public:
-  /// A pending event lifted out of the queue: enough to re-create it with
-  /// an identical (time, sequence) key. Move-only (owns a callback clone).
-  struct EventImage {
-    Time at = 0;
-    std::uint64_t key = 0;
-    EventFn fn;
-  };
-
-  /// Full kernel state at one instant (clock, per-lane sequence counters
-  /// and a deep copy of every pending event). Move-only; reusable — saving
-  /// into a warm snapshot reuses its vector capacity.
-  struct Snapshot {
-    Time now = 0;
-    Time last_event_at = 0;
-    std::uint64_t executed = 0;
-    std::uint32_t current_lane = 0;
-    std::vector<std::uint64_t> lane_seq;
-    std::vector<EventImage> events;
-  };
-
   /// Largest lane table ConfigureLanes accepts (the key's 16-bit lane
   /// field); topologies beyond it fall back to single-lane keys.
   static constexpr std::uint32_t kMaxLanes = 1u << 16;
@@ -125,19 +107,6 @@ class Simulator {
   /// Total number of events executed so far (excludes cancelled ones).
   [[nodiscard]] std::uint64_t EventsExecuted() const noexcept { return executed_; }
 
-  /// Timestamp of the most recently executed event (0 before the first).
-  /// Unlike Now(), RunUntil's final clock advance does not touch this, so
-  /// it is the run-envelope end time a windowed execution reports.
-  [[nodiscard]] Time LastEventAt() const noexcept { return last_event_at_; }
-
-  /// Timestamp of the next pending event; true when one exists. Lets a
-  /// windowed driver peek without popping.
-  [[nodiscard]] bool PeekNextEventAt(Time& at) const noexcept {
-    if (heap_.empty()) return false;
-    at = heap_[0].at;
-    return true;
-  }
-
   /// Declares `count` scheduling lanes (>= 1, <= 65536) and resets every
   /// lane counter. Call before the run starts; the default is one lane,
   /// under which keys are numerically identical to a global counter.
@@ -148,21 +117,6 @@ class Simulator {
   /// so follow-up events inherit their scheduler's lane automatically; set
   /// it explicitly only around out-of-event scheduling (per-node Start()).
   void SetCurrentLane(std::uint32_t lane);
-
-  [[nodiscard]] std::uint32_t CurrentLane() const noexcept {
-    return current_lane_;
-  }
-
-  /// Copies the kernel's full state into `out` (clock, lane counters, a
-  /// deep clone of every pending event). Reuses `out`'s capacity.
-  void SaveState(Snapshot& out) const;
-
-  /// Restores state captured by SaveState: pending events are rebuilt with
-  /// their original keys, so execution order after a rollback is identical
-  /// to the original timeline. Trace attachment is left untouched and no
-  /// scheduling counters are bumped (the caller rolls counters back
-  /// separately).
-  void RestoreState(const Snapshot& snapshot);
 
   /// Attaches observability sinks; the kernel maintains the
   /// "sim.events_scheduled" / "sim.events_executed" /
@@ -209,9 +163,6 @@ class Simulator {
   }
 
   std::uint32_t AcquireSlot();
-  /// Inserts a pending event with an explicit pre-assigned key (the restore
-  /// path; ScheduleAt mints fresh keys via the lane counters instead).
-  void InsertWithKey(Time at, std::uint64_t key, EventFn fn);
   void ReleaseSlot(std::uint32_t slot) noexcept;
   void SiftUp(std::uint32_t pos) noexcept;
   void SiftDown(std::uint32_t pos) noexcept;
@@ -221,16 +172,13 @@ class Simulator {
                                  std::uint64_t ticket) const noexcept;
 
   Time now_ = 0;
-  Time last_event_at_ = 0;
   std::vector<std::uint64_t> lane_seq_ = {0};  // per-lane key counters
   std::uint32_t current_lane_ = 0;
   std::uint64_t executed_ = 0;
-  // wsnstatic:transient(slots_, free_head_): pool storage; RestoreState rebuilds both through ReleaseSlot/InsertWithKey from the saved event images
   std::vector<Slot> slots_;      // event pool (grows to peak queue depth)
   std::vector<HeapEntry> heap_;  // binary heap over (time, seq)
   std::uint32_t free_head_ = kNoSlot;
 
-  // wsnstatic:transient(counters_, id_scheduled_, id_executed_, id_cancelled_): trace wiring fixed at attach time; rollback leaves trace attachment untouched by contract
   trace::CounterRegistry* counters_ = nullptr;
   trace::CounterRegistry::Id id_scheduled_ = 0;
   trace::CounterRegistry::Id id_executed_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <set>
-#include <stdexcept>
 #include <string>
 
 namespace wsnlink::trace {
@@ -13,7 +12,7 @@ std::string_view InternCounterName(std::string_view name) {
   // survive every later insertion. Function-local statics keep the table
   // alive for the whole process; registries and samples are destroyed
   // earlier, so their views never dangle.
-  // wsnstatic:allow(lp-isolation): the intern table is append-only and mutex-guarded; interned views are immutable, so rollback never observes a change
+  // wsnstatic:allow(lp-isolation): the intern table is append-only and mutex-guarded; interned views are immutable, so worker threads never race on them
   static std::mutex mutex;
   static std::set<std::string, std::less<>> table;
   const std::lock_guard<std::mutex> lock(mutex);
@@ -39,15 +38,6 @@ CounterRegistry::Id CounterRegistry::Register(std::string_view name) {
   epochs_.push_back(epoch_);
   index_.emplace(names_.back(), id);
   return id;
-}
-
-void CounterRegistry::RestoreValues(const std::vector<std::uint64_t>& saved) {
-  if (saved.size() != values_.size()) {
-    throw std::logic_error(
-        "CounterRegistry::RestoreValues: counters registered since the "
-        "save (wire every layer before the run starts)");
-  }
-  std::copy(saved.begin(), saved.end(), values_.begin());
 }
 
 std::uint64_t CounterRegistry::Value(std::string_view name) const noexcept {

@@ -71,20 +71,6 @@ class CounterRegistry {
   /// single-run use never needs to call this.
   void BeginRun() noexcept { ++epoch_; }
 
-  /// Copies every counter value into `out` (ids and names unchanged) so a
-  /// speculative execution can be rolled back without its increments
-  /// leaking into the aggregates. Registration happens only during stack
-  /// wiring (before the run), so the id set is stable across a
-  /// save/restore pair; RestoreValues enforces that.
-  void SaveValues(std::vector<std::uint64_t>& out) const {
-    out.assign(values_.begin(), values_.end());
-  }
-
-  /// Rolls every counter back to a SaveValues() image. Throws
-  /// std::logic_error if counters were registered since the save (the
-  /// engine's contract is wiring-before-run, so this indicates a bug).
-  void RestoreValues(const std::vector<std::uint64_t>& saved);
-
  private:
   friend std::vector<CounterSample> SnapshotMerged(const CounterRegistry&,
                                                    const CounterRegistry&);

@@ -26,7 +26,7 @@ ThreadPool::~ThreadPool() {
 }
 
 ThreadPool& ThreadPool::Shared() {
-  // wsnstatic:allow(lp-isolation): process-wide worker pool; it executes LP work but holds no simulation state itself
+  // wsnstatic:allow(lp-isolation): process-wide worker pool; it runs every worker thread but holds no simulation state itself
   static ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
   return pool;
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
-# Regenerates tests/golden/campaign_summary.csv and serve_responses.txt
-# after an *intentional* behaviour change (channel calibration, MAC
-# timing, metric definitions, serve protocol/response schema).
+# Regenerates tests/golden/campaign_summary.csv, contention_ladder.csv and
+# serve_responses.txt after an *intentional* behaviour change (channel
+# calibration, MAC timing, medium/contention rules, same-time event order,
+# metric definitions, serve protocol/response schema).
 #
-# The files are byte-compared by Golden.CampaignSummaryCsvMatchesCheckedInFile
-# and ServeGolden.TraceResponsesMatchCheckedInFile, so never refresh them
+# The files are byte-compared by Golden.CampaignSummaryCsvMatchesCheckedInFile,
+# Golden.ContentionLadderCsvMatchesCheckedInFile and
+# ServeGolden.TraceResponsesMatchCheckedInFile, so never refresh them
 # to silence a failing test without understanding why the numbers moved —
 # review the diff like any other calibration change. A serve-response
 # change that affects answers also needs a kServeVersionTag bump
@@ -33,6 +35,14 @@ cmake --build "$BUILD" --target run_campaign
   --stride 6049 --packets 60 --seed 20150629 --threads 2 \
   --out "$GOLDEN"
 
+# Contention golden: a CSMA node ladder on one shared medium. Its larger
+# rungs pin multi-node behaviour, including the kernel's lane-ordered
+# tie-break between same-time events of different nodes.
+LADDER_GOLDEN="$ROOT/tests/golden/contention_ladder.csv"
+cmake --build "$BUILD" --target contention_sweep
+"$BUILD/examples/contention_sweep" \
+  --nodes 1,2,4,8,16,32 --packets 200 --seed 9 --csv "$LADDER_GOLDEN"
+
 # Serve golden: replay the fixed request trace through an in-process
 # QueryService (no socket, no cache file) and freeze the response bytes.
 SERVE_GOLDEN="$ROOT/tests/golden/serve_responses.txt"
@@ -42,5 +52,6 @@ cmake --build "$BUILD" --target wsnlink_client
   --out "$SERVE_GOLDEN"
 
 echo
-git -C "$ROOT" --no-pager diff --stat -- "$GOLDEN" "$SERVE_GOLDEN" || true
-echo "regen.sh: wrote $GOLDEN and $SERVE_GOLDEN — review the diff, then commit deliberately."
+git -C "$ROOT" --no-pager diff --stat -- \
+  "$GOLDEN" "$LADDER_GOLDEN" "$SERVE_GOLDEN" || true
+echo "regen.sh: wrote $GOLDEN, $LADDER_GOLDEN and $SERVE_GOLDEN — review the diff, then commit deliberately."

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "experiment/campaign.h"
+#include "experiment/contention.h"
 #include "metrics/link_metrics.h"
 #include "node/link_simulation.h"
 
@@ -109,6 +110,33 @@ TEST(Golden, CampaignSummaryCsvMatchesCheckedInFile) {
       << "campaign summary drifted; if intentional, refresh "
       << golden_path << " from " << out_path;
   std::remove(out_path.c_str());
+}
+
+// The multi-node pin behind tests/golden/contention_ladder.csv: exactly
+// what `contention_sweep --nodes 1,2,4,8,16,32 --packets 200 --seed 9
+// --csv` writes (tests/golden/regen.sh). Besides the MAC, medium and
+// channel, the bytes depend on the kernel's lane tie-break between
+// same-time events (sim/simulator.h): with one lane for every node, the
+// N=32 row changes.
+TEST(Golden, ContentionLadderCsvMatchesCheckedInFile) {
+  experiment::ContentionOptions options;
+  options.node_counts = {1, 2, 4, 8, 16, 32};
+  options.packet_count = 200;
+  options.base_seed = 9;
+  options.config.distance_m = 20.0;
+  options.config.pkt_interval_ms = 25.0;
+  std::string actual = experiment::ContentionCsvHeader() + "\n";
+  for (const auto& point : experiment::RunContentionSweep(options)) {
+    actual += experiment::SerializeContentionRow(point) + "\n";
+  }
+
+  const std::string golden_path =
+      std::string(WSNLINK_GOLDEN_DIR) + "/contention_ladder.csv";
+  const std::string expected = ReadFile(golden_path);
+  ASSERT_FALSE(expected.empty()) << "golden file missing: " << golden_path;
+  EXPECT_EQ(actual, expected)
+      << "contention ladder drifted; if intentional, regenerate "
+      << golden_path << " with tests/golden/regen.sh";
 }
 
 }  // namespace

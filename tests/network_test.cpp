@@ -6,14 +6,18 @@
 // event streams. The rest exercise what only N>1 can show: emergent
 // carrier-sense pressure and collisions without any synthetic interferer,
 // monotone degradation in contender count, per-node counter bookkeeping,
-// and thread-count invariance of the contention sweep.
+// thread-count invariance of the contention sweep and checkpoint/resume of
+// a contention ladder.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "experiment/checkpoint.h"
 #include "experiment/contention.h"
+#include "experiment/sweep.h"
 #include "node/link_simulation.h"
 #include "node/network_simulation.h"
 #include "trace/trace.h"
@@ -179,6 +183,25 @@ TEST(NetworkSimulation, RejectsNonPositivePacketCountOverride) {
   EXPECT_THROW(node::RunNetworkSimulation(options), std::invalid_argument);
 }
 
+// sim_threads survives only as a source-compatible field: runs are always
+// sequential, so every value but 1 is an error, not a silent fallback.
+TEST(NetworkSimulation, RejectsSimThreadsOtherThanOne) {
+  for (const int threads : {0, 2}) {
+    auto network =
+        node::UniformNetwork(BaseOptions(), std::vector<double>(2, 20.0));
+    network.sim_threads = threads;
+    EXPECT_THROW(node::RunNetworkSimulation(network), std::invalid_argument)
+        << "sim_threads " << threads;
+
+    experiment::ContentionOptions contention;
+    contention.node_counts = {2};
+    contention.sim_threads = threads;
+    EXPECT_THROW(experiment::RunContentionSweep(contention),
+                 std::invalid_argument)
+        << "sim_threads " << threads;
+  }
+}
+
 // --- emergent contention ----------------------------------------------
 
 node::SimulationOptions ContendedBase() {
@@ -309,6 +332,67 @@ TEST(Contention, SweepThreadCountInvariance) {
     EXPECT_EQ(a[i].result.aggregate_counters, b[i].result.aggregate_counters)
         << "rung " << i;
   }
+}
+
+// A contention ladder interrupted mid-way and resumed must emit the same
+// bytes as an uninterrupted run: checkpointed rows survive the write/read
+// cycle verbatim, and the remaining rung, recomputed in isolation from its
+// stored SweepSeed, reproduces the ladder's row exactly.
+TEST(Contention, CheckpointResumeByteIdentical) {
+  experiment::ContentionOptions options;
+  options.config.distance_m = 20.0;
+  options.config.pkt_interval_ms = 25.0;
+  options.node_counts = {2, 3, 4};
+  options.base_seed = 99;
+  options.packet_count = 100;
+  const auto reference = experiment::RunContentionSweep(options);
+  ASSERT_EQ(reference.size(), 3u);
+
+  // "Crash" after the first two rungs: persist them.
+  auto interrupted = options;
+  interrupted.node_counts = {2, 3};
+  const auto first_half = experiment::RunContentionSweep(interrupted);
+  experiment::Checkpoint checkpoint;
+  checkpoint.meta.base_seed = options.base_seed;
+  checkpoint.meta.packet_count = options.packet_count;
+  checkpoint.meta.stride = 1;
+  checkpoint.meta.space_size = options.node_counts.size();
+  checkpoint.meta.config_count = options.node_counts.size();
+  for (std::size_t i = 0; i < first_half.size(); ++i) {
+    experiment::CheckpointRow row;
+    row.index = i;
+    row.csv_row = experiment::SerializeContentionRow(first_half[i]);
+    checkpoint.rows.push_back(row);
+  }
+  const std::string path =
+      testing::TempDir() + "/wsnlink_contention_checkpoint.txt";
+  experiment::WriteCheckpoint(path, checkpoint);
+
+  // Resume: reload, then recompute rung 2 from its seed contract
+  // (SweepSeed(base, 2)).
+  const auto loaded = experiment::ReadCheckpoint(path);
+  ASSERT_EQ(loaded.rows.size(), 2u);
+
+  node::SimulationOptions base;
+  base.config = options.config;
+  base.seed = experiment::SweepSeed(options.base_seed, 2);
+  base.packet_count = options.packet_count;
+  base.disable_interference = true;
+  base.interferer_duty_cycle = 0.0;
+  experiment::ContentionPoint last;
+  last.nodes = 4;
+  last.seed = base.seed;
+  last.result = node::RunNetworkSimulation(node::UniformNetwork(
+      base, std::vector<double>(4, options.config.distance_m)));
+
+  const std::vector<std::string> resumed = {
+      loaded.rows[0].csv_row, loaded.rows[1].csv_row,
+      experiment::SerializeContentionRow(last)};
+  for (std::size_t i = 0; i < resumed.size(); ++i) {
+    EXPECT_EQ(resumed[i], experiment::SerializeContentionRow(reference[i]))
+        << "rung " << i;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Contention, CsvRowMatchesHeaderArity) {

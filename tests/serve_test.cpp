@@ -181,6 +181,27 @@ TEST(ServeService, WhatIfAnswerIsOkAndCachedByteIdentical) {
   EXPECT_EQ(stats.computed_what_if, 1u);
 }
 
+// Several clients sending the same miss in one poll cycle arrive as one
+// batch: the line computes once and every copy gets the same bytes, with
+// the repeats counted as cache hits.
+TEST(ServeService, BatchOfIdenticalWhatIfLinesComputesOnce) {
+  ServiceOptions options;
+  options.threads = 4;
+  QueryService service(options);
+  const std::vector<std::string> lines(4, kWhatIfLine);
+  const auto replies = service.AnswerBatch(lines);
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_NE(replies[0].find("\"status\":\"ok\""), std::string::npos)
+      << replies[0];
+  for (const std::string& reply : replies) EXPECT_EQ(reply, replies[0]);
+
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.computed_what_if, 1u);
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 3u);
+}
+
 TEST(ServeService, OptimizeAnswerMatchesDirectSolve) {
   QueryService service(ServiceOptions{});
   const std::string reply = service.Answer(kOptimizeLine);

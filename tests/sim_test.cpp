@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -36,6 +37,35 @@ TEST(Simulator, FifoStableForEqualTimes) {
   }
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// Lane-structured keys: same-time events run in (lane, lane-local order),
+// not in global scheduling order, and an event's follow-ups inherit its
+// lane. Multi-node output bytes depend on this tie-break.
+TEST(Simulator, SameTimeEventsOrderByLaneThenSequence) {
+  Simulator sim;
+  sim.ConfigureLanes(3);
+  std::vector<std::pair<Time, int>> log;
+
+  sim.SetCurrentLane(1);
+  sim.ScheduleAt(10, [&] {
+    log.emplace_back(sim.Now(), 1);
+    sim.Schedule(5, [&] { log.emplace_back(sim.Now(), 11); });
+    sim.Schedule(0, [&] { log.emplace_back(sim.Now(), 12); });
+  });
+  sim.SetCurrentLane(2);
+  sim.ScheduleAt(10, [&] { log.emplace_back(sim.Now(), 2); });
+  sim.ScheduleAt(15, [&] { log.emplace_back(sim.Now(), 21); });
+  sim.SetCurrentLane(0);
+  sim.ScheduleAt(10, [&] { log.emplace_back(sim.Now(), 0); });
+
+  sim.Run();
+  // A global counter would run 1, 2, 0 at t=10 and 21 before 11 at t=15.
+  // Lanes put lane 0 first and let lane 1's follow-ups (12, 11), scheduled
+  // mid-run, overtake lane 2's events scheduled before the run.
+  const std::vector<std::pair<Time, int>> expected = {
+      {10, 0}, {10, 1}, {10, 12}, {10, 2}, {15, 11}, {15, 21}};
+  EXPECT_EQ(log, expected);
 }
 
 TEST(Simulator, NestedSchedulingFromCallback) {

@@ -1,23 +1,27 @@
-// Fixture: marker-directive abuse on an otherwise complete snapshot pair.
-// `cache_` is round-tripped, so its transient marker is stale; `ghost_`
-// names no member at all.
+// Fixture: marker-directive abuse on an otherwise complete serdes pair.
+// `cache` is round-tripped, so its transient marker is stale; `ghost`
+// names no field at all.
 #pragma once
+
+#include <string>
 
 namespace fixture {
 
-class MarkedEngine {
- public:
-  struct State {
-    int cache;
-  };
-
-  void SaveState(State& out) const { out.cache = cache_; }
-  void RestoreState(const State& state) { cache_ = state.cache; }
-
- private:
-  // wsnstatic:transient(cache_): stale by construction — the member round-trips
-  int cache_ = 0;
-  // wsnstatic:transient(ghost_): names nothing in this file
+struct MarkedMeta {
+  // wsnstatic:transient(cache): stale by construction — the field round-trips
+  int cache = 0;
+  // wsnstatic:transient(ghost): names nothing in this file
 };
+
+// wsnstatic:serdes(MarkedMeta, WriteMarked, ReadMarked): fixture persistence contract
+inline std::string WriteMarked(const MarkedMeta& meta) {
+  return std::to_string(meta.cache);
+}
+
+inline MarkedMeta ReadMarked(const std::string& body) {
+  MarkedMeta meta;
+  meta.cache = static_cast<int>(body.size());
+  return meta;
+}
 
 }  // namespace fixture

@@ -1,5 +1,5 @@
-// Fixture: mutable static reachable from an LP root — must be flagged.
-// The immutable table below it must not be.
+// Fixture: mutable static reachable from an lp-isolation root — must be
+// flagged. The immutable table below it must not be.
 #include "util/shared_state.h"
 
 namespace fixture {

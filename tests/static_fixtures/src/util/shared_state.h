@@ -1,5 +1,5 @@
-// Fixture: header pulled in by the LP root; its implementation file holds
-// the offending static.
+// Fixture: header pulled in by the lp-isolation root; its implementation
+// file holds the offending static.
 #pragma once
 
 namespace fixture {

@@ -7,10 +7,10 @@
 //  2. Clean tree: the real working tree must analyze finding-free; every
 //     sanctioned exception is a justified wsnstatic marker, itself checked
 //     for staleness.
-//  3. Mutation: the seeded mutations from the acceptance criteria (drop a
-//     snapshot field restore, add an upward include, call a banned API two
-//     levels below a hot root) must each be detected — so CI goes red if
-//     one lands in the tree.
+//  3. Mutation: the seeded mutations the CI drills replay (drop a serdes
+//     field read, add an upward include, call a banned API two levels
+//     below a hot root, add a shared static below a worker-thread root)
+//     must each be detected — so CI goes red if one lands in the tree.
 //  4. Determinism: re-running the analyzer over the same inputs yields
 //     byte-identical output (the golden compare is meaningful).
 #include "checks.h"
@@ -86,26 +86,27 @@ TEST(Static, InventoryListsJustifiedMarkers) {
 
 // --- Mutation drills (in-process twins of the CI sed drills) -------------
 
-TEST(Static, MutationDroppedRestoreIsDetected) {
+TEST(Static, MutationDroppedSerdesReadIsDetected) {
+  // The checkpoint.cpp drill in CI: a field the writer emits but the
+  // reader no longer parses.
   const std::string source = R"(
-class Engine {
- public:
-  struct State { int ticks; int credits; };
-  void SaveState(State& out) const {
-    out.ticks = ticks_;
-    out.credits = credits_;
-  }
-  void RestoreState(const State& state) {
-    ticks_ = state.ticks;
-  }
- private:
-  int ticks_ = 0;
-  int credits_ = 0;
+struct Meta {
+  long seed = 0;
+  long stride = 0;
 };
+// wsnstatic:serdes(Meta, WriteMeta, ReadMeta): persistence contract
+std::string WriteMeta(const Meta& meta) {
+  return std::to_string(meta.seed) + " " + std::to_string(meta.stride);
+}
+Meta ReadMeta(const std::string& body) {
+  Meta meta;
+  meta.seed = static_cast<long>(body.size());
+  return meta;
+}
 )";
   const wsnstatic::RunResult result =
-      wsnstatic::Check({{"src/sim/engine.h", source}});
-  EXPECT_TRUE(HasRule(result.findings, "snapshot-complete"));
+      wsnstatic::Check({{"src/experiment/store.cpp", source}});
+  EXPECT_TRUE(HasRule(result.findings, "serdes-complete"));
 }
 
 TEST(Static, MutationUpwardIncludeIsDetected) {
@@ -149,7 +150,7 @@ int Bump() {
 }
 )";
   const wsnstatic::RunResult result =
-      wsnstatic::Check({{"src/node/timewarp.cpp", root},
+      wsnstatic::Check({{"src/util/thread_pool.cpp", root},
                         {"src/util/shared.h", header},
                         {"src/util/shared.cpp", impl}});
   EXPECT_TRUE(HasRule(result.findings, "lp-isolation"));
@@ -159,8 +160,8 @@ int Bump() {
 
 TEST(Static, PrefixedRawStringsAreNotCode) {
   // u8R/uR/UR/LR prefixed raw strings hid banned tokens from earlier
-  // scanners that only recognised the bare R prefix. serve/ files are LP
-  // roots, so a misread would surface as an lp-isolation finding.
+  // scanners that only recognised the bare R prefix. serve/ files are
+  // lp-isolation roots, so a misread would surface as a finding there.
   const std::string source = R"outer(
 const char* a = u8R"(
 static int fake = 0;
@@ -175,22 +176,27 @@ thread_local int spook = 1;
 }
 
 TEST(Static, StaleTransientIsDetected) {
-  // A transient marker on a member that round-trips is itself a finding —
-  // escapes cannot rot in place once the member is properly saved.
+  // A transient marker on a field that round-trips is itself a finding —
+  // escapes cannot rot in place once the field is properly persisted.
   const std::string source = R"(
-class Engine {
- public:
-  struct State { int ticks; };
-  void SaveState(State& out) const { out.ticks = ticks_; }
-  void RestoreState(const State& state) { ticks_ = state.ticks; }
- private:
-  // wsnstatic:transient(ticks_): pretend this was once unsaved
-  int ticks_ = 0;
+struct Meta {
+  // wsnstatic:transient(ticks): pretend this was once unsaved
+  int ticks = 0;
 };
+// wsnstatic:serdes(Meta, WriteMeta, ReadMeta): persistence contract
+std::string WriteMeta(const Meta& meta) { return std::to_string(meta.ticks); }
+Meta ReadMeta(const std::string& body) {
+  Meta meta;
+  meta.ticks = static_cast<int>(body.size());
+  return meta;
+}
 )";
   const wsnstatic::RunResult result =
-      wsnstatic::Check({{"src/sim/engine.h", source}});
+      wsnstatic::Check({{"src/experiment/store.cpp", source}});
   EXPECT_TRUE(HasRule(result.findings, "marker-directive"));
+  EXPECT_NE(FormatFindings(result.findings)
+                .find("stale wsnstatic:transient(ticks)"),
+            std::string::npos);
 }
 
 TEST(Static, ListRulesCoversEveryFamily) {
@@ -198,12 +204,12 @@ TEST(Static, ListRulesCoversEveryFamily) {
   for (const wsnstatic::RuleInfo& rule : wsnstatic::Rules()) {
     ids.push_back(rule.id);
   }
-  for (const char* expected : {"snapshot-complete", "serdes-complete",
-                               "hot-path-transitive", "lp-isolation",
-                               "layer-dag"}) {
+  for (const char* expected : {"serdes-complete", "hot-path-transitive",
+                               "lp-isolation", "layer-dag"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), expected), ids.end())
         << "missing rule " << expected;
   }
+  EXPECT_EQ(ids.size(), 4u);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // A marker is a comment of the form
 //   <tool>:<verb>(<id>[, <id>...]): one-line justification
 // with <tool> one of wsnlint/wsnstatic, e.g. an allow(no-wallclock) with a
-// one-line reason, or a transient(tracer_) naming a member that is wired
-// at attach time rather than snapshotted. (Spelled indirectly here so the
-// linters do not read this paragraph as a live directive.)
+// one-line reason, or a transient(cache_) naming a member that is
+// deliberately left out of a serialized image. (Spelled indirectly here so
+// the linters do not read this paragraph as a live directive.)
 // The justification after ':' is mandatory for every verb that grants an
 // exemption; a marker without one is itself a finding, and an allow that
 // suppresses nothing is flagged as stale so escapes cannot rot in place.

@@ -82,9 +82,8 @@ TransientEntry* LookupTransient(TransientMap& map, const std::string& file,
   return nullptr;
 }
 
-/// Shared core of snapshot-complete and serdes-complete: every member of
-/// `cls` must be mentioned in both bodies or carry a transient marker in
-/// the class's own file.
+/// Core of serdes-complete: every member of `cls` must be mentioned in both
+/// bodies or carry a transient marker in the class's own file.
 void CheckRoundTrip(const ClassInfo& cls, const std::string& save_body,
                     const std::string& restore_body,
                     const std::string& save_name,
@@ -118,42 +117,7 @@ void CheckRoundTrip(const ClassInfo& cls, const std::string& save_body,
   }
 }
 
-// --- family 1: snapshot-completeness ----------------------------------------
-
-void CheckSnapshots(const Index& index, TransientMap& transients,
-                    std::vector<Finding>* out) {
-  static const std::vector<std::pair<std::string, std::string>> kPairs = {
-      {"SaveState", "RestoreState"},
-      {"Snapshot", "Restore"},
-  };
-  for (const ClassInfo& cls : index.classes) {
-    for (const auto& [save_name, restore_name] : kPairs) {
-      const bool declares_pair =
-          std::count(cls.method_names.begin(), cls.method_names.end(),
-                     save_name) > 0 &&
-          std::count(cls.method_names.begin(), cls.method_names.end(),
-                     restore_name) > 0;
-      if (!declares_pair) continue;
-      const FunctionInfo* save = index.Method(cls.name, save_name);
-      const FunctionInfo* restore = index.Method(cls.name, restore_name);
-      if (!save || !restore) break;  // defined outside the scanned tree
-      const std::string save_body = BodyText(index, *save);
-      const std::string restore_body = BodyText(index, *restore);
-      // Pure-interface defaults (e.g. the Mac base class's empty no-op
-      // virtuals) are not state carriers; subclasses are checked directly.
-      static const std::regex kBlank(R"(^[\s]*$)");
-      if (std::regex_match(save_body, kBlank) &&
-          std::regex_match(restore_body, kBlank)) {
-        break;
-      }
-      CheckRoundTrip(cls, save_body, restore_body, save_name, restore_name,
-                     "snapshot-complete", "member", transients, out);
-      break;
-    }
-  }
-}
-
-// --- family 1b: declared serialize/parse mirrors ----------------------------
+// --- family 1: declared serialize/parse mirrors -----------------------------
 
 void CheckSerdes(const Index& index, TransientMap& transients,
                  std::vector<Finding>* out) {
@@ -287,11 +251,10 @@ void CheckHotPaths(const Index& index, std::vector<Finding>* out) {
   }
 }
 
-// --- family 3: LP isolation ---------------------------------------------------
+// --- family 3: worker-thread isolation ---------------------------------------
 
 bool IsLpRoot(const std::string& path) {
-  return EndsWith(path, "node/timewarp.cpp") ||
-         EndsWith(path, "util/thread_pool.cpp") ||
+  return EndsWith(path, "util/thread_pool.cpp") ||
          EndsWith(path, "experiment/sweep.cpp") ||
          path.find("serve/") != std::string::npos;
 }
@@ -299,8 +262,8 @@ bool IsLpRoot(const std::string& path) {
 void CheckLpIsolation(const Index& index, std::vector<Finding>* out) {
   // Reachability over the include graph, with each header pulling in its
   // same-basename implementation file (calling through the header runs the
-  // .cpp). Roots are the concurrent execution entries: the Time-Warp
-  // engine, the shared worker pool, the sweep worker body, and serve/.
+  // .cpp). Roots are the concurrent execution entries: the shared worker
+  // pool, the sweep worker body, and serve/.
   std::map<std::string, std::size_t> by_path;
   for (std::size_t i = 0; i < index.files.size(); ++i) {
     by_path[index.files[i].path] = i;
@@ -400,9 +363,9 @@ void CheckLpIsolation(const Index& index, std::vector<Finding>* out) {
           {file.path, static_cast<int>(l) + 1, "lp-isolation",
            "mutable static '" + name + "' in a file reachable from '" +
                origin[i] +
-               "'; state shared across logical processes breaks Time-Warp "
-               "rollback isolation — keep it per-LP or justify with "
-               "wsnstatic:allow(lp-isolation)"});
+               "'; state shared across worker threads races between "
+               "concurrent runs — keep it per-run or per-worker, or justify "
+               "with wsnstatic:allow(lp-isolation)"});
     }
   }
 }
@@ -470,7 +433,7 @@ void ReportTransientProblems(const TransientMap& transients,
       if (!entry.matched) {
         out->push_back({file, entry.line, "marker-directive",
                         "wsnstatic:transient(" + entry.id +
-                            ") names no member of a snapshot/serdes-checked "
+                            ") names no member of a serdes-checked "
                             "type in this file; remove it"});
       } else if (!entry.used && entry.has_reason) {
         out->push_back({file, entry.line, "marker-directive",
@@ -486,10 +449,6 @@ void ReportTransientProblems(const TransientMap& transients,
 
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"snapshot-complete",
-       "every member of a class with a SaveState/RestoreState (or "
-       "Snapshot/Restore) pair is round-tripped or carries a justified "
-       "wsnstatic:transient marker"},
       {"serdes-complete",
        "every field of a struct registered via wsnstatic:serdes(Struct, "
        "WriteFn, ReadFn) is written by WriteFn and read back by ReadFn"},
@@ -499,7 +458,7 @@ const std::vector<RuleInfo>& Rules() {
        "graph"},
       {"lp-isolation",
        "no unjustified mutable static state in files reachable from the "
-       "Time-Warp engine, the worker pool, or serve/ handlers"},
+       "worker pool, the sweep workers, or serve/ handlers"},
       {"layer-dag",
        "quoted includes respect the layer order util < sim/trace < "
        "phy/channel < mac/core < link < app < node < metrics < "
@@ -524,7 +483,6 @@ const std::vector<LayerEscape>& LayerEscapes() {
 std::vector<Finding> CheckIndex(const Index& index) {
   std::vector<Finding> raw;
   TransientMap transients = CollectTransients(index, &raw);
-  CheckSnapshots(index, transients, &raw);
   CheckSerdes(index, transients, &raw);
   CheckHotPaths(index, &raw);
   CheckLpIsolation(index, &raw);

@@ -1,8 +1,6 @@
 // wsnstatic rule families (docs/STATIC_ANALYSIS.md has the catalog).
 //
 // Four cross-TU semantic checks over the structural Index:
-//   snapshot-complete   every member of a SaveState/RestoreState class is
-//                       round-tripped or justified wsnstatic:transient
 //   serdes-complete     declared serialize/parse pairs
 //                       (wsnstatic:serdes(Struct, WriteFn, ReadFn)) cover
 //                       every field of the struct
@@ -10,8 +8,8 @@
 //                       propagate from wsnlint:hot-path roots through the
 //                       call graph instead of stopping at file boundaries
 //   lp-isolation        no unjustified mutable static state in files
-//                       reachable from Time-Warp, the worker pool, or the
-//                       serve/ handlers
+//                       reachable from the worker pool, the sweep workers,
+//                       or the serve/ handlers
 //   layer-dag           quoted includes respect the directory layering
 //                       util < sim/trace < phy/channel < mac/core < link <
 //                       app < node < metrics < experiment/validate < serve

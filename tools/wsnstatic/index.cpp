@@ -185,8 +185,8 @@ std::size_t FindInitializerEq(const std::string& text) {
   return std::string::npos;
 }
 
-/// Parses one `;`-terminated statement at class scope into a member or a
-/// declared method name.
+/// Parses one `;`-terminated statement at class scope into a member
+/// (method declarations are skipped).
 void ParseClassStatement(const std::string& raw_head, int line,
                          ClassInfo* cls) {
   const std::string head = StripLabelsAndAttributes(raw_head);
@@ -212,33 +212,10 @@ void ParseClassStatement(const std::string& raw_head, int line,
   for (int pass = 0; pass < 4; ++pass) {
     tail = std::regex_replace(tail, kTrailingSpecifier, "");
   }
-  if (!tail.empty() && tail.back() == ')') {
-    int depth = 0;
-    std::size_t open = std::string::npos;
-    for (std::size_t i = tail.size(); i-- > 0;) {
-      if (tail[i] == ')') ++depth;
-      if (tail[i] == '(' && --depth == 0) {
-        open = i;
-        break;
-      }
-    }
-    if (open != std::string::npos) {
-      std::size_t end = open;
-      while (end > 0 &&
-             std::isspace(static_cast<unsigned char>(tail[end - 1]))) {
-        --end;
-      }
-      const std::string name = QualifiedNameEndingAt(tail, end);
-      if (!name.empty() && name.find("::") == std::string::npos &&
-          name[0] != '~' && !IsKeyword(name)) {
-        cls->method_names.push_back(name);
-      }
-    }
-    return;
-  }
+  if (!tail.empty() && tail.back() == ')') return;
   // Reference members bind in the constructor and cannot be reseated;
   // const/mutable members are configuration or synchronization, not
-  // logical state — none of them belong in a snapshot.
+  // logical state — none of them belong in a serialized image.
   if (decl.find('&') != std::string::npos) return;
   if (tokens.front() == "const" || tokens.front() == "mutable") return;
 
@@ -330,14 +307,11 @@ void ParseStructure(SourceFile* file, Index* out) {
                  statement.find('(') == std::string::npos) {
         scope.kind = ScopeKind::kClass;
         scope.class_index = out->classes.size();
-        out->classes.push_back({match[3].str(), file->path, head_line, {}, {}});
+        out->classes.push_back({match[3].str(), file->path, head_line, {}});
       } else if (ClassifyFunctionHead(
                      statement,
                      enclosing_class() ? enclosing_class()->name : "", &name,
                      &class_name)) {
-        if (ClassInfo* cls = enclosing_class()) {
-          cls->method_names.push_back(name);
-        }
         scope.kind = ScopeKind::kFunction;
         scope.function_index = out->functions.size();
         out->functions.push_back(
@@ -408,14 +382,6 @@ std::vector<const FunctionInfo*> Index::FunctionsNamed(
     if (fn.name == name) out.push_back(&fn);
   }
   return out;
-}
-
-const FunctionInfo* Index::Method(const std::string& class_name,
-                                  const std::string& name) const {
-  for (const FunctionInfo& fn : functions) {
-    if (fn.class_name == class_name && fn.name == name) return &fn;
-  }
-  return nullptr;
 }
 
 int Index::LineOf(const SourceFile& file, std::size_t offset) {

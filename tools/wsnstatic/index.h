@@ -32,7 +32,7 @@ struct Include {
 
 /// One data member declaration. Only per-instance mutable state is
 /// recorded: `static`, `const`, `mutable`, and reference members are
-/// skipped (they cannot or need not round-trip through a snapshot).
+/// skipped (they cannot or need not round-trip through a serdes pair).
 struct Member {
   std::string name;
   int line = 0;
@@ -44,12 +44,11 @@ struct ClassInfo {
   std::string file;
   int line = 0;
   std::vector<Member> members;
-  std::vector<std::string> method_names;  // declared or defined in-class
 };
 
 /// One function *definition* (a body was found).
 struct FunctionInfo {
-  std::string name;        // unqualified, e.g. "SaveState"
+  std::string name;        // unqualified, e.g. "WriteCheckpoint"
   std::string class_name;  // enclosing/qualifying class; "" = free function
   std::string file;
   int line = 0;                     // 1-based line of the body's open brace
@@ -84,10 +83,6 @@ struct Index {
   /// All function definitions with the given unqualified name.
   [[nodiscard]] std::vector<const FunctionInfo*> FunctionsNamed(
       const std::string& name) const;
-  /// The definition of `class_name::name`, or nullptr. When several exist
-  /// (overloads), the first in index order is returned.
-  [[nodiscard]] const FunctionInfo* Method(const std::string& class_name,
-                                           const std::string& name) const;
   /// 1-based line of byte `offset` within `file`'s code view.
   [[nodiscard]] static int LineOf(const SourceFile& file, std::size_t offset);
 };
