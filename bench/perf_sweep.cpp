@@ -146,13 +146,7 @@ void WriteJson(const std::string& path, const BenchResult& r,
   std::snprintf(buf, sizeof(buf), "%.1f", r.calib_mops);
   out << "  \"calibration_mops\": " << buf << ",\n";
   std::snprintf(buf, sizeof(buf), "%.2f", r.normalized);
-  out << "  \"configs_per_sec_per_calib_mop\": " << buf << ",\n";
-  // Pre-overhaul executor on the same workload and host (thread-spawning
-  // runner, tombstone event queue), measured when this baseline was
-  // committed. Kept for the speedup record, not used by --check.
-  out << "  \"legacy_configs_per_sec\": 15500,\n";
-  std::snprintf(buf, sizeof(buf), "%.2f", r.configs_per_sec / 15500.0);
-  out << "  \"speedup_vs_legacy\": " << buf << "\n";
+  out << "  \"configs_per_sec_per_calib_mop\": " << buf << "\n";
   out << "}\n";
 }
 

@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
                 << std::flush;
     }
     // Crash drill: simulate a power cut / OOM-kill. _Exit skips every
-    // destructor and buffer flush on purpose — only the checkpoints
-    // already renamed into place survive, exactly like a real crash.
+    // destructor and buffer flush on purpose — only the checkpoint
+    // records already flushed survive, exactly like a real crash.
     if (abort_after > 0 && done >= abort_after) {
       std::cout << "\nsimulated crash after " << done << " configurations\n";
       std::_Exit(3);
@@ -102,7 +102,13 @@ int main(int argc, char** argv) {
     if (!result.checkpoint_write_error.empty()) {
       std::cerr << "\nwarning: a checkpoint write failed ("
                 << result.checkpoint_write_error
-                << "); the previous checkpoint remained valid\n";
+                << "); the records written before it remained valid\n";
+    }
+    if (result.checkpoint_records_dropped > 0) {
+      std::cerr << "\nwarning: dropped "
+                << result.checkpoint_records_dropped
+                << " damaged checkpoint record(s); their configurations "
+                   "were run again\n";
     }
     if (!result.complete) {
       std::cout << "\ninterrupted by --max-configs budget: "

@@ -2,8 +2,9 @@
 //
 // Serves the paper's models and simulator over a line-delimited protocol on
 // loopback TCP (docs/SERVING.md). Every answer is cached by canonical
-// request key and persisted through the checkpoint writer, so a restarted
-// daemon warms from disk instead of recomputing.
+// request key and appended to a journal file shared with campaign
+// checkpoints, so a restarted daemon warms from disk instead of
+// recomputing.
 //
 // Usage:
 //   wsnlinkd [--port N] [--cache FILE] [--threads N] [--max-inflight N]

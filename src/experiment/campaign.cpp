@@ -7,19 +7,18 @@
 
 #include "experiment/checkpoint.h"
 #include "experiment/dataset.h"
+#include "experiment/journal.h"
 #include "util/csv.h"
 
 namespace wsnlink::experiment {
 
 namespace {
 
-/// Mutable bookkeeping for one configuration slot: what the checkpoint
-/// will record and what the final CSV will emit.
+/// One configuration slot: once done, its row is what the checkpoint
+/// records and the final CSV emits.
 struct RowSlot {
   bool done = false;
-  bool failed = false;
-  std::string error;
-  std::string csv_row;
+  CheckpointRow row;
 };
 
 }  // namespace
@@ -51,6 +50,7 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   std::vector<RowSlot> slots(configs.size());
   std::vector<bool> skip;
   std::size_t restored = 0;
+  std::size_t checkpoint_dropped = 0;
   if (options.resume && !options.checkpoint_path.empty() &&
       std::filesystem::exists(options.checkpoint_path)) {
     const Checkpoint loaded = ReadCheckpoint(options.checkpoint_path);
@@ -69,18 +69,16 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
           ") — resumed rows would not be reproducible");
     }
     skip.assign(configs.size(), false);
+    checkpoint_dropped = loaded.dropped;
+    // ReadCheckpoint returns each index once.
     for (const auto& row : loaded.rows) {
-      RowSlot& slot = slots[row.index];
-      if (!slot.done) ++restored;
-      slot.done = true;
-      slot.failed = row.failed;
-      slot.error = row.error;
-      slot.csv_row = row.csv_row;
+      slots[row.index] = {true, row};
       skip[row.index] = true;
     }
+    restored = loaded.rows.size();
   }
 
-  // Checkpoint writer shared by the worker-side completion hook. All of
+  // Checkpoint journal shared by the worker-side completion hook. All of
   // the mutable state below is guarded by `mutex`; the sweep guarantees
   // on_point fires at most once per index.
   std::mutex mutex;
@@ -88,28 +86,30 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   std::size_t since_checkpoint = 0;
   std::string checkpoint_error;
   std::atomic<bool> cancelled{false};
+  JournalWriter journal;
+  // Row records completed since the last checkpoint write.
+  std::string unsaved;
 
-  const auto write_checkpoint_locked = [&]() {
-    Checkpoint checkpoint;
-    checkpoint.meta = meta;
-    checkpoint.rows.reserve(restored + completed_new);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].done) continue;
-      CheckpointRow row;
-      row.index = i;
-      row.failed = slots[i].failed;
-      row.error = slots[i].error;
-      row.csv_row = slots[i].csv_row;
-      checkpoint.rows.push_back(std::move(row));
-    }
+  // Appends the unsaved rows, or compacts: rewrites every completed row in
+  // index order when `compact` is set or the journal cannot append (a
+  // first write, a resumed file, a failed write since).
+  const auto write_checkpoint_locked = [&](bool compact) {
     try {
-      WriteCheckpoint(options.checkpoint_path, checkpoint);
+      if (compact || !journal.TryAppend(options.checkpoint_path, unsaved)) {
+        std::string file;
+        AppendHeaderRecord(&file, meta);
+        for (const RowSlot& slot : slots) {
+          if (slot.done) AppendRowRecord(&file, slot.row);
+        }
+        journal.Compact(options.checkpoint_path, file);
+      }
     } catch (const std::exception& e) {
       // Graceful degradation: the campaign outlives a failed checkpoint
-      // write (the previous checkpoint file is still intact thanks to the
-      // tmp+rename protocol); record the failure and retry next interval.
+      // write (every record written before it still loads, and the next
+      // write compacts); record the failure and retry next interval.
       if (checkpoint_error.empty()) checkpoint_error = e.what();
     }
+    unsaved.clear();
   };
 
   SweepOptions sweep;
@@ -129,18 +129,17 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   sweep.on_point = [&](std::size_t index, const SweepPoint& point) {
     std::lock_guard<std::mutex> lock(mutex);
     RowSlot& slot = slots[index];
-    slot.done = true;
-    slot.failed = point.failed;
-    slot.error = point.error;
-    slot.csv_row = SerializeSummaryRow(point);
+    slot = {true,
+            {index, point.failed, point.error, SerializeSummaryRow(point)}};
     ++completed_new;
     if (options.max_configs > 0 && completed_new >= options.max_configs) {
       cancelled.store(true, std::memory_order_relaxed);
     }
-    if (!options.checkpoint_path.empty() &&
-        ++since_checkpoint >= options.checkpoint_every) {
+    if (options.checkpoint_path.empty()) return;
+    AppendRowRecord(&unsaved, slot.row);
+    if (++since_checkpoint >= options.checkpoint_every) {
       since_checkpoint = 0;
-      write_checkpoint_locked();
+      write_checkpoint_locked(/*compact=*/false);
     }
   };
 
@@ -151,9 +150,9 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   // authoritative for the CSV; the parsed form serves in-process callers).
   for (std::size_t i = 0; i < configs.size(); ++i) {
     if (skip.empty() || !skip[i]) continue;
-    SweepPoint point = ParseSummaryRow(slots[i].csv_row);
-    point.failed = slots[i].failed;
-    point.error = slots[i].error;
+    SweepPoint point = ParseSummaryRow(slots[i].row.csv_row);
+    point.failed = slots[i].row.failed;
+    point.error = slots[i].row.error;
     result.points[i] = std::move(point);
   }
 
@@ -161,22 +160,23 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   std::size_t failed = 0;
   for (const auto& slot : slots) {
     if (slot.done) ++done;
-    if (slot.done && slot.failed) ++failed;
+    if (slot.done && slot.row.failed) ++failed;
   }
 
   result.configurations = result.points.size();
   result.configs_failed = failed;
   result.configs_resumed = restored;
+  result.checkpoint_records_dropped = checkpoint_dropped;
   result.complete = done == configs.size();
   result.total_packets =
       static_cast<std::uint64_t>(options.packet_count) * done;
 
-  // Final checkpoint: an interrupted run persists the tail that the last
-  // interval missed; a complete run records everything (so re-running with
-  // --resume just re-emits the CSV).
+  // Final checkpoint, compacted: an interrupted run persists the tail
+  // that the last interval missed; a complete run records everything (so
+  // re-running with --resume just re-emits the CSV).
   if (!options.checkpoint_path.empty()) {
     std::lock_guard<std::mutex> lock(mutex);
-    write_checkpoint_locked();
+    write_checkpoint_locked(/*compact=*/true);
   }
   result.checkpoint_write_error = checkpoint_error;
 
@@ -192,15 +192,15 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   if (result.complete && !options.summary_csv_path.empty()) {
     std::vector<std::string> rows;
     rows.reserve(slots.size());
-    for (const auto& slot : slots) rows.push_back(slot.csv_row);
+    for (const auto& slot : slots) rows.push_back(slot.row.csv_row);
     WriteSummaryCsvRows(options.summary_csv_path, rows);
 
     if (failed > 0) {
       util::CsvWriter errors(options.summary_csv_path + ".errors.csv",
                              {"config_index", "error"});
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].failed) {
-          errors.WriteRow({std::to_string(i), slots[i].error});
+        if (slots[i].row.failed) {
+          errors.WriteRow({std::to_string(i), slots[i].row.error});
         }
       }
       errors.Close();

@@ -42,10 +42,13 @@ struct CampaignOptions {
   std::function<void(std::size_t, std::size_t)> progress;
 
   // -- Crash safety (docs/ROBUSTNESS.md) ---------------------------------
-  /// When non-empty, a checkpoint recording every completed configuration
-  /// (its verbatim summary-CSV row and failure status) is rewritten here —
-  /// atomically, tmp + rename — every `checkpoint_every` completions and
-  /// once more when the run ends.
+  /// When non-empty, a checkpoint journal recording every completed
+  /// configuration (its verbatim summary-CSV row and failure status) is
+  /// kept here: the rows completed since the last write are appended and
+  /// flushed every `checkpoint_every` completions, and the file is
+  /// compacted (rewritten atomically, tmp + rename, in index order) for
+  /// the first write to a file this run did not write and once more when
+  /// the run ends (experiment/checkpoint.h).
   std::string checkpoint_path;
   /// Completed configurations between checkpoint writes (>= 1).
   std::size_t checkpoint_every = 64;
@@ -83,12 +86,15 @@ struct CampaignResult {
   std::size_t configs_failed = 0;
   /// Configurations restored from the checkpoint instead of simulated.
   std::size_t configs_resumed = 0;
+  /// Damaged records the resumed checkpoint dropped (a torn append or bit
+  /// rot); their configurations were simulated again.
+  std::size_t checkpoint_records_dropped = 0;
   /// False when the run stopped early (max_configs budget): no summary
   /// CSV was written; resume from the checkpoint to continue.
   bool complete = true;
   /// First checkpoint-write failure, if any (the campaign degrades
-  /// gracefully: a failed write never aborts the run — the previous
-  /// checkpoint stays valid and the next interval retries).
+  /// gracefully: a failed write never aborts the run — every record
+  /// written before it stays valid and the next interval retries).
   std::string checkpoint_write_error;
 };
 

@@ -1,28 +1,18 @@
 #include "experiment/checkpoint.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
-#include "util/fault_injection.h"
+#include "experiment/journal.h"
 
 namespace wsnlink::experiment {
 
 namespace {
 
 constexpr std::string_view kMagic = "wsnlink-checkpoint";
-
-/// One-line form of an error message: the checkpoint format is line-based
-/// and tab-delimited, so control characters become spaces.
-std::string SanitizeError(std::string_view error) {
-  std::string out(error);
-  for (char& ch : out) {
-    if (ch == '\t' || ch == '\n' || ch == '\r') ch = ' ';
-  }
-  return out;
-}
+/// What a version 2 header record starts with, before the meta fields.
+constexpr std::string_view kHeaderPrefix = "wsnlink-checkpoint 2 ";
 
 std::uint64_t ParseU64(std::string_view text, const char* what) {
   std::uint64_t v{};
@@ -45,6 +35,114 @@ std::string_view ExpectKeyLine(std::string_view line, std::string_view key) {
   return line.substr(key.size() + 1);
 }
 
+/// Consumes "<key> <value>" from the front of `fields`, where pairs are
+/// separated by a space (a version 2 header) or an LF (the version 1
+/// header lines), and returns the value.
+std::string_view TakeField(std::string_view* fields, std::string_view key) {
+  const std::size_t end = fields->find_first_of(" \n", key.size() + 1);
+  const std::string_view value = ExpectKeyLine(fields->substr(0, end), key);
+  fields->remove_prefix(end == std::string_view::npos ? fields->size()
+                                                      : end + 1);
+  return value;
+}
+
+// wsnstatic:serdes(CheckpointMeta, AppendHeaderRecord, ParseMetaFields): sweep-identity header; a dropped field silently resumes the wrong sweep
+CheckpointMeta ParseMetaFields(std::string_view fields) {
+  CheckpointMeta meta;
+  meta.base_seed = ParseU64(TakeField(&fields, "base_seed"), "base_seed");
+  meta.packet_count = static_cast<int>(
+      ParseU64(TakeField(&fields, "packet_count"), "packet_count"));
+  meta.stride = ParseU64(TakeField(&fields, "stride"), "stride");
+  meta.space_size = ParseU64(TakeField(&fields, "space_size"), "space_size");
+  meta.config_count =
+      ParseU64(TakeField(&fields, "config_count"), "config_count");
+  if (!fields.empty()) {
+    throw CheckpointError("checkpoint: unexpected header field '" +
+                          std::string(fields) + "'");
+  }
+  return meta;
+}
+
+// wsnstatic:serdes(CheckpointRow, AppendRowRecord, ParseRowRecord): per-config result row; a dropped field loses completed work on resume
+CheckpointRow ParseRowRecord(std::string_view record, const std::string& path) {
+  const std::string_view rest = ExpectKeyLine(record, "row");
+  const std::size_t sp = rest.find(' ');
+  const std::size_t tab1 = rest.find('\t');
+  const std::size_t tab2 =
+      tab1 == std::string_view::npos ? tab1 : rest.find('\t', tab1 + 1);
+  if (sp == std::string_view::npos || tab1 == std::string_view::npos ||
+      tab2 == std::string_view::npos || sp > tab1) {
+    throw CheckpointError("checkpoint: malformed row record in " + path);
+  }
+  CheckpointRow row;
+  row.index = ParseU64(rest.substr(0, sp), "row index");
+  const std::string_view status = rest.substr(sp + 1, tab1 - sp - 1);
+  if (status == "ok") {
+    row.failed = false;
+  } else if (status == "failed") {
+    row.failed = true;
+  } else {
+    throw CheckpointError("checkpoint: unknown row status '" +
+                          std::string(status) + "' in " + path);
+  }
+  row.error = std::string(rest.substr(tab1 + 1, tab2 - tab1 - 1));
+  row.csv_row = std::string(rest.substr(tab2 + 1));
+  return row;
+}
+
+/// A version 1 file: one checksum over the whole file, so any damage
+/// rejects it.
+Checkpoint ReadVersion1(std::string_view contents, const std::string& path) {
+  const std::string_view body = VerifyChecksummedBody(contents, path);
+  std::vector<std::string_view> lines;
+  std::size_t pos = 0;
+  while (pos < body.size()) {
+    const std::size_t nl = body.find('\n', pos);
+    lines.push_back(body.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  if (lines.size() < 7) {
+    throw CheckpointError("checkpoint: header incomplete in " + path);
+  }
+  Checkpoint checkpoint;
+  // Lines 1-5 hold the meta fields, one "<key> <value>" pair per line.
+  checkpoint.meta = ParseMetaFields(std::string_view(
+      lines[1].data(), lines[5].data() + lines[5].size() - lines[1].data()));
+  const std::uint64_t row_count =
+      ParseU64(ExpectKeyLine(lines[6], "rows"), "rows");
+  if (lines.size() != 7 + row_count) {
+    throw CheckpointError(
+        "checkpoint: row count mismatch in " + path + " (header says " +
+        std::to_string(row_count) + ", file has " +
+        std::to_string(lines.size() - 7) + ")");
+  }
+  checkpoint.rows.reserve(row_count);
+  for (std::size_t r = 7; r < lines.size(); ++r) {
+    checkpoint.rows.push_back(ParseRowRecord(lines[r], path));
+  }
+  return checkpoint;
+}
+
+/// A version 2 journal: every record verified on its own.
+Checkpoint ReadVersion2(std::string_view contents, const std::string& path) {
+  const JournalScan scan = ScanJournal(contents);
+  if (scan.header.empty()) {
+    throw CheckpointError("checkpoint: header record checksum mismatch in " +
+                          path + " (corrupt file)");
+  }
+  if (scan.header.substr(0, kHeaderPrefix.size()) != kHeaderPrefix) {
+    throw CheckpointError("checkpoint: malformed header record in " + path);
+  }
+  Checkpoint checkpoint;
+  checkpoint.meta = ParseMetaFields(scan.header.substr(kHeaderPrefix.size()));
+  checkpoint.rows.reserve(scan.records.size());
+  for (const std::string_view record : scan.records) {
+    checkpoint.rows.push_back(ParseRowRecord(record, path));
+  }
+  checkpoint.dropped = scan.dropped;
+  return checkpoint;
+}
+
 }  // namespace
 
 std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept {
@@ -54,43 +152,6 @@ std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept {
     hash *= 0x100000001B3ULL;  // FNV prime
   }
   return hash;
-}
-
-void WriteChecksummedFile(const std::string& path, std::string_view body) {
-  char checksum[17];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(CheckpointChecksum(body)));
-
-  // Atomic publish: a crash (or injected failure) while writing the tmp
-  // file leaves any previous file at `path` intact.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw CheckpointError("checkpoint: cannot open " + tmp);
-    }
-    out << body << "end " << checksum << '\n';
-    out.flush();
-    auto& injector = util::FaultInjector::Global();
-    if (injector.Armed() && injector.ShouldFail("checkpoint.write")) {
-      out.setstate(std::ios::failbit);
-    }
-    if (!out) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      throw CheckpointError("checkpoint: write failed for " + tmp +
-                            " (disk full or I/O error?)");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code remove_ec;
-    std::filesystem::remove(tmp, remove_ec);
-    throw CheckpointError("checkpoint: cannot rename " + tmp + " to " + path +
-                          ": " + ec.message());
-  }
 }
 
 std::string_view VerifyChecksummedBody(std::string_view contents,
@@ -124,124 +185,94 @@ std::string_view VerifyChecksummedBody(std::string_view contents,
   return body;
 }
 
-// wsnstatic:serdes(Checkpoint, WriteCheckpoint, ReadCheckpoint): resume-file contract; every field must survive a write/read cycle
-// wsnstatic:serdes(CheckpointMeta, WriteCheckpoint, ReadCheckpoint): sweep-identity header; a dropped field silently resumes the wrong sweep
-// wsnstatic:serdes(CheckpointRow, WriteCheckpoint, ReadCheckpoint): per-config result row; a dropped field loses completed work on resume
-void WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint) {
-  std::string body;
-  body.reserve(256 + checkpoint.rows.size() * 192);
-  body += kMagic;
-  body += ' ';
-  body += std::to_string(kCheckpointFormatVersion);
-  body += '\n';
-  body += "base_seed " + std::to_string(checkpoint.meta.base_seed) + "\n";
-  body += "packet_count " + std::to_string(checkpoint.meta.packet_count) + "\n";
-  body += "stride " + std::to_string(checkpoint.meta.stride) + "\n";
-  body += "space_size " + std::to_string(checkpoint.meta.space_size) + "\n";
-  body +=
-      "config_count " + std::to_string(checkpoint.meta.config_count) + "\n";
-  body += "rows " + std::to_string(checkpoint.rows.size()) + "\n";
-  for (const auto& row : checkpoint.rows) {
-    body += "row ";
-    body += std::to_string(row.index);
-    body += row.failed ? " failed\t" : " ok\t";
-    body += SanitizeError(row.error);
-    body += '\t';
-    body += row.csv_row;
-    body += '\n';
+void AppendHeaderRecord(std::string* out, const CheckpointMeta& meta) {
+  const std::size_t start = out->size();
+  *out += kHeaderPrefix;
+  *out += "base_seed " + std::to_string(meta.base_seed);
+  *out += " packet_count " + std::to_string(meta.packet_count);
+  *out += " stride " + std::to_string(meta.stride);
+  *out += " space_size " + std::to_string(meta.space_size);
+  *out += " config_count " + std::to_string(meta.config_count);
+  FrameRecord(out, start);
+}
+
+void AppendRowRecord(std::string* out, const CheckpointRow& row) {
+  const std::size_t start = out->size();
+  *out += "row ";
+  *out += std::to_string(row.index);
+  *out += row.failed ? " failed\t" : " ok\t";
+  for (const char ch : row.error) {
+    out->push_back(ch == '\t' || ch == '\n' || ch == '\r' ? ' ' : ch);
   }
-  WriteChecksummedFile(path, body);
+  *out += '\t';
+  *out += row.csv_row;
+  FrameRecord(out, start);
+}
+
+// wsnstatic:serdes(Checkpoint, WriteCheckpoint, ReadCheckpoint): resume-file contract; every field must survive a write/read cycle
+void WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint) {
+  std::string file;
+  file.reserve(256 + checkpoint.rows.size() * 224);
+  AppendHeaderRecord(&file, checkpoint.meta);
+  for (const auto& row : checkpoint.rows) AppendRowRecord(&file, row);
+  JournalWriter().Compact(path, file);
 }
 
 Checkpoint ReadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> contents = ReadJournalFile(path);
+  if (!contents) {
     throw CheckpointError("checkpoint: cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-  const std::string_view body = VerifyChecksummedBody(contents, path);
-
-  // Split the verified body into lines.
-  std::vector<std::string_view> lines;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    const std::size_t nl = body.find('\n', pos);
-    lines.push_back(body.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  if (lines.size() < 7) {
-    throw CheckpointError("checkpoint: header incomplete in " + path);
-  }
-
-  // Magic + version.
-  const std::string_view first = lines[0];
-  if (first.substr(0, kMagic.size()) != kMagic) {
+  // Magic and version come first, so a foreign file or a version this
+  // build cannot read is named as such before any checksum is checked.
+  const std::string_view first =
+      std::string_view(*contents).substr(0, contents->find('\n'));
+  if (first.substr(0, kMagic.size()) != kMagic ||
+      first.substr(kMagic.size(), 1) != " ") {
     throw CheckpointError("checkpoint: " + path +
                           " is not a wsnlink checkpoint file");
   }
-  const std::uint64_t version =
-      ParseU64(ExpectKeyLine(first, kMagic), "version");
-  if (version != static_cast<std::uint64_t>(kCheckpointFormatVersion)) {
+  const std::size_t version_start = kMagic.size() + 1;
+  const std::string_view version_text = first.substr(
+      version_start, first.find(' ', version_start) - version_start);
+  const std::uint64_t version = ParseU64(version_text, "version");
+  Checkpoint checkpoint;
+  if (version == 1) {
+    checkpoint = ReadVersion1(*contents, path);
+  } else if (version == static_cast<std::uint64_t>(kCheckpointFormatVersion)) {
+    checkpoint = ReadVersion2(*contents, path);
+  } else {
     throw CheckpointError(
         "checkpoint: unsupported version " + std::to_string(version) + " in " +
-        path + " (this build reads version " +
+        path + " (this build reads versions 1 and " +
         std::to_string(kCheckpointFormatVersion) + ")");
   }
 
-  Checkpoint checkpoint;
-  checkpoint.meta.base_seed =
-      ParseU64(ExpectKeyLine(lines[1], "base_seed"), "base_seed");
-  checkpoint.meta.packet_count = static_cast<int>(
-      ParseU64(ExpectKeyLine(lines[2], "packet_count"), "packet_count"));
-  checkpoint.meta.stride = ParseU64(ExpectKeyLine(lines[3], "stride"), "stride");
-  checkpoint.meta.space_size =
-      ParseU64(ExpectKeyLine(lines[4], "space_size"), "space_size");
-  checkpoint.meta.config_count =
-      ParseU64(ExpectKeyLine(lines[5], "config_count"), "config_count");
-  const std::uint64_t row_count =
-      ParseU64(ExpectKeyLine(lines[6], "rows"), "rows");
-
-  if (lines.size() != 7 + row_count) {
-    throw CheckpointError(
-        "checkpoint: row count mismatch in " + path + " (header says " +
-        std::to_string(row_count) + ", file has " +
-        std::to_string(lines.size() - 7) + ")");
-  }
-
-  checkpoint.rows.reserve(row_count);
-  for (std::uint64_t r = 0; r < row_count; ++r) {
-    const std::string_view line = lines[7 + r];
-    const std::string_view rest = ExpectKeyLine(line, "row");
-    const std::size_t sp = rest.find(' ');
-    const std::size_t tab1 = rest.find('\t');
-    const std::size_t tab2 =
-        tab1 == std::string_view::npos ? tab1 : rest.find('\t', tab1 + 1);
-    if (sp == std::string_view::npos || tab1 == std::string_view::npos ||
-        tab2 == std::string_view::npos || sp > tab1) {
-      throw CheckpointError("checkpoint: malformed row record in " + path);
-    }
-    CheckpointRow row;
-    row.index = ParseU64(rest.substr(0, sp), "row index");
-    const std::string_view status = rest.substr(sp + 1, tab1 - sp - 1);
-    if (status == "ok") {
-      row.failed = false;
-    } else if (status == "failed") {
-      row.failed = true;
-    } else {
-      throw CheckpointError("checkpoint: unknown row status '" +
-                            std::string(status) + "' in " + path);
-    }
-    row.error = std::string(rest.substr(tab1 + 1, tab2 - tab1 - 1));
-    row.csv_row = std::string(rest.substr(tab2 + 1));
+  auto& rows = checkpoint.rows;
+  for (const CheckpointRow& row : rows) {
     if (row.index >= checkpoint.meta.config_count) {
       throw CheckpointError("checkpoint: row index " +
-                            std::to_string(row.index) +
-                            " out of range in " + path);
+                            std::to_string(row.index) + " out of range in " +
+                            path);
     }
-    checkpoint.rows.push_back(std::move(row));
   }
+  // Appends arrive in completion order; callers get index order, with a
+  // row that was journaled twice (identical bytes) kept once.
+  std::sort(rows.begin(), rows.end(),
+            [](const CheckpointRow& a, const CheckpointRow& b) {
+              return a.index < b.index;
+            });
+  const auto same_index = [&path](const CheckpointRow& a,
+                                  const CheckpointRow& b) {
+    if (a.index != b.index) return false;
+    if (a.failed != b.failed || a.error != b.error || a.csv_row != b.csv_row) {
+      throw CheckpointError("checkpoint: two different rows for index " +
+                            std::to_string(a.index) + " in " + path +
+                            " (nondeterministic campaign?)");
+    }
+    return true;
+  };
+  rows.erase(std::unique(rows.begin(), rows.end(), same_index), rows.end());
   return checkpoint;
 }
 

@@ -10,7 +10,32 @@
 // uninterrupted run — rows are stored as the verbatim strings the CSV
 // writer would emit, never re-formatted.
 //
-// File format (version 1, line-based text, LF endings):
+// File format (version 2): a journal (experiment/journal.h) of
+// LF-terminated text records, each ending in " <fnv1a64-hex16 of the
+// record's body>":
+//
+//   wsnlink-checkpoint 2 base_seed <u64> packet_count <int> stride <u64>
+//       space_size <u64> config_count <u64> <sum>                (one line)
+//   row <index> <ok|failed>\t<error>\t<summary-csv-row> <sum>   (per row)
+//
+// Row records may come in any order. RunCampaign (campaign.h) appends the
+// rows completed since its last write every `checkpoint_every`
+// completions, flushed before the write returns. It compacts, atomically
+// rewriting the whole file (tmp + rename) with its rows in index order,
+// at two points: the final checkpoint of a run, and the first write to a
+// file it did not write itself (a fresh or resumed file, or one whose
+// last append failed). WriteCheckpoint is that compaction on its own.
+//
+// The reader verifies every record on its own. A damaged header is a
+// CheckpointError. A damaged row record is dropped and counted
+// (Checkpoint::dropped): a crash mid-append costs exactly the torn row, a
+// flipped byte exactly the row that holds it, and a resume recomputes
+// each lost row. Rows come back in index order; two verified rows for one
+// index must be byte-identical, since only a determinism bug can make
+// them differ, and ReadCheckpoint throws CheckpointError if they are not.
+//
+// Version 1 files, written before the journal, still load under their own
+// rules, so their campaigns resume:
 //
 //   wsnlink-checkpoint 1
 //   base_seed <u64>
@@ -22,10 +47,9 @@
 //   row <index> <ok|failed>\t<error>\t<summary-csv-row>     (N lines)
 //   end <fnv1a64-hex of every preceding byte>
 //
-// Writes are atomic (tmp file + rename), so a crash mid-write leaves the
-// previous checkpoint intact; the trailing checksum line turns truncation
-// and bit rot into loud CheckpointError rejections instead of silently
-// resumed garbage.
+// The trailing checksum covers the whole file, so any truncation or bit
+// rot in a version 1 file is a CheckpointError. Writers only write
+// version 2.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +69,7 @@ class CheckpointError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-inline constexpr int kCheckpointFormatVersion = 1;
+inline constexpr int kCheckpointFormatVersion = 2;
 
 /// The reproducibility contract a checkpoint was taken under. Resume
 /// refuses to mix checkpoints across contracts: completed rows are only
@@ -77,35 +101,40 @@ struct CheckpointRow {
 struct Checkpoint {
   CheckpointMeta meta;
   std::vector<CheckpointRow> rows;
+  /// Row records ReadCheckpoint dropped because they failed their checksum
+  /// or were torn; each one is a configuration a resume recomputes.
+  // wsnstatic:transient(dropped): a read-side damage report, never written
+  std::size_t dropped = 0;
 };
 
-/// Atomically (tmp + rename) writes `checkpoint`. Throws CheckpointError
-/// on any I/O failure; the previous file at `path`, if any, is untouched
-/// in that case.
+/// Appends the version 2 header record for `meta` to `out`.
+void AppendHeaderRecord(std::string* out, const CheckpointMeta& meta);
+
+/// Appends `row` to `out` as one version 2 row record. Control characters
+/// in the error become spaces, since the record is one tab-delimited line.
+void AppendRowRecord(std::string* out, const CheckpointRow& row);
+
+/// Atomically (tmp + rename) writes `checkpoint` as a compact version 2
+/// file: the header, then its rows in the given order. Throws
+/// CheckpointError on any I/O failure; the previous file at `path`, if
+/// any, is untouched in that case.
 void WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint);
 
-/// Reads and fully validates a checkpoint. Throws CheckpointError with a
-/// clear message on any corruption; never returns partial data.
+/// Reads a version 1 or 2 checkpoint and returns its rows in index order.
+/// Throws CheckpointError for a missing or foreign file, an unsupported
+/// version, a damaged header, any damage at all in a version 1 file, a
+/// malformed verified record, or two different rows for one index.
+/// Damaged version 2 row records are dropped and counted instead.
 [[nodiscard]] Checkpoint ReadCheckpoint(const std::string& path);
 
-/// FNV-1a 64-bit over `bytes` (exposed for the corruption tests; also the
-/// content-address hash of the serve result cache).
+/// FNV-1a 64-bit over `bytes`: the record checksum of both file formats,
+/// and the content-address hash of the serve result cache.
 [[nodiscard]] std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept;
 
-/// Atomically (tmp + rename) publishes `body` followed by a trailing
-/// "end <fnv1a64-hex>\n" checksum line at `path` — the write half of the
-/// checkpoint line format, shared by campaign checkpoints and the serve
-/// result cache (serve/result_cache.h). Instrumented at the
-/// "checkpoint.write" fault-injection site; on any failure (real or
-/// injected) the tmp file is removed, any previous file at `path` is left
-/// intact, and CheckpointError is thrown.
-void WriteChecksummedFile(const std::string& path, std::string_view body);
-
-/// Verifies and strips the trailing "end <checksum>" line of a file's
-/// contents: returns the checksummed body on success, throws
-/// CheckpointError naming `path` on truncation, append damage, a malformed
-/// checksum line or a checksum mismatch. The read half of the shared
-/// format.
+/// Verifies and strips the trailing "end <checksum>" line of a version 1
+/// file's contents (checkpoint or serve cache): returns the checksummed
+/// body on success, throws CheckpointError naming `path` on truncation,
+/// append damage, a malformed checksum line or a checksum mismatch.
 [[nodiscard]] std::string_view VerifyChecksummedBody(std::string_view contents,
                                                      const std::string& path);
 

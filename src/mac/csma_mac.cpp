@@ -80,10 +80,12 @@ void CsmaMac::RunPacketFast() {
   // Mirrors the Send -> StartAttempt -> DoCca -> TransmitFrame ->
   // FinishAttempt event chain step for step: every RNG draw and every
   // channel query happens in the same order with the same timestamp the
-  // chained events would have used, so the results (and all derived
-  // metrics) are bit-identical. Only the MAC touches the channel and the
-  // MAC is strictly sequential, so no other actor can interleave channel
-  // state between the collapsed steps.
+  // chained events would have used. Only the MAC touches the channel and
+  // the MAC is strictly sequential, so no other actor can interleave
+  // channel state between the collapsed steps. The one difference is the
+  // order of same-time events: Complete() is scheduled now, before any
+  // packet arrival at the completion instant, where the chain schedules
+  // it after (see RunPacketFast in csma_mac.h).
   const double tx_dbm = phy::OutputPowerDbm(params_.pa_level);
   sim::Time t = sim_.Now() + phy::SpiLoadTime(payload_bytes_);
   for (;;) {

@@ -70,9 +70,13 @@ class CsmaMac final : public Mac {
   /// Untraced fast path: computes the packet's whole CSMA attempt ladder
   /// synchronously (every channel/RNG call with the same explicit
   /// timestamps, in the same order, as the event-per-hop path) and
-  /// schedules only the final completion event. Bit-identical results;
-  /// used only when no tracer is attached, because collapsed execution
-  /// would emit trace events out of ring order.
+  /// schedules only the final completion event. Used only when no tracer
+  /// is attached, because collapsed execution would emit trace events out
+  /// of ring order. Results match the event path except at a tie: the
+  /// completion is scheduled at Send time, so it runs before an arrival
+  /// at the same instant (which is then served), while the event path
+  /// schedules it later and runs it after that arrival (which then finds
+  /// the queue full). PerfInvariance pins both the agreement and the tie.
   void RunPacketFast();
   void EmitRadioState(trace::RadioState state);
 

@@ -34,9 +34,10 @@ struct ServiceOptions {
   unsigned threads = 0;
   /// Persistent cache path; empty = in-memory only.
   std::string cache_path;
-  /// Persist after this many new cache entries (1 = every store). The
-  /// cadence is store-count based, never timer based: the daemon contains
-  /// no wall clock.
+  /// Persist after this many new cache entries (1 = every store). A
+  /// persist appends the new entries' records to the cache file, so 1 is
+  /// cheap. The cadence is store-count based, never timer based: the
+  /// daemon contains no wall clock.
   std::size_t persist_every = 1;
   /// Cache/compatibility tag (see protocol.h kServeVersionTag). Override
   /// in tests to exercise the invalidation rule.
@@ -98,9 +99,9 @@ class QueryService {
 
   [[nodiscard]] ServiceStats Stats() const;
 
-  /// Persists the cache now if a path is configured. Returns false (and
-  /// counts a persist failure) when the write fails; the daemon keeps
-  /// serving from memory.
+  /// Persists the cache now if a path is configured (see ResultCache::Save).
+  /// Returns false (and counts a persist failure) when the write fails;
+  /// the daemon keeps serving from memory.
   bool Flush();
 
   [[nodiscard]] const ServiceOptions& Options() const noexcept {

@@ -12,11 +12,32 @@
 // compare, so even a hash collision can only cause a miss, never a wrong
 // answer.
 //
-// Persistence reuses the campaign checkpoint line format (version 1,
-// line-based text, LF endings, atomic tmp+rename publish through
-// experiment::WriteChecksummedFile — which also means the cache backend
-// shares the "checkpoint.write" fault-injection site, so the torn-write
-// drills apply unchanged):
+// Persistence is the append-only journal campaign checkpoints use
+// (experiment/journal.h, format version 2), so the cache also shares the
+// "checkpoint.write" fault-injection site and its torn-write drills:
+//
+//   wsnlink-servecache 2 version_tag <tag> <sum>
+//   entry <key> <payload> <sum>                   (one per entry, any order)
+//
+// where <sum> is the FNV-1a hex16 of the record's body, which covers the
+// entry's key and payload. Save appends the entries stored since the last
+// Save as one flushed batch, so a persist costs one record per new entry
+// rather than a rewrite of the cache. It compacts instead, rewriting the
+// file atomically (tmp + rename) with the live entries in key order, on
+// the first Save of a ResultCache after construction or Load, after a
+// failed write, and once the entries the FIFO cap has evicted since the
+// last compaction exceed half of the file's records.
+//
+// Load verifies each record on its own and hashes each record's bytes
+// once: every entry whose record verifies is kept, damaged or torn records
+// are counted and dropped. One flipped byte therefore costs exactly the
+// damaged entry (a recompute), never the cache and never a corrupt answer.
+// A damaged header means a cold start, and a version-tag mismatch discards
+// the whole file (the invalidation rule: old answers may be wrong under
+// new code).
+//
+// Version 1 files, written before the journal, still warm-start under
+// their own rules:
 //
 //   wsnlink-servecache 1
 //   version_tag <tag>
@@ -24,25 +45,21 @@
 //   entry <key-fnv1a-hex16> <payload-fnv1a-hex16> <key> <payload>   (N lines)
 //   end <fnv1a64-hex of every preceding byte>
 //
-// Load is two-tier: a file whose trailing checksum verifies is parsed
-// strictly; a file that fails it (bit rot, torn tail) drops to per-entry
-// salvage — every `entry` line whose own key hash and payload checksum
-// verify is kept, damaged lines are counted and dropped. One flipped byte
-// therefore costs exactly the damaged entry (a recompute), never the cache
-// and never a corrupt answer. A version-tag mismatch discards the whole
-// file (the invalidation rule: old answers may be wrong under new code).
+// A file whose trailing checksum verifies is parsed strictly; one that
+// fails it drops to per-entry salvage, keeping every entry line whose own
+// key hash and payload checksum verify.
 //
 // Bounding: an optional entry cap turns the cache into a FIFO — when a
 // Store would exceed the cap, the oldest-inserted entries are evicted
 // first. Eviction is deterministic (pure insertion order, never recency or
 // wall clock: a duplicate Store does not refresh an entry's position), so
 // two daemons fed the same request sequence hold the same entries. After a
-// Load, insertion order is re-anchored to key order (the file's own entry
-// order), which keeps load-time capping deterministic too. Because
-// eviction only removes whole entries and Save serializes survivors in key
-// order, a capped cache's file is byte-identical to an uncapped cache
-// holding exactly the surviving set — warm-start byte identity survives
-// the cap.
+// Load, insertion order is re-anchored to key order, which keeps load-time
+// capping deterministic too. A compacted file holds exactly the live
+// entries in key order, so a capped cache compacts to the same bytes as
+// an uncapped cache holding exactly the surviving set. Between compactions
+// the file may still hold entries the cap evicted; every entry is a pure
+// function of its key, so warm-started answers stay byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -52,28 +69,29 @@
 #include <string>
 #include <string_view>
 
-namespace wsnlink::serve {
+#include "experiment/journal.h"
 
-inline constexpr int kCacheFormatVersion = 1;
+namespace wsnlink::serve {
 
 /// Outcome of warming a cache from disk.
 struct CacheLoadReport {
   /// Entries accepted into memory.
   std::size_t loaded = 0;
-  /// `entry` lines dropped by salvage (bad hash/checksum/shape).
+  /// Entry records dropped as damaged (bad checksum, torn, or malformed).
   std::size_t corrupt_dropped = 0;
   /// True when the file carried a different version tag and was discarded.
   bool invalidated = false;
   /// True when no file existed (a cold start, not an error).
   bool missing = false;
-  /// True when the whole-file checksum failed and salvage mode ran.
+  /// True when damaged records were dropped (for a version 1 file: when
+  /// the whole-file checksum failed and salvage mode ran).
   bool salvaged = false;
   /// Intact entries evicted at load time because the file held more than
   /// the cache's entry cap (kept: the last `max_entries` in key order).
   std::size_t cap_evicted = 0;
 };
 
-/// Thread-safe in-memory map + checkpoint-format persistence.
+/// Thread-safe in-memory map + journal persistence.
 class ResultCache {
  public:
   /// `version_tag` is stamped into the file header and checked at Load.
@@ -102,11 +120,11 @@ class ResultCache {
     return max_entries_;
   }
 
-  /// Serializes every entry (ordered by key: deterministic bytes) and
-  /// atomically publishes it to `path` via the checkpoint writer. Throws
-  /// experiment::CheckpointError on failure (injected or real); the
-  /// previous file is left intact in that case.
-  void Save(const std::string& path) const;
+  /// Makes every entry durable at `path`: appends the entries stored
+  /// since the last Save, or compacts (see the file comment). Throws
+  /// experiment::CheckpointError on failure (injected or real); every
+  /// record written before stays loadable, and the next Save compacts.
+  void Save(const std::string& path);
 
   /// Warms the cache from `path`, replacing the in-memory contents. Never
   /// throws on corruption: damaged state degrades to fewer warm entries
@@ -124,13 +142,23 @@ class ResultCache {
 
   std::string version_tag_;
   const std::size_t max_entries_;
+  /// Guards `entries_` through `evictions_`.
   mutable std::mutex mutex_;
   std::map<std::string, std::string> entries_;
   /// Keys in insertion order, oldest first; rebuilt (in key order) by Load.
-  // wsnstatic:transient(insertion_order_): not persisted; Load re-anchors it to the file's key order, which Save guarantees by serializing in key order
+  /// Its last `unsaved_` keys are the entries the next append writes.
   std::deque<std::string> insertion_order_;
+  std::size_t unsaved_ = 0;
+  /// Entries evicted since the last compaction that were in the file.
+  std::size_t evicted_from_file_ = 0;
   // wsnstatic:transient(evictions_): process-lifetime telemetry, deliberately reset by a reload
   std::uint64_t evictions_ = 0;
+
+  /// Serializes Save and Load; guards the journal state below.
+  std::mutex save_mutex_;
+  experiment::JournalWriter journal_;
+  /// Entry records in the file journal_ left: compacted plus appended.
+  std::size_t file_records_ = 0;
 };
 
 }  // namespace wsnlink::serve

@@ -18,6 +18,15 @@
 # count does not affect the output (the determinism suite pins that), so
 # any worker count regenerates the same bytes.
 #
+# checkpoint_v1.ckpt and servecache_v1.cache are not regenerated here:
+# they are frozen files in the version 1 formats, which current writers no
+# longer produce, and they exist to prove those files still load. They
+# were written before the journal format with
+#   run_campaign --stride 4000 --packets 20 --seed 77 --threads 1 \
+#     --checkpoint checkpoint_v1.ckpt --checkpoint-every 2 --max-configs 5
+#   wsnlink_client --inprocess --cache servecache_v1.cache \
+#     --trace <the first four requests of serve_trace.txt>
+#
 # Usage:  tests/golden/regen.sh   [BUILD_DIR=/path/to/build]
 set -eu
 

@@ -6,7 +6,9 @@
 //  * bit-identical metrics, counters and traces across worker counts
 //    {1, 4, 16} crossed with several chunk sizes;
 //  * the untraced collapsed MAC path produces the same metrics and the
-//    same MAC/link/app counters as the traced event-by-event path;
+//    same MAC/link/app counters as the traced event-by-event path, up to
+//    the first packet that arrives at the instant another completes (a
+//    tie the two paths break in opposite orders);
 //  * analytic prescreen leaves every simulated point bit-identical to the
 //    same index in an un-prescreened sweep;
 // plus the physical monotonicity properties the paper's models rely on:
@@ -22,6 +24,8 @@
 
 #include "core/opt/config_space.h"
 #include "experiment/sweep.h"
+#include "node/link_simulation.h"
+#include "trace/trace.h"
 
 namespace wsnlink {
 namespace {
@@ -141,6 +145,67 @@ TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
     EXPECT_TRUE(NonSim(fast[i].counters) == NonSim(traced[i].counters))
         << "config " << i;
     EXPECT_FALSE(traced[i].events.empty()) << "config " << i;
+  }
+}
+
+bool SamePacket(const link::PacketRecord& a, const link::PacketRecord& b) {
+  return a.id == b.id && a.payload_bytes == b.payload_bytes &&
+         a.arrived_at == b.arrived_at &&
+         a.queue_depth_at_arrival == b.queue_depth_at_arrival &&
+         a.dropped_at_queue == b.dropped_at_queue &&
+         a.service_start == b.service_start &&
+         a.completed_at == b.completed_at && a.acked == b.acked &&
+         a.delivered == b.delivered && a.tries == b.tries &&
+         a.tx_energy_uj == b.tx_energy_uj && a.listen_time == b.listen_time &&
+         a.first_delivered_at == b.first_delivered_at &&
+         a.rssi_dbm == b.rssi_dbm && a.snr_db == b.snr_db && a.lqi == b.lqi;
+}
+
+/// True when packet `k` arrives at the exact instant an earlier packet
+/// completes: the tie the two MAC paths break in opposite orders.
+bool ArrivesAtACompletion(const std::vector<link::PacketRecord>& packets,
+                          std::size_t k) {
+  for (std::size_t j = 0; j < k; ++j) {
+    if (packets[j].completed_at == packets[k].arrived_at) return true;
+  }
+  return false;
+}
+
+TEST(PerfInvariance, TracedAndUntracedPathsAgreeUntilACompletionArrivalTie) {
+  // The untraced fast path schedules Complete() when the packet is sent,
+  // so at a completion/arrival tie it frees the queue before the arrival
+  // runs; the traced event path schedules it from the last attempt, after
+  // the arrival, which then finds the queue full. These Table I configs
+  // (300 packets, seed SweepSeed(99, index)) contain such ties, and the
+  // two paths diverge at one of them. Whatever the tie order, the paths
+  // must agree on every packet before the first divergence, and that
+  // packet must arrive at an earlier packet's completion instant.
+  const auto space = core::opt::ConfigSpace::PaperTableI();
+  for (const std::size_t index : {6216, 11174, 19573, 35964}) {
+    node::SimulationOptions options;
+    options.config = space.At(index);
+    options.seed = experiment::SweepSeed(99, index);
+    options.packet_count = 300;
+    const auto fast = node::RunLinkSimulation(options);
+    trace::Tracer tracer;
+    options.tracer = &tracer;
+    const auto traced = node::RunLinkSimulation(options);
+
+    const auto& a = fast.log.Packets();
+    const auto& b = traced.log.Packets();
+    ASSERT_EQ(a.size(), b.size()) << "config " << index;
+    std::size_t ties = 0;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (ArrivesAtACompletion(a, k)) ++ties;
+    }
+    EXPECT_GT(ties, 0u) << "config " << index << " no longer has a tie";
+    std::size_t first = 0;
+    while (first < a.size() && SamePacket(a[first], b[first])) ++first;
+    if (first < a.size()) {
+      EXPECT_TRUE(ArrivesAtACompletion(a, first))
+          << "config " << index << ": packet " << first
+          << " differs without a completion/arrival tie";
+    }
   }
 }
 

@@ -2,23 +2,31 @@
 //
 // The contract under test (docs/SERVING.md):
 //  * round trip: Save then Load restores every entry byte-exactly;
-//  * damage containment: one flipped byte costs exactly the damaged entry
-//    (a recompute), never the whole cache and never a corrupt answer;
+//  * damage containment: one flipped byte or a torn append costs exactly
+//    the damaged entry (a recompute), never the whole cache and never a
+//    corrupt answer;
+//  * appends: after its first Save a cache appends one record per new
+//    entry to the same file, and compacts only when it must;
 //  * torn writes: the cache persists through the same instrumented
-//    atomic writer as campaign checkpoints ("checkpoint.write" fault
-//    site), so an injected failure leaves the previous file intact;
+//    journal writer as campaign checkpoints ("checkpoint.write" fault
+//    site), so an injected failure leaves every earlier record loadable;
 //  * invalidation: a version-tag mismatch discards the file wholesale;
 //  * warm start: a restarted QueryService answers from disk with the
-//    exact bytes the cold computation produced.
+//    exact bytes the cold computation produced, from version 1 files too.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiment/checkpoint.h"
+#include "experiment/journal.h"
+#include "serve/protocol.h"
 #include "serve/query_service.h"
 #include "serve/result_cache.h"
 #include "util/fault_injection.h"
@@ -66,6 +74,40 @@ void SaveCacheWithEntries(int count, const std::string& path) {
   cache.Save(path);
 }
 
+std::string EntryKey(int i) { return "key|" + std::to_string(i); }
+std::string EntryPayload(int i) {
+  return "{\"status\":\"ok\",\"value\":" + std::to_string(i * 10) + "}";
+}
+
+/// The framed version 2 record for one entry, as Save appends it.
+std::string EntryRecord(const std::string& key, const std::string& payload) {
+  std::string record = "entry " + key + " " + payload;
+  experiment::FrameRecord(&record, 0);
+  return record;
+}
+
+/// Inode of `path`: an append keeps it, a tmp+rename compaction changes it.
+ino_t Inode(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+/// A cache file holding entries 0..3 from a compaction, then entries 4..7
+/// appended one Save at a time, the way a daemon with persist_every 1
+/// leaves it.
+std::string SaveJournaledCache(const std::string& path) {
+  std::remove(path.c_str());
+  ResultCache cache(kTag);
+  FillEntries(cache, 4);
+  cache.Save(path);
+  for (int i = 4; i < 8; ++i) {
+    cache.Store(EntryKey(i), EntryPayload(i));
+    cache.Save(path);
+  }
+  return ReadFile(path);
+}
+
 TEST(ServeCache, SaveLoadRoundTripIsExact) {
   const std::string path = TempPath("roundtrip");
   SaveCacheWithEntries(5, path);
@@ -103,7 +145,7 @@ TEST(ServeCache, SingleFlippedByteDropsOnlyTheDamagedEntry) {
 
   ResultCache loaded(kTag);
   const CacheLoadReport report = loaded.Load(path);
-  EXPECT_TRUE(report.salvaged);  // whole-file checksum no longer matches
+  EXPECT_TRUE(report.salvaged);  // the damaged record was dropped
   EXPECT_EQ(report.loaded, 3u);
   EXPECT_EQ(report.corrupt_dropped, 1u);
 
@@ -160,6 +202,182 @@ TEST(ServeCache, DamagedHeaderMeansColdStart) {
   std::remove(path.c_str());
 }
 
+TEST(ServeCache, TornAppendLosesOnlyTheTornRecord) {
+  const std::string path = TempPath("tornappend");
+  const std::string contents = SaveJournaledCache(path);
+  const std::size_t last_start = contents.rfind('\n', contents.size() - 2) + 1;
+
+  // Every cut that leaves part of the last appended record behind (a
+  // crash mid-append) drops exactly that entry.
+  for (std::size_t cut = 1; cut < contents.size() - last_start; ++cut) {
+    WriteFile(path, contents.substr(0, contents.size() - cut));
+    ResultCache loaded(kTag);
+    const CacheLoadReport report = loaded.Load(path);
+    EXPECT_EQ(report.loaded, 7u) << "cut " << cut;
+    EXPECT_EQ(report.corrupt_dropped, 1u) << "cut " << cut;
+    EXPECT_EQ(loaded.Lookup(EntryKey(7)), "");
+    EXPECT_EQ(loaded.Lookup(EntryKey(6)), EntryPayload(6));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, FlippedByteInAnAppendedRecordLosesOnlyThatEntry) {
+  const std::string path = TempPath("flipappend");
+  const std::string contents = SaveJournaledCache(path);
+  const std::size_t start = contents.find("entry " + EntryKey(5) + " ");
+  const std::size_t end = contents.find('\n', start);
+  ASSERT_NE(start, std::string::npos);
+  for (std::size_t pos = start; pos < end; ++pos) {
+    std::string mutated = contents;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x01);
+    WriteFile(path, mutated);
+    ResultCache loaded(kTag);
+    const CacheLoadReport report = loaded.Load(path);
+    EXPECT_EQ(report.loaded, 7u) << "byte " << pos;
+    EXPECT_EQ(report.corrupt_dropped, 1u) << "byte " << pos;
+    EXPECT_EQ(loaded.Lookup(EntryKey(5)), "");
+    EXPECT_EQ(loaded.Lookup(EntryKey(4)), EntryPayload(4));
+    EXPECT_EQ(loaded.Lookup(EntryKey(7)), EntryPayload(7));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, CorruptionFuzzNeverYieldsAnEntryThatWasNotWritten) {
+  const std::string path = TempPath("fuzz");
+  const std::string pristine = SaveJournaledCache(path);
+  std::mt19937 rng(20150629);
+  std::uniform_int_distribution<std::size_t> pos_dist(0, pristine.size() - 1);
+  std::uniform_int_distribution<int> byte_dist(0, 255);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string mutated = pristine;
+    const int mutations = 1 + static_cast<int>(rng() % 4);
+    for (int m = 0; m < mutations && !mutated.empty(); ++m) {
+      const std::size_t pos = pos_dist(rng) % mutated.size();
+      switch (rng() % 3) {
+        case 0:
+          mutated[pos] = static_cast<char>(byte_dist(rng));
+          break;
+        case 1:
+          mutated.erase(pos, 1);
+          break;
+        default:
+          mutated.resize(pos);
+          break;
+      }
+    }
+    WriteFile(path, mutated);
+    ResultCache loaded(kTag);
+    const CacheLoadReport report = loaded.Load(path);
+    // Every entry that survives is one that was written, byte for byte.
+    std::size_t found = 0;
+    for (int i = 0; i < 8; ++i) {
+      const std::string payload = loaded.Lookup(EntryKey(i));
+      if (payload.empty()) continue;
+      ++found;
+      EXPECT_EQ(payload, EntryPayload(i)) << "trial " << trial;
+    }
+    EXPECT_EQ(found, report.loaded) << "trial " << trial;
+    EXPECT_EQ(loaded.Size(), report.loaded) << "trial " << trial;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, SavesAppendToTheSameFileUntilACompaction) {
+  const std::string path = TempPath("appends");
+  std::remove(path.c_str());
+  ResultCache cache(kTag);
+  FillEntries(cache, 3);
+  cache.Save(path);  // the first Save of an instance compacts
+  const ino_t inode = Inode(path);
+  std::string expected = ReadFile(path);
+
+  for (int i = 3; i < 53; ++i) {
+    cache.Store(EntryKey(i), EntryPayload(i));
+    cache.Save(path);
+    expected += EntryRecord(EntryKey(i), EntryPayload(i));
+  }
+  // 50 saves later: the same inode, grown by exactly the 50 records.
+  EXPECT_EQ(Inode(path), inode);
+  EXPECT_EQ(ReadFile(path), expected);
+
+  // A Save with nothing new writes nothing.
+  cache.Save(path);
+  EXPECT_EQ(ReadFile(path), expected);
+
+  // A reloaded cache compacts on its first Save: a new file, in key order.
+  ResultCache reloaded(kTag);
+  EXPECT_EQ(reloaded.Load(path).loaded, 53u);
+  reloaded.Save(path);
+  EXPECT_NE(Inode(path), inode);
+  const std::string compacted = ReadFile(path);
+  ResultCache uncapped(kTag);
+  FillEntries(uncapped, 53);
+  uncapped.Save(TempPath("appends_ref"));
+  EXPECT_EQ(compacted, ReadFile(TempPath("appends_ref")));
+  std::remove(path.c_str());
+  std::remove(TempPath("appends_ref").c_str());
+}
+
+TEST(ServeCache, CapEvictionsCompactOnceTheyAreMostOfTheFile) {
+  const std::string path = TempPath("evictcompact");
+  std::remove(path.c_str());
+  ResultCache cache(kTag, /*max_entries=*/4);
+  FillEntries(cache, 4);
+  cache.Save(path);  // compaction: 4 records
+  ino_t inode = Inode(path);
+
+  // Each Store evicts one filed entry. Evictions up to half the file's
+  // records keep appending; the Save that sees more compacts.
+  int next = 4;
+  int appends = 0;
+  for (; next < 40; ++next) {
+    cache.Store(EntryKey(next), EntryPayload(next));
+    cache.Save(path);
+    if (Inode(path) != inode) break;
+    ++appends;
+  }
+  // The k-th Store evicts the k-th filed entry from a file of 3 + k
+  // records, so the Save at k = 4 (2k > 3 + k) compacts after 3 appends.
+  EXPECT_EQ(appends, 3);
+  // The compacted file holds exactly the live entries.
+  ResultCache loaded(kTag);
+  EXPECT_EQ(loaded.Load(path).loaded, 4u);
+  EXPECT_EQ(loaded.Lookup(EntryKey(next)), EntryPayload(next));
+  EXPECT_EQ(loaded.Lookup(EntryKey(next - 4)), "");
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, FailedAppendKeepsEarlierRecordsAndNextSaveCompacts) {
+  const std::string path = TempPath("failedappend");
+  std::remove(path.c_str());
+  ResultCache cache(kTag);
+  FillEntries(cache, 2);
+  cache.Save(path);
+  cache.Store(EntryKey(2), EntryPayload(2));
+  cache.Save(path);  // appended
+  const ino_t inode = Inode(path);
+  const std::string before = ReadFile(path);
+
+  cache.Store(EntryKey(3), EntryPayload(3));
+  {
+    util::ScopedFaultInjection injection;
+    injection->FailNth("checkpoint.write", 0);
+    EXPECT_THROW(cache.Save(path), experiment::CheckpointError);
+  }
+  // Every earlier record still loads; the failed append left nothing.
+  EXPECT_EQ(ReadFile(path), before);
+  ResultCache earlier(kTag);
+  EXPECT_EQ(earlier.Load(path).loaded, 3u);
+
+  // The next Save compacts, and catches up on the entry the failure lost.
+  cache.Save(path);
+  EXPECT_NE(Inode(path), inode);
+  ResultCache after(kTag);
+  EXPECT_EQ(after.Load(path).loaded, 4u);
+  EXPECT_EQ(after.Lookup(EntryKey(3)), EntryPayload(3));
+  std::remove(path.c_str());
+}
+
 TEST(ServeCache, TornWriteLeavesPreviousFileIntact) {
   const std::string path = TempPath("tornwrite");
   ResultCache cache(kTag);
@@ -176,8 +394,8 @@ TEST(ServeCache, TornWriteLeavesPreviousFileIntact) {
     EXPECT_THROW(cache.Save(path), experiment::CheckpointError);
   }
 
-  // Atomic publish: the failed write never touched the live file, and the
-  // tmp file was cleaned up.
+  // The failed write was an append, rolled back: the live file is
+  // unchanged, and no tmp file was left behind.
   EXPECT_EQ(ReadFile(path), before);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
@@ -391,6 +609,71 @@ TEST(ServeCache, PersistFailureDegradesToMemoryServing) {
   EXPECT_TRUE(service.Flush());
   ResultCache loaded(std::string(serve::kServeVersionTag));
   EXPECT_EQ(loaded.Load(path).loaded, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, PersistEveryOneAppendsOneRecordPerMiss) {
+  const std::string path = TempPath("persistevery");
+  std::remove(path.c_str());
+  ServiceOptions options;
+  options.cache_path = path;
+  options.persist_every = 1;
+  QueryService service(options);
+  const auto what_if = [](int seed) {
+    return "{\"verb\":\"what_if\",\"distance_m\":20,\"pa_level\":31,"
+           "\"payload_bytes\":50,\"packets\":20,\"seed\":" +
+           std::to_string(seed) + "}";
+  };
+
+  (void)service.Answer(what_if(0));  // the first Save compacts
+  const ino_t inode = Inode(path);
+  std::string expected = ReadFile(path);
+  for (int seed = 1; seed <= 50; ++seed) {
+    const std::string line = what_if(seed);
+    const std::string reply = service.Answer(line);
+    expected += EntryRecord(serve::CanonicalKey(serve::ParseRequest(line)),
+                            reply);
+  }
+  EXPECT_EQ(service.Stats().cache_misses, 51u);
+  EXPECT_EQ(service.Stats().persist_failures, 0u);
+  EXPECT_EQ(Inode(path), inode);
+  EXPECT_EQ(ReadFile(path), expected);
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, Version1CacheWarmStartsByteIdentical) {
+  // tests/golden/servecache_v1.cache: frozen, written by the version 1
+  // writer from the first four requests of serve_trace.txt.
+  const std::string path = TempPath("version1");
+  std::filesystem::copy_file(
+      std::string(WSNLINK_GOLDEN_DIR) + "/servecache_v1.cache", path,
+      std::filesystem::copy_options::overwrite_existing);
+  std::vector<std::string> lines;
+  std::ifstream trace(std::string(WSNLINK_GOLDEN_DIR) + "/serve_trace.txt");
+  for (std::string line; lines.size() < 4 && std::getline(trace, line);) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 4u);
+
+  ServiceOptions cold_options;
+  QueryService cold(cold_options);
+  ServiceOptions options;
+  options.cache_path = path;
+  {
+    QueryService warm(options);
+    EXPECT_EQ(warm.Stats().warm_loaded, 4u);
+    EXPECT_EQ(warm.Stats().corrupt_dropped, 0u);
+    for (const std::string& line : lines) {
+      EXPECT_EQ(warm.Answer(line), cold.Answer(line));
+    }
+    EXPECT_EQ(warm.Stats().cache_hits, 4u);
+    EXPECT_EQ(warm.Stats().computed_what_if, 0u);
+    // A miss persists, and the write is version 2.
+    (void)warm.Answer(kWhatIfLine);
+  }
+  EXPECT_EQ(ReadFile(path).rfind("wsnlink-servecache 2 ", 0), 0u);
+  ResultCache reloaded(std::string(serve::kServeVersionTag));
+  EXPECT_EQ(reloaded.Load(path).loaded, 5u);
   std::remove(path.c_str());
 }
 

@@ -53,6 +53,7 @@ void CheckUnorderedOutput(const FileContext& ctx, std::vector<Finding>* out) {
   if (!ctx.InDir("src/")) return;
   static const std::regex kOutputSignal(
       R"((#\s*include\s*"util/csv\.h"|#\s*include\s*"experiment/checkpoint\.h")"
+      R"(|#\s*include\s*"experiment/journal\.h")"
       R"(|#\s*include\s*"trace/export\.h"|\bCsvWriter\b|\bCheckpointWriter\b)"
       R"(|\bSerializeSummaryRow\b|\bExportCsv\b))");
   if (!std::regex_search(ctx.scan.code, kOutputSignal)) return;
