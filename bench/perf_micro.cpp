@@ -4,12 +4,7 @@
 // paper's system — they bound how big a campaign is practical.
 #include <benchmark/benchmark.h>
 
-#include <vector>
-
-#include "channel/ber.h"
 #include "channel/channel.h"
-#include "channel/path_loss.h"
-#include "channel/shadowing.h"
 #include "core/models/model_set.h"
 #include "core/opt/config_space.h"
 #include "core/opt/epsilon_constraint.h"
@@ -136,187 +131,6 @@ void BM_ModelPrediction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ModelPrediction);
-
-// ---------------------------------------------------------------------------
-// Batch (structure-of-arrays) kernels vs their scalar twins. The batch
-// variants are plain contiguous loops the compiler auto-vectorizes — the
-// contract is bit-identical results (tests/determinism_test.cpp) at a
-// higher configs/sec, and these pairs put a number on "higher".
-// ---------------------------------------------------------------------------
-
-std::vector<core::StackConfig> BenchConfigs() {
-  auto space = core::opt::ConfigSpace::PaperTableI();
-  space.distances_m = {25.0};  // one distance: 8064 configs
-  std::vector<core::StackConfig> configs;
-  configs.reserve(space.Size());
-  space.ForEach(
-      [&](const core::StackConfig& config) { configs.push_back(config); });
-  return configs;
-}
-
-void BM_ModelPredictionScalarLoop(benchmark::State& state) {
-  const core::models::ModelSet models;
-  const auto configs = BenchConfigs();
-  std::vector<core::models::MetricPrediction> out(configs.size());
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      out[i] = models.Predict(configs[i]);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(configs.size()));
-}
-BENCHMARK(BM_ModelPredictionScalarLoop);
-
-void BM_ModelPredictionBatch(benchmark::State& state) {
-  const core::models::ModelSet models;
-  const auto configs = BenchConfigs();
-  std::vector<core::models::MetricPrediction> out(configs.size());
-  for (auto _ : state) {
-    models.PredictBatch(configs, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(configs.size()));
-}
-BENCHMARK(BM_ModelPredictionBatch);
-
-std::vector<double> BenchSnrs(std::size_t count) {
-  std::vector<double> snrs(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    snrs[i] = -10.0 + 0.01 * static_cast<double>(i % 4000);
-  }
-  return snrs;
-}
-
-void BM_BerFrameSuccessScalar(benchmark::State& state) {
-  const channel::CalibratedExponentialBer ber;
-  const auto snrs = BenchSnrs(4096);
-  std::vector<double> out(snrs.size());
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < snrs.size(); ++i) {
-      out[i] = ber.FrameSuccessProbability(snrs[i], 129);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(snrs.size()));
-}
-BENCHMARK(BM_BerFrameSuccessScalar);
-
-void BM_BerFrameSuccessBatch(benchmark::State& state) {
-  const channel::CalibratedExponentialBer ber;
-  const auto snrs = BenchSnrs(4096);
-  std::vector<double> out(snrs.size());
-  for (auto _ : state) {
-    ber.FrameSuccessProbabilityBatch(snrs, 129, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(snrs.size()));
-}
-BENCHMARK(BM_BerFrameSuccessBatch);
-
-void BM_PathLossScalar(benchmark::State& state) {
-  const channel::PathLoss loss{channel::PathLossParams{}};
-  std::vector<double> distances(4096);
-  for (std::size_t i = 0; i < distances.size(); ++i) {
-    distances[i] = 1.0 + 0.01 * static_cast<double>(i);
-  }
-  std::vector<double> out(distances.size());
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < distances.size(); ++i) {
-      out[i] = loss.MeanLossDb(distances[i]);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(distances.size()));
-}
-BENCHMARK(BM_PathLossScalar);
-
-void BM_PathLossBatch(benchmark::State& state) {
-  const channel::PathLoss loss{channel::PathLossParams{}};
-  std::vector<double> distances(4096);
-  for (std::size_t i = 0; i < distances.size(); ++i) {
-    distances[i] = 1.0 + 0.01 * static_cast<double>(i);
-  }
-  std::vector<double> out(distances.size());
-  for (auto _ : state) {
-    loss.MeanLossDbBatch(distances, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(distances.size()));
-}
-BENCHMARK(BM_PathLossBatch);
-
-constexpr std::size_t kShadowLanes = 64;
-
-void BM_ShadowingScalarBank(benchmark::State& state) {
-  std::vector<channel::ShadowingProcess> bank;
-  for (std::size_t k = 0; k < kShadowLanes; ++k) {
-    bank.emplace_back(channel::ShadowingParams{},
-                      util::Rng(1000 + static_cast<std::uint64_t>(k)));
-  }
-  std::vector<double> out(kShadowLanes);
-  sim::Time t = 0;
-  for (auto _ : state) {
-    t += 10 * sim::kMillisecond;
-    for (std::size_t k = 0; k < kShadowLanes; ++k) {
-      out[k] = bank[k].Sample(t);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kShadowLanes));
-}
-BENCHMARK(BM_ShadowingScalarBank);
-
-void BM_ShadowingLanes(benchmark::State& state) {
-  std::vector<channel::ShadowingParams> params(kShadowLanes);
-  std::vector<util::Rng> rngs;
-  for (std::size_t k = 0; k < kShadowLanes; ++k) {
-    rngs.emplace_back(1000 + static_cast<std::uint64_t>(k));
-  }
-  channel::ShadowingLanes lanes(params, rngs);
-  std::vector<double> out(kShadowLanes);
-  sim::Time t = 0;
-  for (auto _ : state) {
-    t += 10 * sim::kMillisecond;
-    lanes.SampleAll(t, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kShadowLanes));
-}
-BENCHMARK(BM_ShadowingLanes);
-
-void BM_RngGaussianScalar(benchmark::State& state) {
-  util::Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.Gaussian(0.0, 1.0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RngGaussianScalar);
-
-void BM_RngGaussianLanes(benchmark::State& state) {
-  std::vector<util::Rng> seeds;
-  for (std::size_t k = 0; k < kShadowLanes; ++k) {
-    seeds.emplace_back(7 + static_cast<std::uint64_t>(k));
-  }
-  util::RngLanes lanes(seeds);
-  std::vector<double> out(kShadowLanes);
-  for (auto _ : state) {
-    lanes.GaussianAll(out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kShadowLanes));
-}
-BENCHMARK(BM_RngGaussianLanes);
 
 void BM_EpsilonConstraintSweep(benchmark::State& state) {
   const core::models::ModelSet models;

@@ -14,7 +14,7 @@
 // Usage:
 //   perf_sweep [--out BENCH_sweep.json] [--check BENCH_sweep.json]
 //              [--tolerance 0.25] [--max-allocs 2] [--stride 10]
-//              [--packets 60] [--threads 0] [--repeat 3] [--prescreen]
+//              [--packets 60] [--threads 0] [--repeat 3]
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -124,7 +124,7 @@ double JsonNumber(const std::string& text, const std::string& key) {
 }
 
 void WriteJson(const std::string& path, const BenchResult& r,
-               std::size_t packets, unsigned threads, bool prescreen) {
+               std::size_t packets, unsigned threads) {
   std::ofstream out(path);
   out << "{\n";
   out << "  \"schema\": \"wsnlink-bench-sweep-v1\",\n";
@@ -132,8 +132,6 @@ void WriteJson(const std::string& path, const BenchResult& r,
   out << "    \"configs\": " << r.configs << ",\n";
   out << "    \"packets_per_config\": " << packets << ",\n";
   out << "    \"threads\": " << threads << ",\n";
-  out << "    \"analytic_prescreen\": " << (prescreen ? "true" : "false")
-      << ",\n";
   out << "    \"base_seed\": 20150629\n";
   out << "  },\n";
   char buf[64];
@@ -155,12 +153,11 @@ void WriteJson(const std::string& path, const BenchResult& r,
 int main(int argc, char** argv) {
   using namespace wsnlink;
 
-  util::Args args(argc, argv, {"--prescreen"});
+  util::Args args(argc, argv);
   const auto stride = args.GetSize("--stride", 10);
   const auto packets = static_cast<int>(args.GetSize("--packets", 60));
   const auto threads = static_cast<unsigned>(args.GetSize("--threads", 0));
   const auto repeat = args.GetSize("--repeat", 3);
-  const bool prescreen = args.Has("--prescreen");
   const double tolerance = args.GetDouble("--tolerance", 0.25);
   const double max_allocs = args.GetDouble("--max-allocs", 2.0);
   const std::string out_path = args.GetString("--out", "");
@@ -176,11 +173,9 @@ int main(int argc, char** argv) {
   options.base_seed = 20150629;
   options.packet_count = packets;
   options.threads = threads;
-  options.analytic_prescreen = prescreen;
 
-  std::printf("perf_sweep: %zu configs x %d packets, threads=%u%s\n",
-              configs.size(), packets, threads,
-              prescreen ? ", prescreen" : "");
+  std::printf("perf_sweep: %zu configs x %d packets, threads=%u\n",
+              configs.size(), packets, threads);
 
   BenchResult result;
   result.configs = configs.size();
@@ -224,8 +219,7 @@ int main(int argc, char** argv) {
               result.normalized);
 
   if (!out_path.empty()) {
-    WriteJson(out_path, result, static_cast<std::size_t>(packets), threads,
-              prescreen);
+    WriteJson(out_path, result, static_cast<std::size_t>(packets), threads);
     std::printf("wrote %s\n", out_path.c_str());
   }
 

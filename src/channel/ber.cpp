@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <stdexcept>
 
 #include "util/units.h"
@@ -15,18 +14,6 @@ double BerModel::FrameSuccessProbability(double snr_db, int frame_bytes) const {
   }
   const double ber = BitErrorRate(snr_db);
   return std::pow(1.0 - ber, 8.0 * static_cast<double>(frame_bytes));
-}
-
-void BerModel::FrameSuccessProbabilityBatch(std::span<const double> snr_db,
-                                            int frame_bytes,
-                                            std::span<double> out) const {
-  if (snr_db.size() != out.size()) {
-    throw std::invalid_argument(
-        "FrameSuccessProbabilityBatch: snr/out size mismatch");
-  }
-  for (std::size_t i = 0; i < snr_db.size(); ++i) {
-    out[i] = FrameSuccessProbability(snr_db[i], frame_bytes);
-  }
 }
 
 double AnalyticOQpskBer::BitErrorRate(double snr_db) const {
@@ -67,25 +54,6 @@ double CalibratedExponentialBer::FrameSuccessProbability(
   const double loss = 8.0 * a_ * static_cast<double>(frame_bytes) *
                       std::exp(b_ * snr_db);
   return std::clamp(1.0 - loss, 0.0, 1.0);
-}
-
-void CalibratedExponentialBer::FrameSuccessProbabilityBatch(
-    std::span<const double> snr_db, int frame_bytes,
-    std::span<double> out) const {
-  if (snr_db.size() != out.size()) {
-    throw std::invalid_argument(
-        "FrameSuccessProbabilityBatch: snr/out size mismatch");
-  }
-  if (frame_bytes <= 0) {
-    throw std::invalid_argument("FrameSuccessProbability: frame_bytes must be > 0");
-  }
-  // Hoisted scalar expression, left-associated exactly like the scalar
-  // path: ((8 * a) * bytes) * exp(b * snr). Plain contiguous loop.
-  const double scale = 8.0 * a_ * static_cast<double>(frame_bytes);
-  for (std::size_t i = 0; i < snr_db.size(); ++i) {
-    const double loss = scale * std::exp(b_ * snr_db[i]);
-    out[i] = std::clamp(1.0 - loss, 0.0, 1.0);
-  }
 }
 
 std::unique_ptr<BerModel> MakeDefaultBerModel() {

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 
 namespace wsnlink::channel {
@@ -49,14 +48,6 @@ class BerModel {
   /// frame-level behaviour may override.
   [[nodiscard]] virtual double FrameSuccessProbability(double snr_db,
                                                        int frame_bytes) const;
-
-  /// Structure-of-arrays batch: out[i] = FrameSuccessProbability(snr_db[i],
-  /// frame_bytes), bit for bit. The default loops the scalar virtual; models
-  /// with a closed-form loss law override with a hoisted contiguous sweep
-  /// the compiler can vectorize. Requires snr_db.size() == out.size().
-  virtual void FrameSuccessProbabilityBatch(std::span<const double> snr_db,
-                                            int frame_bytes,
-                                            std::span<double> out) const;
 };
 
 /// IEEE 802.15.4 O-QPSK with DSSS (2.4 GHz PHY) analytic BER.
@@ -75,9 +66,6 @@ class CalibratedExponentialBer final : public BerModel {
   [[nodiscard]] double BitErrorRate(double snr_db) const override;
   [[nodiscard]] double FrameSuccessProbability(double snr_db,
                                                int frame_bytes) const override;
-  void FrameSuccessProbabilityBatch(std::span<const double> snr_db,
-                                    int frame_bytes,
-                                    std::span<double> out) const override;
   [[nodiscard]] std::string Name() const override { return "calibrated-exp"; }
 
   [[nodiscard]] double A() const noexcept { return a_; }

@@ -62,24 +62,4 @@ double NoiseFloorProcess::SampleDbm(sim::Time now) {
   return util::AddPowersDbm(quiet, params_.quiet_mean_dbm + burst_elevation_db_);
 }
 
-NoiseFloorLanes::NoiseFloorLanes(std::span<const NoiseParams> params,
-                                 std::span<const util::Rng> rngs) {
-  if (params.size() != rngs.size()) {
-    throw std::invalid_argument("NoiseFloorLanes: params/rngs size mismatch");
-  }
-  lanes_.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    lanes_.emplace_back(params[i], rngs[i]);
-  }
-}
-
-void NoiseFloorLanes::SampleDbmAll(sim::Time now, std::span<double> out) {
-  if (out.size() != lanes_.size()) {
-    throw std::invalid_argument("NoiseFloorLanes: output size mismatch");
-  }
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    out[i] = lanes_[i].SampleDbm(now);
-  }
-}
-
 }  // namespace wsnlink::channel

@@ -10,10 +10,6 @@
 // SNR discrepancy of Fig. 5.
 #pragma once
 
-#include <cstddef>
-#include <span>
-#include <vector>
-
 #include "sim/time.h"
 #include "util/rng.h"
 
@@ -61,27 +57,6 @@ class NoiseFloorProcess {
   sim::Time burst_end_ = -1;  // end < start means "no burst scheduled yet"
   double burst_elevation_db_ = 0.0;
   bool schedule_started_ = false;
-};
-
-/// Bank of K independent noise-floor processes sampled in lockstep.
-///
-/// Unlike the shadowing/BER kernels this one cannot be a flat SIMD sweep —
-/// the Poisson burst schedule is data-dependent control flow per lane — so
-/// the bank simply owns the scalar processes and loops them, which keeps
-/// the batch channel API uniform and trivially bit-identical per lane.
-class NoiseFloorLanes {
- public:
-  /// One process per (params[i], rngs[i]). Sizes must match.
-  NoiseFloorLanes(std::span<const NoiseParams> params,
-                  std::span<const util::Rng> rngs);
-
-  [[nodiscard]] std::size_t Lanes() const noexcept { return lanes_.size(); }
-
-  /// One SampleDbm(now) per lane into `out` (size must equal Lanes()).
-  void SampleDbmAll(sim::Time now, std::span<double> out);
-
- private:
-  std::vector<NoiseFloorProcess> lanes_;
 };
 
 }  // namespace wsnlink::channel

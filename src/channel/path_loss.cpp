@@ -3,7 +3,6 @@
 #include "channel/path_loss.h"
 
 #include <cmath>
-#include <cstddef>
 #include <stdexcept>
 
 namespace wsnlink::channel {
@@ -27,27 +26,6 @@ double PathLoss::MeanLossDb(double distance_m) const {
   return params_.reference_loss_db +
          10.0 * params_.exponent *
              std::log10(distance_m / params_.reference_distance_m);
-}
-
-void PathLoss::MeanLossDbBatch(std::span<const double> distance_m,
-                               std::span<double> out) const {
-  if (distance_m.size() != out.size()) {
-    throw std::invalid_argument("MeanLossDbBatch: distance/out size mismatch");
-  }
-  for (const double d : distance_m) {
-    if (d <= 0.0) {
-      throw std::invalid_argument("PathLoss: distance must be > 0");
-    }
-  }
-  // Hoisted constants; the per-element expression keeps the scalar
-  // association  ref + (10 * n) * log10(d / d0)  so results match bit for
-  // bit. Plain contiguous loop, no calls besides log10.
-  const double ref = params_.reference_loss_db;
-  const double ten_n = 10.0 * params_.exponent;
-  const double d0 = params_.reference_distance_m;
-  for (std::size_t i = 0; i < distance_m.size(); ++i) {
-    out[i] = ref + ten_n * std::log10(distance_m[i] / d0);
-  }
 }
 
 double PathLoss::MeanRssiDbm(double tx_power_dbm, double distance_m) const {

@@ -8,8 +8,6 @@
 // shows.
 #pragma once
 
-#include <span>
-
 #include "util/rng.h"
 
 namespace wsnlink::channel {
@@ -35,12 +33,6 @@ class PathLoss {
 
   /// Mean path loss in dB at distance d (metres). Requires d > 0.
   [[nodiscard]] double MeanLossDb(double distance_m) const;
-
-  /// Structure-of-arrays batch: out[i] = MeanLossDb(distance_m[i]), bit for
-  /// bit (the log-distance expression is hoisted into one contiguous sweep).
-  /// Requires distance_m.size() == out.size() and every distance > 0.
-  void MeanLossDbBatch(std::span<const double> distance_m,
-                       std::span<double> out) const;
 
   /// Mean received power for a transmit power, excluding spatial shadowing.
   [[nodiscard]] double MeanRssiDbm(double tx_power_dbm, double distance_m) const;

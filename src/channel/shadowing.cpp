@@ -2,6 +2,7 @@
 // invariant (docs/PERF.md) is linted here and measured by perf_sweep.
 #include "channel/shadowing.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -24,62 +25,6 @@ ShadowingProcess::ShadowingProcess(ShadowingParams params, util::Rng rng)
   if (params_.coherence <= 0) {
     throw std::invalid_argument("ShadowingProcess: coherence must be > 0");
   }
-}
-
-ShadowingLanes::ShadowingLanes(std::span<const ShadowingParams> params,
-                               std::span<const util::Rng> rngs)
-    : params_(params.begin(), params.end()),
-      rngs_(rngs),
-      value_(params.size(), 0.0),
-      rho_(params.size(), 0.0),
-      gauss_(params.size(), 0.0) {
-  if (params.size() != rngs.size()) {
-    throw std::invalid_argument("ShadowingLanes: params/rngs size mismatch");
-  }
-  for (const ShadowingParams& p : params_) {
-    if (p.sigma_db < 0.0) {
-      throw std::invalid_argument("ShadowingProcess: sigma must be >= 0");
-    }
-    if (p.coherence <= 0) {
-      throw std::invalid_argument("ShadowingProcess: coherence must be > 0");
-    }
-  }
-}
-
-void ShadowingLanes::SampleAll(sim::Time now, std::span<double> out) {
-  if (out.size() != params_.size()) {
-    throw std::invalid_argument("ShadowingLanes: output size mismatch");
-  }
-  const std::size_t n = params_.size();
-  if (!initialised_) {
-    rngs_.GaussianAll(gauss_);
-    for (std::size_t k = 0; k < n; ++k) {
-      // Matches the scalar rng_.Gaussian(0.0, sigma) = mean + sigma * z.
-      value_[k] = 0.0 + params_[k].sigma_db * gauss_[k];
-    }
-    last_time_ = now;
-    initialised_ = true;
-    for (std::size_t k = 0; k < n; ++k) out[k] = value_[k];
-    return;
-  }
-  if (now < last_time_) {
-    throw std::logic_error("ShadowingProcess: time moved backwards");
-  }
-  const double dt = static_cast<double>(now - last_time_);
-  for (std::size_t k = 0; k < n; ++k) {
-    rho_[k] = std::exp(-dt / static_cast<double>(params_[k].coherence));
-  }
-  rngs_.GaussianAll(gauss_);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double rho = rho_[k];
-    const double innovation_sigma =
-        params_[k].sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho));
-    // Same expression shape as the scalar update (Gaussian(0, s) expands to
-    // 0.0 + s * z) so the lane agrees bit for bit.
-    value_[k] = rho * value_[k] + (0.0 + innovation_sigma * gauss_[k]);
-  }
-  last_time_ = now;
-  for (std::size_t k = 0; k < n; ++k) out[k] = value_[k];
 }
 
 double ShadowingProcess::Sample(sim::Time now) {

@@ -10,10 +10,6 @@
 // (Sec. III-B) relative to the sharp analytic DSSS cliff.
 #pragma once
 
-#include <cstddef>
-#include <span>
-#include <vector>
-
 #include "sim/time.h"
 #include "util/rng.h"
 
@@ -50,37 +46,6 @@ class ShadowingProcess {
   util::Rng rng_;
   sim::Time last_time_ = 0;
   double value_ = 0.0;
-  bool initialised_ = false;
-};
-
-/// Structure-of-arrays bank of K independent AR(1) shadowing processes
-/// advanced in lockstep on a shared clock.
-///
-/// Lane i's sample sequence is bit-identical to a ShadowingProcess built
-/// from (params[i], rngs[i]) and called with the same time sequence: the
-/// update is the same plain elementwise arithmetic over contiguous state
-/// arrays (auto-vectorizable, no intrinsics), and the RNG lanes advance by
-/// exactly the scalar draw count (two uniforms per Gaussian).
-class ShadowingLanes {
- public:
-  /// Requires params.size() == rngs.size(); validates every lane's params
-  /// with the same checks (and messages) as the scalar constructor.
-  ShadowingLanes(std::span<const ShadowingParams> params,
-                 std::span<const util::Rng> rngs);
-
-  [[nodiscard]] std::size_t Lanes() const noexcept { return params_.size(); }
-
-  /// One Sample(now) per lane into `out` (size must equal Lanes()). All
-  /// lanes share the clock: `now` may not decrease between calls.
-  void SampleAll(sim::Time now, std::span<double> out);
-
- private:
-  std::vector<ShadowingParams> params_;
-  util::RngLanes rngs_;
-  std::vector<double> value_;
-  std::vector<double> rho_;    // per-call scratch
-  std::vector<double> gauss_;  // per-call scratch
-  sim::Time last_time_ = 0;
   bool initialised_ = false;
 };
 

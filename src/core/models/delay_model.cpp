@@ -44,44 +44,6 @@ double DelayModel::TotalDelayMs(const ServiceTimeInputs& in,
   return QueueWaitMs(in, pkt_interval_ms, queue_capacity) + service_.MeanMs(in);
 }
 
-double DelayModel::UtilizationFromExps(const ServiceTimeInputs& in,
-                                       double pkt_interval_ms,
-                                       double exp_ntries,
-                                       double exp_plr) const {
-  if (pkt_interval_ms <= 0.0) {
-    throw std::invalid_argument("DelayModel: packet interval must be > 0");
-  }
-  return service_.MeanMsFromExps(in, exp_ntries, exp_plr) / pkt_interval_ms;
-}
-
-double DelayModel::QueueWaitMsFromExps(const ServiceTimeInputs& in,
-                                       double pkt_interval_ms,
-                                       int queue_capacity,
-                                       double exp_ntries,
-                                       double exp_plr) const {
-  if (queue_capacity < 1) {
-    throw std::invalid_argument("DelayModel: queue capacity must be >= 1");
-  }
-  const double ts = service_.MeanMsFromExps(in, exp_ntries, exp_plr);
-  const double rho = ts / pkt_interval_ms;
-  if (rho < 1.0) {
-    const double wait = rho * ts / (2.0 * (1.0 - rho));
-    const double cap = static_cast<double>(queue_capacity) * ts;
-    return wait < cap ? wait : cap;
-  }
-  return static_cast<double>(queue_capacity) * ts;
-}
-
-double DelayModel::TotalDelayMsFromExps(const ServiceTimeInputs& in,
-                                        double pkt_interval_ms,
-                                        int queue_capacity,
-                                        double exp_ntries,
-                                        double exp_plr) const {
-  return QueueWaitMsFromExps(in, pkt_interval_ms, queue_capacity, exp_ntries,
-                             exp_plr) +
-         service_.MeanMsFromExps(in, exp_ntries, exp_plr);
-}
-
 int DelayModel::MaxStableTries(int payload_bytes, double snr_db,
                                double retry_delay_ms, double pkt_interval_ms,
                                int limit) const {

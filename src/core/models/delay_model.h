@@ -44,24 +44,6 @@ class DelayModel {
                                     double pkt_interval_ms,
                                     int queue_capacity) const;
 
-  /// FromExps variants: `exp_ntries` / `exp_plr` are the precomputed
-  /// exponentials consumed by ServiceTimeModel::MeanMsFromExps. Each is
-  /// bit-identical to its scalar counterpart (shared combination code).
-  [[nodiscard]] double UtilizationFromExps(const ServiceTimeInputs& in,
-                                           double pkt_interval_ms,
-                                           double exp_ntries,
-                                           double exp_plr) const;
-  [[nodiscard]] double QueueWaitMsFromExps(const ServiceTimeInputs& in,
-                                           double pkt_interval_ms,
-                                           int queue_capacity,
-                                           double exp_ntries,
-                                           double exp_plr) const;
-  [[nodiscard]] double TotalDelayMsFromExps(const ServiceTimeInputs& in,
-                                            double pkt_interval_ms,
-                                            int queue_capacity,
-                                            double exp_ntries,
-                                            double exp_plr) const;
-
   /// Largest N_maxTries (in [1, limit]) keeping rho < 1, or 0 if even a
   /// single attempt saturates the link — the knob Sec. VII-B turns.
   [[nodiscard]] int MaxStableTries(int payload_bytes, double snr_db,

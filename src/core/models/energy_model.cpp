@@ -21,19 +21,6 @@ double EnergyModel::MicrojoulesPerBit(int payload_bytes, double snr_db,
   return e_tx * overhead_ratio / (1.0 - per);
 }
 
-double EnergyModel::MicrojoulesPerBitFromExp(int payload_bytes,
-                                             double exp_per,
-                                             int pa_level) const {
-  phy::ValidatePayloadSize(payload_bytes);
-  const double e_tx = phy::EnergyPerBitMicrojoule(pa_level);
-  const double per = per_.PerFromExp(payload_bytes, exp_per);
-  if (per >= 1.0) return std::numeric_limits<double>::infinity();
-  const double overhead_ratio =
-      static_cast<double>(phy::kStackOverheadBytes + payload_bytes) /
-      static_cast<double>(payload_bytes);
-  return e_tx * overhead_ratio / (1.0 - per);
-}
-
 double EnergyModel::BitsPerMicrojoule(int payload_bytes, double snr_db,
                                       int pa_level) const {
   const double u = MicrojoulesPerBit(payload_bytes, snr_db, pa_level);

@@ -26,13 +26,6 @@ class EnergyModel {
   [[nodiscard]] double MicrojoulesPerBit(int payload_bytes, double snr_db,
                                          int pa_level) const;
 
-  /// MicrojoulesPerBit with the PER exponential already evaluated:
-  /// `exp_per` must be exp(Per().Coefficients().b * snr_db). Bit-identical
-  /// to the scalar entry point (shared combination code).
-  [[nodiscard]] double MicrojoulesPerBitFromExp(int payload_bytes,
-                                                double exp_per,
-                                                int pa_level) const;
-
   /// Energy efficiency: delivered bits per microjoule (0 when U_eng = inf).
   [[nodiscard]] double BitsPerMicrojoule(int payload_bytes, double snr_db,
                                          int pa_level) const;

@@ -16,17 +16,6 @@ double GoodputModel::MaxGoodputKbps(const ServiceTimeInputs& in) const {
   return bits / service_ms * (1.0 - plr);
 }
 
-double GoodputModel::MaxGoodputKbpsFromExps(const ServiceTimeInputs& in,
-                                            double exp_ntries,
-                                            double exp_plr) const {
-  const double service_ms = service_.MeanMsFromExps(in, exp_ntries, exp_plr);
-  const double plr =
-      plr_.RadioLossFromExp(in.payload_bytes, exp_plr, in.max_tries);
-  const double bits = util::kBitsPerByte * static_cast<double>(in.payload_bytes);
-  // bits / ms == kbit/s.
-  return bits / service_ms * (1.0 - plr);
-}
-
 int GoodputModel::OptimalPayload(double snr_db, int max_tries,
                                  double retry_delay_ms) const {
   int best = 1;

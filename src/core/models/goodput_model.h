@@ -23,13 +23,6 @@ class GoodputModel {
   /// Maximum goodput in kilobits per second.
   [[nodiscard]] double MaxGoodputKbps(const ServiceTimeInputs& in) const;
 
-  /// MaxGoodputKbps with the inner Ntries/Plr exponentials already
-  /// evaluated (see ServiceTimeModel::MeanMsFromExps). Bit-identical to
-  /// the scalar entry point.
-  [[nodiscard]] double MaxGoodputKbpsFromExps(const ServiceTimeInputs& in,
-                                              double exp_ntries,
-                                              double exp_plr) const;
-
   /// Payload size in [1, 114] maximising goodput for the given link and MAC
   /// setting — the optimum tracked by Fig. 13 and the Sec. V-C guideline.
   [[nodiscard]] int OptimalPayload(double snr_db, int max_tries,

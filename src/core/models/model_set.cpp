@@ -2,11 +2,7 @@
 // invariant (docs/PERF.md) is linted here and measured by perf_sweep.
 #include "core/models/model_set.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
 #include <cstdio>
-#include <stdexcept>
 
 namespace wsnlink::core::models {
 
@@ -56,79 +52,6 @@ MetricPrediction ModelSet::PredictAtSnr(const StackConfig& config,
   p.plr_queue = QueueLossEstimate(p.utilization);
   p.plr_total = CombineLoss(p.plr_queue, p.plr_radio);
   return p;
-}
-
-MetricPrediction ModelSet::PredictAtSnrFromExps(const StackConfig& config,
-                                                double snr_db,
-                                                double exp_per,
-                                                double exp_ntries,
-                                                double exp_plr) const {
-  config.Validate();
-  ServiceTimeInputs in;
-  in.payload_bytes = config.payload_bytes;
-  in.snr_db = snr_db;
-  in.max_tries = config.max_tries;
-  in.retry_delay_ms = config.retry_delay_ms;
-
-  MetricPrediction p;
-  p.snr_db = snr_db;
-  p.per = per_.PerFromExp(config.payload_bytes, exp_per);
-  p.mean_tries = ntries_.MeanTriesTruncatedFromExp(config.payload_bytes,
-                                                   exp_ntries,
-                                                   config.max_tries);
-  p.service_time_ms = service_.MeanMsFromExps(in, exp_ntries, exp_plr);
-  p.utilization =
-      delay_.UtilizationFromExps(in, config.pkt_interval_ms, exp_ntries,
-                                 exp_plr);
-  p.energy_uj_per_bit = energy_.MicrojoulesPerBitFromExp(config.payload_bytes,
-                                                         exp_per,
-                                                         config.pa_level);
-  p.max_goodput_kbps = goodput_.MaxGoodputKbpsFromExps(in, exp_ntries, exp_plr);
-  p.total_delay_ms =
-      delay_.TotalDelayMsFromExps(in, config.pkt_interval_ms,
-                                  config.queue_capacity, exp_ntries, exp_plr);
-  p.plr_radio =
-      plr_.RadioLossFromExp(config.payload_bytes, exp_plr, config.max_tries);
-  p.plr_queue = QueueLossEstimate(p.utilization);
-  p.plr_total = CombineLoss(p.plr_queue, p.plr_radio);
-  return p;
-}
-
-void ModelSet::PredictBatch(std::span<const StackConfig> configs,
-                            std::span<MetricPrediction> out) const {
-  if (configs.size() != out.size()) {
-    throw std::invalid_argument(
-        "ModelSet::PredictBatch: configs and out must have the same size");
-  }
-  // The nested models were constructed from the same three coefficient sets
-  // held by per_/ntries_/plr_, so one exponential per loss law serves every
-  // downstream model. Fixed-size blocks keep scratch on the stack.
-  constexpr std::size_t kBlock = 64;
-  const double b_per = per_.Coefficients().b;
-  const double b_ntries = ntries_.Coefficients().b;
-  const double b_plr = plr_.Coefficients().b;
-  double snr[kBlock];
-  double e_per[kBlock];
-  double e_ntries[kBlock];
-  double e_plr[kBlock];
-  for (std::size_t base = 0; base < configs.size(); base += kBlock) {
-    const std::size_t n = std::min(kBlock, configs.size() - base);
-    for (std::size_t k = 0; k < n; ++k) {
-      const StackConfig& config = configs[base + k];
-      config.Validate();
-      snr[k] = link_quality_.SnrDb(config.pa_level, config.distance_m);
-    }
-    // Three plain contiguous sweeps — the auto-vectorizable hot loops.
-    for (std::size_t k = 0; k < n; ++k) e_per[k] = std::exp(b_per * snr[k]);
-    for (std::size_t k = 0; k < n; ++k) {
-      e_ntries[k] = std::exp(b_ntries * snr[k]);
-    }
-    for (std::size_t k = 0; k < n; ++k) e_plr[k] = std::exp(b_plr * snr[k]);
-    for (std::size_t k = 0; k < n; ++k) {
-      out[base + k] = PredictAtSnrFromExps(configs[base + k], snr[k], e_per[k],
-                                           e_ntries[k], e_plr[k]);
-    }
-  }
 }
 
 std::string ModelSet::SummaryTable() const {

@@ -6,7 +6,6 @@
 // link-quality map translating placement and power into SNR.
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "core/models/delay_model.h"
@@ -55,14 +54,6 @@ class ModelSet {
   [[nodiscard]] MetricPrediction PredictAtSnr(const StackConfig& config,
                                               double snr_db) const;
 
-  /// Structure-of-arrays batch Predict: fills `out[i] = Predict(configs[i])`
-  /// bit for bit, but hoists the three loss-law exp() evaluations into plain
-  /// contiguous sweeps the compiler can vectorize. No heap allocation;
-  /// scratch lives in fixed-size stack blocks. Throws std::invalid_argument
-  /// when the span sizes differ (before evaluating anything).
-  void PredictBatch(std::span<const StackConfig> configs,
-                    std::span<MetricPrediction> out) const;
-
   /// Renders Table III (model summary) as human-readable text.
   [[nodiscard]] std::string SummaryTable() const;
 
@@ -78,15 +69,6 @@ class ModelSet {
   }
 
  private:
-  /// PredictAtSnr with the three loss-law exponentials already evaluated;
-  /// the combination code is shared with the scalar path via the models'
-  /// FromExp entry points, so results agree bit for bit.
-  [[nodiscard]] MetricPrediction PredictAtSnrFromExps(const StackConfig& config,
-                                                      double snr_db,
-                                                      double exp_per,
-                                                      double exp_ntries,
-                                                      double exp_plr) const;
-
   PerModel per_;
   NtriesModel ntries_;
   PlrModel plr_;

@@ -13,13 +13,9 @@ NtriesModel::NtriesModel(ScaledExpCoefficients coeff) : coeff_(coeff) {
 }
 
 double NtriesModel::MeanTries(int payload_bytes, double snr_db) const {
-  return MeanTriesFromExp(payload_bytes, std::exp(coeff_.b * snr_db));
-}
-
-double NtriesModel::MeanTriesFromExp(int payload_bytes,
-                                     double exp_b_snr) const {
   phy::ValidatePayloadSize(payload_bytes);
-  return 1.0 + coeff_.a * static_cast<double>(payload_bytes) * exp_b_snr;
+  return 1.0 + coeff_.a * static_cast<double>(payload_bytes) *
+                   std::exp(coeff_.b * snr_db);
 }
 
 double NtriesModel::ImpliedAttemptFailure(int payload_bytes,
@@ -30,20 +26,13 @@ double NtriesModel::ImpliedAttemptFailure(int payload_bytes,
 
 double NtriesModel::MeanTriesTruncated(int payload_bytes, double snr_db,
                                        int max_tries) const {
-  return MeanTriesTruncatedFromExp(payload_bytes,
-                                   std::exp(coeff_.b * snr_db), max_tries);
-}
-
-double NtriesModel::MeanTriesTruncatedFromExp(int payload_bytes,
-                                              double exp_b_snr,
-                                              int max_tries) const {
   if (max_tries < 1) {
     throw std::invalid_argument("MeanTriesTruncated: max_tries must be >= 1");
   }
   // Implied per-attempt failure p = x / (1 + x), x = MeanTries - 1. The
   // (1 + x) - 1 round trip is kept verbatim: simplifying it algebraically
   // would change the floating-point result.
-  const double x = MeanTriesFromExp(payload_bytes, exp_b_snr) - 1.0;
+  const double x = MeanTries(payload_bytes, snr_db) - 1.0;
   const double p = x / (1.0 + x);
   if (p <= 0.0) return 1.0;
   // E[min(G, N)] for G ~ Geometric(success = 1-p):

@@ -26,15 +26,6 @@ class NtriesModel {
   [[nodiscard]] double MeanTriesTruncated(int payload_bytes, double snr_db,
                                           int max_tries) const;
 
-  /// FromExp variants: `exp_b_snr` must be exp(Coefficients().b * snr_db).
-  /// The scalar entry points delegate here, so the batch path (which
-  /// hoists the exp() into a vectorizable sweep) agrees bit for bit.
-  [[nodiscard]] double MeanTriesFromExp(int payload_bytes,
-                                        double exp_b_snr) const;
-  [[nodiscard]] double MeanTriesTruncatedFromExp(int payload_bytes,
-                                                 double exp_b_snr,
-                                                 int max_tries) const;
-
   /// The per-attempt failure probability implied by Eq. (7):
   /// p = x / (1 + x) with x = a * l_D * exp(b * SNR). Always in [0, 1).
   [[nodiscard]] double ImpliedAttemptFailure(int payload_bytes,

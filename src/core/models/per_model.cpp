@@ -14,13 +14,9 @@ PerModel::PerModel(ScaledExpCoefficients coeff) : coeff_(coeff) {
 }
 
 double PerModel::Per(int payload_bytes, double snr_db) const {
-  return PerFromExp(payload_bytes, std::exp(coeff_.b * snr_db));
-}
-
-double PerModel::PerFromExp(int payload_bytes, double exp_b_snr) const {
   phy::ValidatePayloadSize(payload_bytes);
-  const double raw =
-      coeff_.a * static_cast<double>(payload_bytes) * exp_b_snr;
+  const double raw = coeff_.a * static_cast<double>(payload_bytes) *
+                     std::exp(coeff_.b * snr_db);
   return std::clamp(raw, 0.0, 1.0);
 }
 

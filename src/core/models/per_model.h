@@ -20,12 +20,6 @@ class PerModel {
   /// PER for one attempt, clamped to [0, 1]. payload_bytes in [1, 114].
   [[nodiscard]] double Per(int payload_bytes, double snr_db) const;
 
-  /// Per() with the exponential already evaluated: `exp_b_snr` must be
-  /// exp(Coefficients().b * snr_db). The batch path hoists that exp() into
-  /// a vectorizable sweep; Per() delegates here, so both paths share the
-  /// combination arithmetic and agree bit for bit.
-  [[nodiscard]] double PerFromExp(int payload_bytes, double exp_b_snr) const;
-
   /// SNR at which PER drops to `target` for the given payload (inverse of
   /// Eq. 3). Requires 0 < target < 1.
   [[nodiscard]] double SnrForPer(int payload_bytes, double target) const;

@@ -14,29 +14,18 @@ PlrModel::PlrModel(ScaledExpCoefficients coeff) : coeff_(coeff) {
 }
 
 double PlrModel::AttemptLoss(int payload_bytes, double snr_db) const {
-  return AttemptLossFromExp(payload_bytes, std::exp(coeff_.b * snr_db));
-}
-
-double PlrModel::AttemptLossFromExp(int payload_bytes,
-                                    double exp_b_snr) const {
   phy::ValidatePayloadSize(payload_bytes);
-  const double raw =
-      coeff_.a * static_cast<double>(payload_bytes) * exp_b_snr;
+  const double raw = coeff_.a * static_cast<double>(payload_bytes) *
+                     std::exp(coeff_.b * snr_db);
   return std::clamp(raw, 0.0, 1.0);
 }
 
 double PlrModel::RadioLoss(int payload_bytes, double snr_db,
                            int max_tries) const {
-  return RadioLossFromExp(payload_bytes, std::exp(coeff_.b * snr_db),
-                          max_tries);
-}
-
-double PlrModel::RadioLossFromExp(int payload_bytes, double exp_b_snr,
-                                  int max_tries) const {
   if (max_tries < 1) {
     throw std::invalid_argument("RadioLoss: max_tries must be >= 1");
   }
-  return std::pow(AttemptLossFromExp(payload_bytes, exp_b_snr), max_tries);
+  return std::pow(AttemptLoss(payload_bytes, snr_db), max_tries);
 }
 
 int PlrModel::MinTriesForLoss(int payload_bytes, double snr_db, double target,

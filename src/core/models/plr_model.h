@@ -27,14 +27,6 @@ class PlrModel {
   [[nodiscard]] double RadioLoss(int payload_bytes, double snr_db,
                                  int max_tries) const;
 
-  /// FromExp variants: `exp_b_snr` must be exp(Coefficients().b * snr_db).
-  /// The scalar entry points delegate here, so the batch path (which
-  /// hoists the exp() into a vectorizable sweep) agrees bit for bit.
-  [[nodiscard]] double AttemptLossFromExp(int payload_bytes,
-                                          double exp_b_snr) const;
-  [[nodiscard]] double RadioLossFromExp(int payload_bytes, double exp_b_snr,
-                                        int max_tries) const;
-
   /// Smallest N_maxTries achieving RadioLoss <= target, or `limit` if even
   /// `limit` tries cannot reach it. Requires 0 < target < 1, limit >= 1.
   [[nodiscard]] int MinTriesForLoss(int payload_bytes, double snr_db,

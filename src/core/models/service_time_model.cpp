@@ -62,16 +62,6 @@ double ServiceTimeModel::DeliveredMs(const ServiceTimeInputs& in) const {
          (n_tries - 1.0) * RetryCostMs(in.payload_bytes, in.retry_delay_ms);
 }
 
-double ServiceTimeModel::DeliveredMsFromExp(const ServiceTimeInputs& in,
-                                            double exp_ntries) const {
-  ValidateInputs(in);
-  const double n_tries =
-      std::min(ntries_.MeanTriesFromExp(in.payload_bytes, exp_ntries),
-               static_cast<double>(in.max_tries));
-  return SpiTimeMs(in.payload_bytes) + SuccessTailMs(in.payload_bytes) +
-         (n_tries - 1.0) * RetryCostMs(in.payload_bytes, in.retry_delay_ms);
-}
-
 double ServiceTimeModel::LostMs(const ServiceTimeInputs& in) const {
   ValidateInputs(in);
   return SpiTimeMs(in.payload_bytes) + FailureTailMs(in.payload_bytes) +
@@ -84,15 +74,6 @@ double ServiceTimeModel::MeanMs(const ServiceTimeInputs& in) const {
   const double plr =
       plr_.RadioLoss(in.payload_bytes, in.snr_db, in.max_tries);
   return (1.0 - plr) * DeliveredMs(in) + plr * LostMs(in);
-}
-
-double ServiceTimeModel::MeanMsFromExps(const ServiceTimeInputs& in,
-                                        double exp_ntries,
-                                        double exp_plr) const {
-  ValidateInputs(in);
-  const double plr =
-      plr_.RadioLossFromExp(in.payload_bytes, exp_plr, in.max_tries);
-  return (1.0 - plr) * DeliveredMsFromExp(in, exp_ntries) + plr * LostMs(in);
 }
 
 }  // namespace wsnlink::core::models

@@ -59,16 +59,6 @@ class ServiceTimeModel {
   /// time used for utilization and goodput.
   [[nodiscard]] double MeanMs(const ServiceTimeInputs& in) const;
 
-  /// FromExp variants: `exp_ntries` / `exp_plr` must be the exponentials
-  /// exp(b * snr) of the inner Ntries() / Plr() coefficient sets. The
-  /// batch path hoists those into vectorizable sweeps; results agree bit
-  /// for bit with the scalar entry points above.
-  [[nodiscard]] double DeliveredMsFromExp(const ServiceTimeInputs& in,
-                                          double exp_ntries) const;
-  [[nodiscard]] double MeanMsFromExps(const ServiceTimeInputs& in,
-                                      double exp_ntries,
-                                      double exp_plr) const;
-
   [[nodiscard]] const NtriesModel& Ntries() const noexcept { return ntries_; }
   [[nodiscard]] const PlrModel& Plr() const noexcept { return plr_; }
 

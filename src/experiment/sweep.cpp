@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "core/models/model_set.h"
-#include "core/opt/objectives.h"
 #include "node/run_scratch.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -66,106 +63,13 @@ void SweepParallelFor(std::size_t total, const SweepOptions& options,
                                          options.threads, fn);
 }
 
-/// Fills a SweepPoint from a model prediction (prescreened config).
-void FillFromPrediction(SweepPoint& point, const core::StackConfig& config,
-                        const core::models::MetricPrediction& prediction) {
-  point.config = config;
-  point.simulated = false;
-  point.mean_snr_db = prediction.snr_db;
-  point.measured.generated = 0;
-  point.measured.per = prediction.per;
-  point.measured.mean_tries_all = prediction.mean_tries;
-  point.measured.mean_tries_acked = prediction.mean_tries;
-  point.measured.mean_service_ms = prediction.service_time_ms;
-  point.measured.utilization = prediction.utilization;
-  point.measured.goodput_kbps = prediction.max_goodput_kbps;
-  point.measured.energy_uj_per_bit = prediction.energy_uj_per_bit;
-  point.measured.mean_delay_ms = prediction.total_delay_ms;
-  point.measured.plr_radio = prediction.plr_radio;
-  point.measured.plr_queue = prediction.plr_queue;
-  point.measured.plr_total = prediction.plr_total;
-  point.measured.mean_snr_db = prediction.snr_db;
-}
-
 }  // namespace
-
-std::vector<bool> PrescreenMask(const std::vector<core::StackConfig>& configs,
-                                double slack) {
-  using core::opt::Metric;
-  const core::models::ModelSet models;
-  const Metric kObjectives[] = {Metric::kEnergy, Metric::kGoodput,
-                                Metric::kDelay, Metric::kLoss};
-
-  struct Costs {
-    double v[4];
-  };
-  std::vector<core::models::MetricPrediction> predictions(configs.size());
-  models.PredictBatch(configs, predictions);
-  std::vector<Costs> costs(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    for (std::size_t m = 0; m < 4; ++m) {
-      costs[i].v[m] = core::opt::MetricCost(predictions[i], kObjectives[m]);
-    }
-  }
-
-  // `a` epsilon-dominates `b` when a is better than b by more than `slack`
-  // (relative, against the cost magnitude) on every objective. The strict
-  // "every objective" form keeps ties and near-ties simulated.
-  const auto dominates = [slack](const Costs& a, const Costs& b) {
-    for (std::size_t m = 0; m < 4; ++m) {
-      const double margin = slack * std::max(std::abs(b.v[m]), 1e-9);
-      if (a.v[m] >= b.v[m] - margin) return false;
-    }
-    return true;
-  };
-
-  // Incremental non-dominated filter: compare each config against the
-  // running front only (the front stays small relative to the sweep), then
-  // prune front members the newcomer dominates.
-  std::vector<bool> keep(configs.size(), true);
-  std::vector<std::size_t> front;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    bool dominated = false;
-    for (const std::size_t f : front) {
-      if (dominates(costs[f], costs[i])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (dominated) {
-      keep[i] = false;
-      continue;
-    }
-    std::erase_if(front, [&](std::size_t f) {
-      if (dominates(costs[i], costs[f])) {
-        keep[f] = false;
-        return true;
-      }
-      return false;
-    });
-    front.push_back(i);
-  }
-  return keep;
-}
 
 std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
                                  const SweepOptions& options) {
   std::vector<SweepPoint> points(configs.size());
   if (!options.skip.empty() && options.skip.size() != configs.size()) {
     throw std::invalid_argument("RunSweep: skip mask size != config count");
-  }
-
-  std::vector<bool> keep;
-  if (options.analytic_prescreen) {
-    keep = PrescreenMask(configs, options.prescreen_slack);
-    const core::models::ModelSet models;
-    std::vector<core::models::MetricPrediction> predictions(configs.size());
-    models.PredictBatch(configs, predictions);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (!keep[i]) {
-        FillFromPrediction(points[i], configs[i], predictions[i]);
-      }
-    }
   }
 
   std::atomic<std::size_t> done{0};
@@ -180,13 +84,6 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
       return;
     }
     if (options.cancel && options.cancel()) return;
-    if (!keep.empty() && !keep[i]) {
-      if (options.on_point) options.on_point(i, points[i]);
-      if (options.progress) {
-        options.progress(done.fetch_add(1) + 1, configs.size());
-      }
-      return;
-    }
     // Graceful degradation: a worker that throws (simulation bug, injected
     // fault, bad config) marks *this* point failed instead of taking the
     // whole campaign down with it.

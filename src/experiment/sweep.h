@@ -27,12 +27,8 @@ struct SweepPoint {
   metrics::LinkMetrics measured;
   /// Ground-truth mean SNR of the simulated link.
   double mean_snr_db = 0.0;
-  /// False when the analytic prescreen skipped this configuration; the
-  /// measured fields then hold the ModelSet prediction instead of
-  /// simulation output (see SweepOptions::analytic_prescreen).
-  bool simulated = true;
   /// Per-layer counter roll-up of the run, sorted by name (empty when
-  /// SweepOptions::collect_counters is false or the run was prescreened).
+  /// SweepOptions::collect_counters is false).
   std::vector<trace::CounterSample> counters;
   /// The run's full event stream (only when SweepOptions::capture_traces;
   /// each run owns its tracer, so capture stays deterministic under any
@@ -71,20 +67,6 @@ struct SweepOptions {
   bool capture_traces = false;
   /// Ring capacity per run when capture_traces is set.
   std::size_t trace_capacity = trace::Tracer::kDefaultCapacity;
-  /// Analytic fast-path (opt-in): before simulating, predict every config
-  /// with the paper's Eq. 3/7/8 ModelSet and skip configs that are
-  /// epsilon-dominated by another config on (energy, goodput, delay,
-  /// loss). Skipped points carry the model prediction with
-  /// `simulated == false`; simulated points are bit-identical to the same
-  /// configs in an un-prescreened sweep (seeds stay keyed to the original
-  /// index). Meant for optimisation workloads where only the frontier
-  /// region earns simulated packets.
-  bool analytic_prescreen = false;
-  /// Dominance slack for the prescreen: a config is kept unless another
-  /// config is better by more than this relative margin on *every*
-  /// objective. 0 keeps exactly the predicted Pareto front; larger values
-  /// keep a thicker near-front band (default 10%).
-  double prescreen_slack = 0.10;
   /// Optional progress callback (invoked from worker threads with the
   /// number of completed runs; must be thread-safe). May be empty.
   std::function<void(std::size_t done, std::size_t total)> progress;
@@ -96,8 +78,8 @@ struct SweepOptions {
   /// remainder stays bit-identical to an unskipped sweep.
   std::vector<bool> skip;
   /// Completion hook: invoked from worker threads immediately after
-  /// points[index] is finalised (simulated, prescreened or failed — not
-  /// for skipped/cancelled indices). Must be thread-safe. The campaign's
+  /// points[index] is finalised (simulated or failed — not for
+  /// skipped/cancelled indices). Must be thread-safe. The campaign's
   /// checkpoint writer hangs off this.
   std::function<void(std::size_t index, const SweepPoint& point)> on_point;
   /// Cooperative cancellation, polled before each config starts: once it
@@ -116,18 +98,15 @@ struct SweepOptions {
 [[nodiscard]] std::size_t SweepChunkSize(const SweepOptions& options,
                                          std::size_t total) noexcept;
 
-/// The prescreen's keep/skip decisions for `configs` (true = simulate).
-/// Exposed so tests and benches can inspect the screen without running it.
-[[nodiscard]] std::vector<bool> PrescreenMask(
-    const std::vector<core::StackConfig>& configs, double slack);
-
 /// Runs every configuration; the result vector parallels `configs`.
 [[nodiscard]] std::vector<SweepPoint> RunSweep(
     const std::vector<core::StackConfig>& configs, const SweepOptions& options);
 
 /// Convenience: per-attempt logs are often needed by figure benches; this
-/// variant returns the full simulation results instead of just metrics
-/// (the analytic prescreen does not apply — raw logs require simulation).
+/// variant returns the full simulation results instead of just metrics.
+/// Unlike RunSweep it does not isolate failures: if any config throws, the
+/// exception of the lowest such index reaches the caller, whatever the
+/// thread count.
 [[nodiscard]] std::vector<node::SimulationResult> RunSweepRaw(
     const std::vector<core::StackConfig>& configs, const SweepOptions& options);
 

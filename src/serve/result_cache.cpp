@@ -339,8 +339,4 @@ CacheLoadReport ResultCache::Load(const std::string& path) {
   return report;
 }
 
-std::string ResultCache::KeyHashHex(std::string_view key) {
-  return HashHex(key);
-}
-
 }  // namespace wsnlink::serve

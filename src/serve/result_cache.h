@@ -132,9 +132,6 @@ class ResultCache {
   /// recomputing.
   CacheLoadReport Load(const std::string& path);
 
-  /// FNV-1a hex address of a canonical key (exposed for tests/tools).
-  [[nodiscard]] static std::string KeyHashHex(std::string_view key);
-
  private:
   /// Drops oldest-inserted entries until the cap holds. Caller holds
   /// mutex_. Returns how many entries were evicted.

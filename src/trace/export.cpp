@@ -153,11 +153,6 @@ void WriteChromeTraceJson(const std::string& path,
                    "WriteChromeTraceJson");
 }
 
-std::vector<std::string> TraceCsvHeaders() {
-  return {"t_us", "layer", "event", "packet_id", "arg0", "arg1", "value",
-          "node"};
-}
-
 std::string TraceCsv(const std::vector<TraceEvent>& events) {
   std::string out = "t_us,layer,event,packet_id,arg0,arg1,value,node\n";
   out.reserve(out.size() + events.size() * 64);

@@ -29,9 +29,6 @@ void WriteChromeTraceJson(const std::string& path,
                           const std::vector<TraceEvent>& events,
                           const std::vector<CounterSample>& counters = {});
 
-/// Column headers of the CSV trace schema.
-[[nodiscard]] std::vector<std::string> TraceCsvHeaders();
-
 /// Renders the event stream as CSV (header + one row per event).
 [[nodiscard]] std::string TraceCsv(const std::vector<TraceEvent>& events);
 

@@ -113,125 +113,4 @@ double Rng::Exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
-void Rng::Fill(std::span<std::uint64_t> out) noexcept {
-  // Local copies keep the four state words in registers for the whole
-  // batch; the recurrence below is the scalar operator() verbatim.
-  std::uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
-  for (std::uint64_t& slot : out) {
-    slot = RotL(s0 + s3, 23) + s0;
-    const std::uint64_t t = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= t;
-    s3 = RotL(s3, 45);
-  }
-  state_ = {s0, s1, s2, s3};
-}
-
-void Rng::FillDoubles(std::span<double> out) noexcept {
-  std::uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
-  for (double& slot : out) {
-    const std::uint64_t bits = RotL(s0 + s3, 23) + s0;
-    const std::uint64_t t = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= t;
-    s3 = RotL(s3, 45);
-    slot = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  }
-  state_ = {s0, s1, s2, s3};
-}
-
-void Rng::FillGaussians(std::span<double> out) noexcept {
-  // Same u1/u2 draw order as the scalar Gaussian(), one pair per output.
-  for (double& slot : out) slot = Gaussian();
-}
-
-RngLanes::RngLanes(std::span<const Rng> rngs) {
-  lineage_.reserve(rngs.size());
-  for (auto& word : s_) word.reserve(rngs.size());
-  for (const Rng& rng : rngs) {
-    for (std::size_t w = 0; w < 4; ++w) s_[w].push_back(rng.state_[w]);
-    lineage_.push_back(rng.lineage_);
-  }
-}
-
-void RngLanes::NextAll(std::span<std::uint64_t> out) noexcept {
-  std::uint64_t* s0 = s_[0].data();
-  std::uint64_t* s1 = s_[1].data();
-  std::uint64_t* s2 = s_[2].data();
-  std::uint64_t* s3 = s_[3].data();
-  const std::size_t n = lineage_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = RotL(s0[i] + s3[i], 23) + s0[i];
-    const std::uint64_t t = s1[i] << 17;
-    s2[i] ^= s0[i];
-    s3[i] ^= s1[i];
-    s1[i] ^= s2[i];
-    s0[i] ^= s3[i];
-    s2[i] ^= t;
-    s3[i] = RotL(s3[i], 45);
-  }
-}
-
-void RngLanes::NextDoubleAll(std::span<double> out) noexcept {
-  std::uint64_t* s0 = s_[0].data();
-  std::uint64_t* s1 = s_[1].data();
-  std::uint64_t* s2 = s_[2].data();
-  std::uint64_t* s3 = s_[3].data();
-  const std::size_t n = lineage_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t bits = RotL(s0[i] + s3[i], 23) + s0[i];
-    const std::uint64_t t = s1[i] << 17;
-    s2[i] ^= s0[i];
-    s3[i] ^= s1[i];
-    s1[i] ^= s2[i];
-    s0[i] ^= s3[i];
-    s2[i] ^= t;
-    s3[i] = RotL(s3[i], 45);
-    out[i] = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  }
-}
-
-void RngLanes::GaussianAll(std::span<double> out) noexcept {
-  // Two uniform sweeps (u1 then u2 per lane, in the scalar draw order:
-  // each lane draws its own u1 and u2 consecutively — and since the lanes
-  // are independent streams, sweeping u1 across all lanes and then u2
-  // yields exactly the values the scalar per-lane order produces), then an
-  // elementwise Box-Muller transform. The u1 sweep reuses `out` as scratch
-  // so the transform stays a two-array loop.
-  const std::size_t n = lineage_.size();
-  NextDoubleAll(out);  // u1 per lane
-  // The u2 draw must come from the SAME lane state after its u1 draw; a
-  // second full sweep does exactly that.
-  std::uint64_t* s0 = s_[0].data();
-  std::uint64_t* s1 = s_[1].data();
-  std::uint64_t* s2 = s_[2].data();
-  std::uint64_t* s3 = s_[3].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    double u1 = out[i];
-    if (u1 <= 0.0) u1 = 0x1.0p-53;
-    const std::uint64_t bits = RotL(s0[i] + s3[i], 23) + s0[i];
-    const std::uint64_t t = s1[i] << 17;
-    s2[i] ^= s0[i];
-    s3[i] ^= s1[i];
-    s1[i] ^= s2[i];
-    s0[i] ^= s3[i];
-    s2[i] ^= t;
-    s3[i] = RotL(s3[i], 45);
-    const double u2 = static_cast<double>(bits >> 11) * 0x1.0p-53;
-    out[i] = std::sqrt(-2.0 * std::log(u1)) *
-             std::cos(2.0 * std::numbers::pi * u2);
-  }
-}
-
-Rng RngLanes::Extract(std::size_t lane) const noexcept {
-  return Rng({s_[0][lane], s_[1][lane], s_[2][lane], s_[3][lane]},
-             lineage_[lane]);
-}
-
 }  // namespace wsnlink::util

@@ -11,13 +11,9 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string_view>
-#include <vector>
 
 namespace wsnlink::util {
-
-class RngLanes;
 
 /// xoshiro256++ PRNG with SplitMix64 seeding.
 ///
@@ -70,60 +66,10 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double Exponential(double mean) noexcept;
 
-  /// Batched draws from THIS stream: fills `out` with out.size() successive
-  /// values, bit-identical to calling the scalar method that many times.
-  /// The batch forms keep the generator state in registers across the run
-  /// of draws, which is what lets the compiler pipeline/vectorize the
-  /// integer recurrence.
-  void Fill(std::span<std::uint64_t> out) noexcept;
-  void FillDoubles(std::span<double> out) noexcept;
-  /// Standard-normal batch (two uniform draws per output, like Gaussian()).
-  void FillGaussians(std::span<double> out) noexcept;
-
  private:
-  friend class RngLanes;
-  explicit Rng(std::array<std::uint64_t, 4> state, std::uint64_t lineage) noexcept
-      : state_(state), lineage_(lineage) {}
-
   std::array<std::uint64_t, 4> state_{};
   // Hash of the seed/stream-id path from the root generator; used by Derive.
   std::uint64_t lineage_ = 0;
-};
-
-/// Structure-of-arrays bank of K independent xoshiro256++ streams advanced
-/// in lockstep — the SIMD substrate for batched channel evaluation.
-///
-/// Each lane is one Rng; NextAll()/NextDoubleAll()/GaussianAll() advance
-/// every lane by exactly the draws the scalar method performs, as plain
-/// elementwise loops over the four state arrays (auto-vectorizable, no
-/// intrinsics). Lane i's output sequence is bit-identical to the scalar
-/// Rng it was constructed from, so per-config results never depend on
-/// whether the batch or the scalar path produced them.
-class RngLanes {
- public:
-  /// One lane per input generator (lineage is captured for Extract()).
-  explicit RngLanes(std::span<const Rng> rngs);
-
-  [[nodiscard]] std::size_t Size() const noexcept { return lineage_.size(); }
-
-  /// One operator() draw per lane. Requires out.size() == Size().
-  void NextAll(std::span<std::uint64_t> out) noexcept;
-
-  /// One NextDouble() per lane. Requires out.size() == Size().
-  void NextDoubleAll(std::span<double> out) noexcept;
-
-  /// One standard-normal Gaussian() per lane (two uniform draws each).
-  /// Requires out.size() == Size().
-  void GaussianAll(std::span<double> out) noexcept;
-
-  /// Reconstructs lane `lane` as a scalar Rng carrying the lane's current
-  /// state — the round-trip that lets tests pin scalar/SoA equivalence.
-  [[nodiscard]] Rng Extract(std::size_t lane) const noexcept;
-
- private:
-  // xoshiro state transposed: s_[w][lane] is word w of lane's state.
-  std::array<std::vector<std::uint64_t>, 4> s_;
-  std::vector<std::uint64_t> lineage_;
 };
 
 /// SplitMix64 step; exposed for hashing small keys into stream ids.

@@ -105,8 +105,4 @@ std::ostream& operator<<(std::ostream& os, const TextTable& t) {
   return os << t.ToString();
 }
 
-void PrintBanner(std::ostream& os, const std::string& title) {
-  os << "\n== " << title << " ==\n";
-}
-
 }  // namespace wsnlink::util

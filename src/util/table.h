@@ -46,7 +46,4 @@ class TextTable {
 /// Formats a double with fixed precision (helper shared with TextTable).
 [[nodiscard]] std::string FormatDouble(double value, int precision);
 
-/// Prints a section banner ("== title ==") used by bench binaries.
-void PrintBanner(std::ostream& os, const std::string& title);
-
 }  // namespace wsnlink::util

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -97,20 +99,46 @@ void ThreadPool::ParallelFor(std::size_t total, std::size_t chunk,
   // cursor exhausted, and exit without touching `fn`). That property makes
   // nested ParallelFor calls deadlock-free — a caller that drains every
   // chunk itself never waits on the pool.
+  //
+  // A throw from `fn` ends only its own chunk and is kept if its index is
+  // the lowest that threw so far; the chunk still counts as done, so the
+  // caller's wait ends and it rethrows once no participant can call `fn`
+  // again. Chunks above the lowest failed chunk cannot hold a lower
+  // throwing index and are skipped; every other chunk runs, so the caller
+  // sees the exception a sequential loop would raise, whatever the width.
   struct Drain {
     std::atomic<std::size_t> cursor{0};
     std::atomic<std::size_t> done_chunks{0};
+    std::atomic<std::size_t> failed_chunk{
+        std::numeric_limits<std::size_t>::max()};
     std::mutex done_mutex;
     std::condition_variable done_cv;
+    std::mutex error_mutex;
+    std::exception_ptr error;  // guarded by error_mutex
+    std::size_t error_index = 0;  // guarded by error_mutex
   };
   auto drain = std::make_shared<Drain>();
 
   auto run_chunks = [drain, total, chunk, chunks, &fn] {
     for (std::size_t c = drain->cursor.fetch_add(1); c < chunks;
          c = drain->cursor.fetch_add(1)) {
-      const std::size_t begin = c * chunk;
-      const std::size_t end = std::min(begin + chunk, total);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+      if (c < drain->failed_chunk.load(std::memory_order_relaxed)) {
+        const std::size_t begin = c * chunk;
+        const std::size_t end = std::min(begin + chunk, total);
+        for (std::size_t i = begin; i < end; ++i) {
+          try {
+            fn(i);
+          } catch (...) {
+            std::lock_guard<std::mutex> lock(drain->error_mutex);
+            if (!drain->error || i < drain->error_index) {
+              drain->error = std::current_exception();
+              drain->error_index = i;
+              drain->failed_chunk.store(c, std::memory_order_relaxed);
+            }
+            break;
+          }
+        }
+      }
       if (drain->done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           chunks) {
         // Last chunk done: wake the caller. The lock pairs the notify with
@@ -125,10 +153,20 @@ void ThreadPool::ParallelFor(std::size_t total, std::size_t chunk,
 
   run_chunks();
 
-  std::unique_lock<std::mutex> lock(drain->done_mutex);
-  drain->done_cv.wait(lock, [&drain, chunks] {
-    return drain->done_chunks.load(std::memory_order_acquire) == chunks;
-  });
+  {
+    std::unique_lock<std::mutex> lock(drain->done_mutex);
+    drain->done_cv.wait(lock, [&drain, chunks] {
+      return drain->done_chunks.load(std::memory_order_acquire) == chunks;
+    });
+  }
+  // Moved out so the exception is released on this thread, not by a
+  // helper that drops the last reference to `drain` later.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(drain->error_mutex);
+    error = std::move(drain->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace wsnlink::util

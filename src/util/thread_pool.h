@@ -66,6 +66,10 @@ class ThreadPool {
   /// call returns when every index has been processed. `fn` is invoked
   /// concurrently and must be thread-safe; results must not depend on
   /// execution order.
+  ///
+  /// If `fn` throws, the call rethrows the exception of the lowest index
+  /// that threw — the one a sequential loop would raise — after every
+  /// started chunk has finished; indices above it may be left unrun.
   void ParallelFor(std::size_t total, std::size_t chunk, unsigned max_parallel,
                    const std::function<void(std::size_t)>& fn);
 

@@ -8,20 +8,12 @@
 // run through the same paths must serialize to a byte-identical CSV.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <span>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "channel/ber.h"
-#include "channel/noise.h"
-#include "channel/path_loss.h"
-#include "channel/shadowing.h"
-#include "core/models/model_set.h"
 #include "core/opt/config_space.h"
 #include "experiment/campaign.h"
 #include "experiment/sweep.h"
@@ -30,7 +22,6 @@
 #include "node/link_simulation.h"
 #include "node/run_scratch.h"
 #include "serve/query_service.h"
-#include "util/rng.h"
 
 namespace wsnlink {
 namespace {
@@ -184,186 +175,6 @@ TEST(Determinism, CampaignCsvIdenticalAcrossThreadCounts) {
 
   std::remove(path1.c_str());
   std::remove(path8.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Batched (structure-of-arrays) kernels vs their scalar twins. The batch
-// paths promise bit-identical per-lane output; every EXPECT_EQ on a double
-// below is intentionally exact.
-// ---------------------------------------------------------------------------
-
-TEST(Determinism, RngLanesMatchScalarStreams) {
-  constexpr std::size_t kLanes = 7;  // odd, not a SIMD width: exercises tails
-  std::vector<util::Rng> rngs;
-  const util::Rng root(20150629);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    rngs.push_back(root.Derive(static_cast<std::uint64_t>(i)));
-  }
-  util::RngLanes lanes{std::span<const util::Rng>(rngs)};
-  ASSERT_EQ(lanes.Size(), kLanes);
-
-  std::vector<std::uint64_t> bits(kLanes);
-  std::vector<double> uniforms(kLanes);
-  std::vector<double> gaussians(kLanes);
-  for (int round = 0; round < 16; ++round) {
-    lanes.NextAll(bits);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      EXPECT_EQ(bits[i], rngs[i]()) << "lane " << i << " round " << round;
-    }
-    lanes.NextDoubleAll(uniforms);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      EXPECT_EQ(uniforms[i], rngs[i].NextDouble())
-          << "lane " << i << " round " << round;
-    }
-    lanes.GaussianAll(gaussians);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      EXPECT_EQ(gaussians[i], rngs[i].Gaussian())
-          << "lane " << i << " round " << round;
-    }
-  }
-
-  // Extract() returns a scalar generator that continues the lane's stream.
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    util::Rng resumed = lanes.Extract(i);
-    EXPECT_EQ(resumed(), rngs[i]()) << "lane " << i;
-    EXPECT_EQ(resumed.Derive("child")(), rngs[i].Derive("child")())
-        << "lane " << i;
-  }
-}
-
-TEST(Determinism, ShadowingLanesMatchScalarProcesses) {
-  std::vector<channel::ShadowingParams> params;
-  std::vector<util::Rng> rngs;
-  const util::Rng root(42);
-  for (int i = 0; i < 5; ++i) {
-    channel::ShadowingParams p;
-    p.sigma_db = channel::DefaultTemporalSigmaDb(10.0 + 6.0 * i);
-    p.coherence = (1 + i) * sim::kSecond;
-    params.push_back(p);
-    rngs.push_back(root.Derive(static_cast<std::uint64_t>(i)));
-  }
-
-  std::vector<channel::ShadowingProcess> scalar;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    scalar.emplace_back(params[i], rngs[i]);
-  }
-  channel::ShadowingLanes lanes{std::span<const channel::ShadowingParams>(params),
-                                std::span<const util::Rng>(rngs)};
-
-  // Irregular clock incl. a zero-dt repeat and a long gap.
-  const sim::Time times[] = {0,
-                             3 * sim::kMillisecond,
-                             3 * sim::kMillisecond,
-                             250 * sim::kMillisecond,
-                             251 * sim::kMillisecond,
-                             9 * sim::kSecond};
-  std::vector<double> batch(params.size());
-  for (const sim::Time t : times) {
-    lanes.SampleAll(t, batch);
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      EXPECT_EQ(batch[i], scalar[i].Sample(t)) << "lane " << i << " t=" << t;
-    }
-  }
-}
-
-TEST(Determinism, BerBatchMatchesScalar) {
-  std::vector<double> snr;
-  for (int i = 0; i <= 80; ++i) snr.push_back(-10.0 + 0.5 * i);
-  std::vector<double> batch(snr.size());
-
-  const channel::CalibratedExponentialBer calibrated;
-  const channel::AnalyticOQpskBer analytic;  // exercises the default loop
-  for (const int frame_bytes : {10, 52, 133}) {
-    calibrated.FrameSuccessProbabilityBatch(snr, frame_bytes, batch);
-    for (std::size_t i = 0; i < snr.size(); ++i) {
-      EXPECT_EQ(batch[i], calibrated.FrameSuccessProbability(snr[i], frame_bytes))
-          << "snr " << snr[i] << " bytes " << frame_bytes;
-    }
-    analytic.FrameSuccessProbabilityBatch(snr, frame_bytes, batch);
-    for (std::size_t i = 0; i < snr.size(); ++i) {
-      EXPECT_EQ(batch[i], analytic.FrameSuccessProbability(snr[i], frame_bytes))
-          << "snr " << snr[i] << " bytes " << frame_bytes;
-    }
-  }
-  EXPECT_THROW(calibrated.FrameSuccessProbabilityBatch(snr, 0, batch),
-               std::invalid_argument);
-  std::vector<double> short_out(snr.size() - 1);
-  EXPECT_THROW(calibrated.FrameSuccessProbabilityBatch(snr, 52, short_out),
-               std::invalid_argument);
-}
-
-TEST(Determinism, PathLossBatchMatchesScalar) {
-  const channel::PathLoss model{channel::PathLossParams{}};
-  std::vector<double> distances;
-  for (int i = 1; i <= 70; ++i) distances.push_back(0.5 * i);
-  std::vector<double> batch(distances.size());
-  model.MeanLossDbBatch(distances, batch);
-  for (std::size_t i = 0; i < distances.size(); ++i) {
-    EXPECT_EQ(batch[i], model.MeanLossDb(distances[i])) << "d " << distances[i];
-  }
-  distances.push_back(0.0);
-  batch.push_back(0.0);
-  EXPECT_THROW(model.MeanLossDbBatch(distances, batch), std::invalid_argument);
-}
-
-TEST(Determinism, NoiseLanesMatchScalarProcesses) {
-  std::vector<channel::NoiseParams> params(4);
-  params[1].burst_rate_hz = 4.0;
-  params[2].quiet_sigma_db = 2.5;
-  params[3].burst_mean_elevation_db = 12.0;
-  std::vector<util::Rng> rngs;
-  const util::Rng root(7);
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    rngs.push_back(root.Derive(static_cast<std::uint64_t>(i)));
-  }
-
-  std::vector<channel::NoiseFloorProcess> scalar;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    scalar.emplace_back(params[i], rngs[i]);
-  }
-  channel::NoiseFloorLanes lanes{std::span<const channel::NoiseParams>(params),
-                                 std::span<const util::Rng>(rngs)};
-  std::vector<double> batch(params.size());
-  for (sim::Time t = 0; t < 2 * sim::kSecond; t += 37 * sim::kMillisecond) {
-    lanes.SampleDbmAll(t, batch);
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      EXPECT_EQ(batch[i], scalar[i].SampleDbm(t)) << "lane " << i << " t=" << t;
-    }
-  }
-}
-
-TEST(Determinism, PredictBatchMatchesScalarPredict) {
-  // A slice wider than one 64-wide block so the block loop's tail runs.
-  const auto space = core::opt::ConfigSpace::PaperTableI();
-  std::vector<core::StackConfig> configs;
-  for (std::size_t i = 0; i < space.Size(); i += space.Size() / 150 + 1) {
-    configs.push_back(space.At(i));
-  }
-  ASSERT_GT(configs.size(), 64u);
-
-  const core::models::ModelSet models;
-  std::vector<core::models::MetricPrediction> batch(configs.size());
-  models.PredictBatch(configs, batch);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto scalar = models.Predict(configs[i]);
-    EXPECT_EQ(batch[i].snr_db, scalar.snr_db) << "config " << i;
-    EXPECT_EQ(batch[i].per, scalar.per) << "config " << i;
-    EXPECT_EQ(batch[i].mean_tries, scalar.mean_tries) << "config " << i;
-    EXPECT_EQ(batch[i].service_time_ms, scalar.service_time_ms)
-        << "config " << i;
-    EXPECT_EQ(batch[i].utilization, scalar.utilization) << "config " << i;
-    EXPECT_EQ(batch[i].energy_uj_per_bit, scalar.energy_uj_per_bit)
-        << "config " << i;
-    EXPECT_EQ(batch[i].max_goodput_kbps, scalar.max_goodput_kbps)
-        << "config " << i;
-    EXPECT_EQ(batch[i].total_delay_ms, scalar.total_delay_ms) << "config " << i;
-    EXPECT_EQ(batch[i].plr_radio, scalar.plr_radio) << "config " << i;
-    EXPECT_EQ(batch[i].plr_queue, scalar.plr_queue) << "config " << i;
-    EXPECT_EQ(batch[i].plr_total, scalar.plr_total) << "config " << i;
-  }
-
-  std::vector<core::models::MetricPrediction> wrong(configs.size() - 1);
-  EXPECT_THROW(models.PredictBatch(configs, wrong), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
 // Tests for the sweep driver, dataset export and campaign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "core/opt/config_space.h"
 #include "experiment/campaign.h"
 #include "experiment/dataset.h"
 #include "experiment/sweep.h"
 #include "util/csv.h"
 #include "util/fault_injection.h"
+#include "util/thread_pool.h"
 
 namespace wsnlink::experiment {
 namespace {
@@ -93,6 +103,86 @@ TEST(Sweep, SeedsDifferPerIndex) {
   EXPECT_NE(SweepSeed(1, 0), SweepSeed(1, 1));
   EXPECT_NE(SweepSeed(1, 0), SweepSeed(2, 0));
   EXPECT_EQ(SweepSeed(5, 3), SweepSeed(5, 3));
+}
+
+TEST(Sweep, RawSweepThrowsTheSameErrorAtAnyThreadCount) {
+  const auto space = core::opt::ConfigSpace::PaperTableI();
+  std::vector<core::StackConfig> configs;
+  for (std::size_t i = 0; configs.size() < 64; i += space.Size() / 64) {
+    configs.push_back(space.At(i));
+  }
+  configs[20].payload_bytes = 0;
+
+  std::vector<std::string> messages;
+  for (const unsigned threads : {1u, 8u, 0u}) {
+    SweepOptions options;
+    options.packet_count = 30;
+    options.threads = threads;
+    try {
+      (void)RunSweepRaw(configs, options);
+      ADD_FAILURE() << "threads=" << threads << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      messages.push_back(e.what());
+    }
+  }
+  ASSERT_EQ(messages.size(), 3u);
+  EXPECT_FALSE(messages[0].empty());
+  EXPECT_EQ(messages[1], messages[0]);
+  EXPECT_EQ(messages[2], messages[0]);
+}
+
+TEST(Sweep, ParallelForRethrowsTheLowestIndexThrownOnWorkers) {
+  // The caller blocks in its first index until a worker has thrown, so the
+  // throws happen on pool workers; each throwing index sleeps first, so
+  // several can be in flight at once.
+  util::ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::condition_variable thrown_cv;
+  std::vector<std::size_t> thrown;
+  int in_flight = 0;
+  const auto fn = [&](std::size_t i) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++in_flight;
+    }
+    struct Leave {
+      std::mutex& mutex;
+      int& in_flight;
+      ~Leave() {
+        std::lock_guard<std::mutex> lock(mutex);
+        --in_flight;
+      }
+    } leave{mutex, in_flight};
+    if (std::this_thread::get_id() == caller) {
+      std::unique_lock<std::mutex> lock(mutex);
+      thrown_cv.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return !thrown.empty(); });
+      return;
+    }
+    if (i == 7 || i == 19 || i == 33 || i == 50) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        thrown.push_back(i);
+      }
+      thrown_cv.notify_all();
+      throw std::runtime_error(std::to_string(i));
+    }
+  };
+
+  std::string caught;
+  try {
+    pool.ParallelFor(64, 1, 0, fn);
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+  }
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_FALSE(thrown.empty());
+  EXPECT_EQ(caught,
+            std::to_string(*std::min_element(thrown.begin(), thrown.end())));
+  // Every started call finished before the exception reached the caller.
+  EXPECT_EQ(in_flight, 0);
 }
 
 TEST(Dataset, SummaryRoundTrip) {

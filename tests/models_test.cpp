@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/models/delay_model.h"
 #include "core/models/energy_model.h"
@@ -18,6 +20,18 @@
 
 namespace wsnlink::core::models {
 namespace {
+
+/// The message of the std::invalid_argument `fn` throws, or "" if it
+/// throws nothing.
+template <typename Fn>
+std::string InvalidArgumentMessage(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
 
 // ---------------------------------------------------------- PER model ----
 
@@ -106,6 +120,17 @@ TEST(NtriesModel, ImpliedFailureConsistentWithGeometric) {
   EXPECT_NEAR(1.0 / (1.0 - p), n.MeanTries(110, 12.0), 1e-9);
 }
 
+TEST(NtriesModel, RejectsBadInputsMaxTriesFirst) {
+  NtriesModel n;
+  EXPECT_THROW((void)n.MeanTries(0, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)n.MeanTriesTruncated(0, 10.0, 3), std::invalid_argument);
+  EXPECT_THROW((void)n.MeanTriesTruncated(110, 10.0, 0), std::invalid_argument);
+  // With both inputs bad, max_tries is checked before the payload.
+  const std::string message =
+      InvalidArgumentMessage([&] { (void)n.MeanTriesTruncated(0, 10.0, 0); });
+  EXPECT_NE(message.find("max_tries"), std::string::npos) << message;
+}
+
 // ---------------------------------------------------------- PLR model ----
 
 TEST(PlrModel, PaperEquation8Values) {
@@ -138,6 +163,17 @@ TEST(PlrModel, MinTriesForLossSaturatesAtLimit) {
   PlrModel plr;
   // Hopeless link: even `limit` tries cannot reach the target.
   EXPECT_EQ(plr.MinTriesForLoss(114, -5.0, 1e-9, 4), 4);
+}
+
+TEST(PlrModel, RejectsBadInputsMaxTriesFirst) {
+  PlrModel plr;
+  EXPECT_THROW((void)plr.AttemptLoss(0, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)plr.RadioLoss(0, 10.0, 3), std::invalid_argument);
+  EXPECT_THROW((void)plr.RadioLoss(110, 10.0, 0), std::invalid_argument);
+  // With both inputs bad, max_tries is checked before the payload.
+  const std::string message =
+      InvalidArgumentMessage([&] { (void)plr.RadioLoss(0, 10.0, 0); });
+  EXPECT_NE(message.find("max_tries"), std::string::npos) << message;
 }
 
 TEST(QueueLoss, FluidEstimate) {
