@@ -127,7 +127,8 @@ class Channel {
   }
 
   /// True when this channel senses real concurrent transmitters (a medium
-  /// is attached). MACs use this to disable single-user fast paths.
+  /// is attached). The CSMA MAC then drives its ladder one event per step
+  /// instead of inline.
   [[nodiscard]] bool ContendedMedium() const noexcept {
     return medium_ != nullptr;
   }

@@ -62,23 +62,29 @@ class CsmaMac final : public Mac {
   }
 
  private:
-  void StartAttempt();
-  void DoCca(int cca_retries_left);
-  void TransmitFrame();
-  void FinishAttempt(bool acked);
+  /// The rungs of one attempt, in ladder order. A CCA that exhausts its
+  /// congestion backoffs skips to kFinish.
+  enum class Step : std::uint8_t {
+    kBackoff,
+    kCca,
+    kTransmit,
+    kOutcome,
+    kFinish,
+  };
+  /// Advance's result once the packet is finished.
+  static constexpr sim::Duration kDone = -1;
+
+  /// Runs the current step at simulated time `t` and returns the wait
+  /// until the next one, or kDone. The ladder's only implementation: Send
+  /// drives it inline when no shared medium is attached, and OnStep drives
+  /// it one event per step when one is. Either way every RNG draw, channel
+  /// query, callback and trace event happens in the same order with the
+  /// same timestamp.
+  sim::Duration Advance(sim::Time t);
+  /// Event driver: one Advance per event, completing in the last one.
+  void OnStep();
   void Complete();
-  /// Untraced fast path: computes the packet's whole CSMA attempt ladder
-  /// synchronously (every channel/RNG call with the same explicit
-  /// timestamps, in the same order, as the event-per-hop path) and
-  /// schedules only the final completion event. Used only when no tracer
-  /// is attached, because collapsed execution would emit trace events out
-  /// of ring order. Results match the event path except at a tie: the
-  /// completion is scheduled at Send time, so it runs before an arrival
-  /// at the same instant (which is then served), while the event path
-  /// schedules it later and runs it after that arrival (which then finds
-  /// the queue full). PerfInvariance pins both the agreement and the tie.
-  void RunPacketFast();
-  void EmitRadioState(trace::RadioState state);
+  void EmitRadioState(sim::Time at, trace::RadioState state);
 
   sim::Simulator& sim_;
   channel::Channel& channel_;
@@ -98,6 +104,8 @@ class CsmaMac final : public Mac {
   sim::Time accepted_at_ = 0;
   double tx_energy_uj_ = 0.0;
   sim::Duration listen_time_ = 0;
+  Step step_ = Step::kBackoff;
+  int cca_retries_left_ = 0;
   DoneCallback done_;
 
   std::uint64_t cca_busy_ = 0;

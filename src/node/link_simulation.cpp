@@ -60,7 +60,7 @@ SimulationResult RunLinkSimulation(const SimulationOptions& options,
   scratch.BeginRun();
   const util::Rng root(options.seed);
   // N=1 never joins a shared medium (the generic path only builds one for
-  // shared_medium && nodes > 1), so the uncontended fast paths stay on.
+  // shared_medium && nodes > 1), so the MAC runs its ladder inline.
   NodeStack stack(scratch.simulator, options, root, nullptr, 0, &scratch);
 
   trace::TraceContext run_ctx;

@@ -61,13 +61,10 @@ struct SimulationOptions {
   double mobility_min_m = 10.0;
   double mobility_max_m = 35.0;
   /// Optional event tracer: when non-null, every layer emits its lifecycle
-  /// events into it (see trace/trace.h). Tracing draws no random numbers,
-  /// but it selects the CSMA MAC's event-per-hop path instead of its
-  /// collapsed fast path, and the two break one tie in opposite orders: a
-  /// packet arriving at the exact instant the previous one completes is
-  /// served untraced but finds the queue full traced. Traced and untraced
-  /// runs of the same seed agree up to the first such tie. The tracer must
-  /// outlive the call and belongs to this run only (not thread-shared).
+  /// events into it (see trace/trace.h). Tracing only observes: a traced
+  /// run executes the same events and draws as an untraced one. The tracer
+  /// must outlive the call and belongs to this run only (not
+  /// thread-shared).
   trace::Tracer* tracer = nullptr;
   /// Collect the per-layer named counters into SimulationResult::counters.
   /// Cheap (a dozen array increments per packet); on by default.

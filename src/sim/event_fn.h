@@ -6,16 +6,11 @@
 // allocation and a double indirection per call; every callback the stack
 // schedules is a move-only lambda capturing at most a `this` pointer and a
 // couple of scalars. EventFn stores such callables inline (48 bytes) with a
-// single manager function for move/destroy, falling back to the heap only
-// for oversized captures so the API stays general.
-//
-// wsnlint:allow(no-naked-new): the heap fallback is the type-erased storage
-// itself — ownership is encoded in manage_(Op::kDestroy), which unique_ptr
-// cannot express through a void* buffer.
+// single manager function for move/destroy; a larger capture fails to
+// compile, so scheduling an event never allocates.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -25,7 +20,7 @@ namespace wsnlink::sim {
 /// Move-only `void()` callable with inline small-buffer storage.
 class EventFn {
  public:
-  /// Captures up to this many bytes are stored inline (no allocation).
+  /// Largest capture an EventFn holds (stored inline, no allocation).
   static constexpr std::size_t kInlineSize = 48;
 
   EventFn() noexcept = default;
@@ -37,29 +32,19 @@ class EventFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Decayed = std::decay_t<F>;
-    if constexpr (sizeof(Decayed) <= kInlineSize &&
-                  alignof(Decayed) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Decayed>) {
-      ::new (static_cast<void*>(buffer_)) Decayed(std::forward<F>(f));
-      invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Decayed*>(p)))(); };
-      manage_ = [](Op op, void* p, void* dst) {
-        auto* self = std::launder(reinterpret_cast<Decayed*>(p));
-        if (op == Op::kMove) ::new (dst) Decayed(std::move(*self));
-        self->~Decayed();
-      };
-    } else {
-      // Oversized capture: one heap allocation, pointer stored inline.
-      auto* heap = new Decayed(std::forward<F>(f));
-      ::new (static_cast<void*>(buffer_)) Decayed*(heap);
-      invoke_ = [](void* p) {
-        (**std::launder(reinterpret_cast<Decayed**>(p)))();
-      };
-      manage_ = [](Op op, void* p, void* dst) {
-        auto* slot = std::launder(reinterpret_cast<Decayed**>(p));
-        if (op == Op::kMove) ::new (dst) Decayed*(*slot);
-        else delete *slot;
-      };
-    }
+    static_assert(sizeof(Decayed) <= kInlineSize,
+                  "EventFn: capture exceeds the inline buffer");
+    static_assert(alignof(Decayed) <= alignof(std::max_align_t),
+                  "EventFn: capture is over-aligned");
+    static_assert(std::is_nothrow_move_constructible_v<Decayed>,
+                  "EventFn: capture must be nothrow-movable");
+    ::new (static_cast<void*>(buffer_)) Decayed(std::forward<F>(f));
+    invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Decayed*>(p)))(); };
+    manage_ = [](Op op, void* p, void* dst) {
+      auto* self = std::launder(reinterpret_cast<Decayed*>(p));
+      if (op == Op::kMove) ::new (dst) Decayed(std::move(*self));
+      self->~Decayed();
+    };
   }
 
   EventFn(EventFn&& other) noexcept { MoveFrom(other); }

@@ -5,17 +5,9 @@
 
 namespace wsnlink::sim {
 
-void EventHandle::Cancel() noexcept {
-  if (sim_ != nullptr) sim_->CancelSlot(slot_, ticket_);
-}
-
-bool EventHandle::Pending() const noexcept {
-  return sim_ != nullptr && sim_->SlotPending(slot_, ticket_);
-}
-
 void Simulator::Reset() noexcept {
   // Release pending events through the normal path: callbacks destroyed,
-  // generations bumped (stale handles stay stale), slots recycled.
+  // slots recycled.
   for (const HeapEntry& entry : heap_) ReleaseSlot(entry.slot);
   heap_.clear();
   now_ = 0;
@@ -46,7 +38,6 @@ void Simulator::AttachTrace(const trace::TraceContext& ctx) {
   if (counters_ != nullptr) {
     id_scheduled_ = counters_->Register("sim.events_scheduled");
     id_executed_ = counters_->Register("sim.events_executed");
-    id_cancelled_ = counters_->Register("sim.events_cancelled");
   }
 }
 
@@ -63,7 +54,6 @@ std::uint32_t Simulator::AcquireSlot() {
 void Simulator::ReleaseSlot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   s.fn.Reset();
-  ++s.generation;  // invalidates outstanding handles
   s.next_free = free_head_;
   free_head_ = slot;
 }
@@ -74,11 +64,9 @@ void Simulator::SiftUp(std::uint32_t pos) noexcept {
     const std::uint32_t parent = (pos - 1) / 2;
     if (!Before(entry, heap_[parent])) break;
     heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot].heap_pos = pos;
     pos = parent;
   }
   heap_[pos] = entry;
-  slots_[entry.slot].heap_pos = pos;
 }
 
 void Simulator::SiftDown(std::uint32_t pos) noexcept {
@@ -90,65 +78,35 @@ void Simulator::SiftDown(std::uint32_t pos) noexcept {
     if (child + 1 < size && Before(heap_[child + 1], heap_[child])) ++child;
     if (!Before(heap_[child], entry)) break;
     heap_[pos] = heap_[child];
-    slots_[heap_[pos].slot].heap_pos = pos;
     pos = child;
   }
   heap_[pos] = entry;
-  slots_[entry.slot].heap_pos = pos;
 }
 
-void Simulator::HeapRemove(std::uint32_t pos) noexcept {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // removed the tail entry
-  heap_[pos] = last;
-  slots_[last.slot].heap_pos = pos;
-  // The replacement may need to move either way relative to its new
-  // neighbourhood.
-  if (pos > 0 && Before(last, heap_[(pos - 1) / 2])) {
-    SiftUp(pos);
-  } else {
-    SiftDown(pos);
-  }
-}
-
-void Simulator::CancelSlot(std::uint32_t slot, std::uint64_t ticket) noexcept {
-  if (!SlotPending(slot, ticket)) return;
-  HeapRemove(slots_[slot].heap_pos);
-  ReleaseSlot(slot);
-  if (counters_ != nullptr) counters_->Add(id_cancelled_);
-}
-
-bool Simulator::SlotPending(std::uint32_t slot,
-                            std::uint64_t ticket) const noexcept {
-  return slot < slots_.size() && slots_[slot].generation == ticket;
-}
-
-EventHandle Simulator::Schedule(Duration delay, EventFn fn) {
+void Simulator::Schedule(Duration delay, EventFn fn) {
   if (delay < 0) throw std::invalid_argument("Simulator::Schedule: negative delay");
-  return ScheduleAt(now_ + delay, std::move(fn));
+  ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventHandle Simulator::ScheduleAt(Time at, EventFn fn) {
+void Simulator::ScheduleAt(Time at, EventFn fn) {
   if (at < now_) throw std::invalid_argument("Simulator::ScheduleAt: time in the past");
   if (!fn) throw std::invalid_argument("Simulator::ScheduleAt: empty callback");
   const std::uint32_t slot = AcquireSlot();
-  Slot& s = slots_[slot];
-  s.at = at;
-  s.fn = std::move(fn);
+  slots_[slot].fn = std::move(fn);
   const std::uint64_t key =
       (static_cast<std::uint64_t>(current_lane_) << kLaneShift) |
       lane_seq_[current_lane_]++;
   heap_.push_back(HeapEntry{at, key, slot});
   SiftUp(static_cast<std::uint32_t>(heap_.size() - 1));
   if (counters_ != nullptr) counters_->Add(id_scheduled_);
-  return EventHandle(this, slot, s.generation);
 }
 
 bool Simulator::Step() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_[0];
-  HeapRemove(0);
+  heap_[0] = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0);
   now_ = top.at;
   // The event executes in its scheduler's lane, so events it schedules in
   // turn inherit that lane (node-local causality keeps its own key stream).

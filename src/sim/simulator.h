@@ -1,6 +1,6 @@
 // Discrete-event simulation kernel.
 //
-// A single-threaded event loop over an *indexed* binary heap keyed by
+// A single-threaded event loop over a binary heap keyed by
 // (time, sequence). The sequence number makes scheduling FIFO-stable for
 // events at the same timestamp, which keeps traces deterministic.
 //
@@ -18,16 +18,8 @@
 // Event storage is pooled: each scheduled event lives in a reusable slot of
 // a per-simulator slab (no per-event heap allocation), its callback in
 // inline small-buffer storage (see event_fn.h). The heap is an array of
-// slot indices and every slot knows its heap position, so cancellation is a
-// true O(log n) removal instead of a tombstone that poisons the queue until
-// popped — and, more importantly for the campaign hot path, scheduling an
-// event costs zero allocations in steady state.
-//
-// The rework is observationally identical to the previous tombstone kernel:
-// events execute in the same (time, seq) order, a cancelled event never
-// runs, and the "sim.events_cancelled" counter totals match at run end
-// (cancellations are now counted when Cancel() lands instead of when the
-// tombstone would have been popped).
+// slot indices, so scheduling an event costs zero allocations in steady
+// state, which the campaign hot path depends on.
 #pragma once
 
 #include <cstdint>
@@ -38,36 +30,6 @@
 #include "trace/trace.h"
 
 namespace wsnlink::sim {
-
-class Simulator;
-
-/// Cancellation handle for a scheduled event.
-///
-/// Copyable; all copies refer to the same scheduled event. A default-
-/// constructed handle refers to nothing and Cancel() on it is a no-op.
-/// A handle must not outlive the simulator that issued it.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Removes the event from the queue if it has not fired yet. Safe to call
-  /// multiple times, and safe to call after the event has fired (no effect).
-  void Cancel() noexcept;
-
-  /// True if the event is still scheduled to fire.
-  [[nodiscard]] bool Pending() const noexcept;
-
- private:
-  friend class Simulator;
-  EventHandle(Simulator* sim, std::uint32_t slot, std::uint64_t ticket)
-      : sim_(sim), slot_(slot), ticket_(ticket) {}
-
-  Simulator* sim_ = nullptr;
-  std::uint32_t slot_ = 0;
-  // Generation stamp of the slot at scheduling time; a stale ticket means
-  // the event already fired (or was cancelled) and the slot was recycled.
-  std::uint64_t ticket_ = 0;
-};
 
 /// The event loop.
 class Simulator {
@@ -84,11 +46,10 @@ class Simulator {
   [[nodiscard]] Time Now() const noexcept { return now_; }
 
   /// Schedules `fn` to run at `Now() + delay`. Requires delay >= 0.
-  /// Returns a handle that can cancel the event before it fires.
-  EventHandle Schedule(Duration delay, EventFn fn);
+  void Schedule(Duration delay, EventFn fn);
 
   /// Schedules `fn` at an absolute time. Requires at >= Now().
-  EventHandle ScheduleAt(Time at, EventFn fn);
+  void ScheduleAt(Time at, EventFn fn);
 
   /// Runs events until the queue empties or the clock would pass `until`.
   /// Events scheduled exactly at `until` are executed. Returns the number of
@@ -101,10 +62,10 @@ class Simulator {
   /// Executes at most one event; returns false if the queue is empty.
   bool Step();
 
-  /// Number of events currently queued (cancelled events leave immediately).
+  /// Number of events currently queued.
   [[nodiscard]] std::size_t QueueSize() const noexcept { return heap_.size(); }
 
-  /// Total number of events executed so far (excludes cancelled ones).
+  /// Total number of events executed so far.
   [[nodiscard]] std::uint64_t EventsExecuted() const noexcept { return executed_; }
 
   /// Declares `count` scheduling lanes (>= 1, <= 65536) and resets every
@@ -119,28 +80,18 @@ class Simulator {
   void SetCurrentLane(std::uint32_t lane);
 
   /// Attaches observability sinks; the kernel maintains the
-  /// "sim.events_scheduled" / "sim.events_executed" /
-  /// "sim.events_cancelled" counters. The context's pointees must outlive
-  /// the simulator.
+  /// "sim.events_scheduled" / "sim.events_executed" counters. The
+  /// context's pointees must outlive the simulator.
   void AttachTrace(const trace::TraceContext& ctx);
 
   /// Rewinds the kernel for a fresh run while KEEPING the slot pool and
   /// heap capacity (the zero-alloc reuse contract of the sweep hot path).
   /// Pending callbacks are destroyed, the clock and counters return to
-  /// zero, and the trace attachment is dropped (re-attach per run). Slot
-  /// generations stay monotonic so handles from before the Reset remain
-  /// inert rather than aliasing new events.
+  /// zero, and the trace attachment is dropped (re-attach per run).
   void Reset() noexcept;
 
  private:
-  friend class EventHandle;
-
   struct Slot {
-    Time at = 0;
-    // Bumped every time the slot is released; EventHandle tickets compare
-    // against it so stale handles are inert.
-    std::uint64_t generation = 0;
-    std::uint32_t heap_pos = 0;
     std::uint32_t next_free = kNoSlot;
     EventFn fn;
   };
@@ -166,10 +117,6 @@ class Simulator {
   void ReleaseSlot(std::uint32_t slot) noexcept;
   void SiftUp(std::uint32_t pos) noexcept;
   void SiftDown(std::uint32_t pos) noexcept;
-  void HeapRemove(std::uint32_t pos) noexcept;
-  void CancelSlot(std::uint32_t slot, std::uint64_t ticket) noexcept;
-  [[nodiscard]] bool SlotPending(std::uint32_t slot,
-                                 std::uint64_t ticket) const noexcept;
 
   Time now_ = 0;
   std::vector<std::uint64_t> lane_seq_ = {0};  // per-lane key counters
@@ -182,7 +129,6 @@ class Simulator {
   trace::CounterRegistry* counters_ = nullptr;
   trace::CounterRegistry::Id id_scheduled_ = 0;
   trace::CounterRegistry::Id id_executed_ = 0;
-  trace::CounterRegistry::Id id_cancelled_ = 0;
 };
 
 }  // namespace wsnlink::sim

@@ -10,9 +10,9 @@
 // Design constraints:
 //  * Near-free when disabled: every layer holds a nullable Tracer pointer
 //    and the off path is a single branch. No allocation, no formatting.
-//  * Bounded: a fixed-capacity ring buffer; when full the oldest events are
-//    overwritten and counted, never reallocated mid-run (the emit path must
-//    not perturb timing-sensitive benchmarks).
+//  * Bounded: a fixed-capacity ring buffer; when full the earliest-emitted
+//    events are overwritten and counted, never reallocated mid-run (the
+//    emit path must not perturb timing-sensitive benchmarks).
 //  * Deterministic: events carry simulated time only. Two runs with the
 //    same seed produce byte-identical event streams regardless of host,
 //    wall clock, or sweep thread count.
@@ -133,14 +133,17 @@ class Tracer {
   /// Requires capacity >= 1.
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-  /// Records one event; O(1), overwrites the oldest event when full.
+  /// Records one event; O(1). When full, overwrites the event emitted
+  /// longest ago. Events may be emitted ahead of simulated time (the CSMA
+  /// MAC emits a packet's whole attempt ladder when no shared medium is
+  /// attached), so emission order need not be time order.
   void Emit(const TraceEvent& event) noexcept {
     ring_[static_cast<std::size_t>(emitted_ % ring_.size())] = event;
     ++emitted_;
   }
 
-  /// Events in emission order (chronological: simulated time is
-  /// monotonic). Copies out of the ring; call once after the run.
+  /// The retained events sorted by time; equal times keep their emission
+  /// order. Copies out of the ring; call once after the run.
   [[nodiscard]] std::vector<TraceEvent> Events() const;
 
   /// Total events emitted, including overwritten ones.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "channel/channel.h"
+#include "channel/medium.h"
 #include "mac/csma_mac.h"
 #include "phy/cc2420.h"
 #include "phy/frame.h"
@@ -41,9 +42,13 @@ struct Harness {
   std::vector<DeliveryInfo> deliveries;
   std::vector<AttemptInfo> attempts;
 
-  Harness(channel::ChannelConfig config, MacParams params, std::uint64_t seed)
+  /// A non-null `medium` is joined as node 0, which selects the MAC's
+  /// event driver.
+  Harness(channel::ChannelConfig config, MacParams params, std::uint64_t seed,
+          channel::Medium* medium = nullptr)
       : channel(config, util::Rng(seed)),
         mac(simulator, channel, params, util::Rng(seed + 1)) {
+    if (medium != nullptr) channel.AttachMedium(medium, 0);
     mac.SetDeliveryCallback(
         [this](const DeliveryInfo& info) { deliveries.push_back(info); });
     mac.SetAttemptCallback(
@@ -236,6 +241,46 @@ TEST(CsmaMac, AttemptSnrRecorded) {
   EXPECT_GT(h.attempts[0].snr_db, 30.0);
   EXPECT_EQ(h.attempts[0].payload_bytes, 40);
   EXPECT_EQ(h.attempts[0].attempt, 1);
+}
+
+TEST(CsmaMac, EventDriverMatchesInlineDriverOnAQuietMedium) {
+  // A medium nobody else transmits on never finds the air busy, so
+  // attaching one changes only the driver: one event per ladder step
+  // instead of the whole ladder at send time. The MAC must report exactly
+  // the same results, attempts and deliveries. The grey-zone link and the
+  // long interferer frames exercise lost frames, lost ACKs, retries and
+  // busy CCAs.
+  channel::ChannelConfig config;
+  config.distance_m = 35.0;
+  config.interferer.duty_cycle = 0.5;
+  config.interferer.frame_duration = 30 * sim::kMillisecond;
+  MacParams params;
+  params.max_tries = 4;
+  params.retry_delay = sim::FromMilliseconds(3.0);
+  params.pa_level = 7;
+
+  const auto send_all = [](Harness& h) {
+    std::vector<SendResult> results;
+    for (std::uint64_t id = 0; id < 150; ++id) {
+      h.mac.Send(id, 110,
+                 [&results](const SendResult& r) { results.push_back(r); });
+      h.simulator.Run();
+    }
+    return results;
+  };
+  Harness inline_side(config, params, 107);
+  channel::Medium medium;
+  Harness event_side(config, params, 107, &medium);
+  const auto inline_results = send_all(inline_side);
+  const auto event_results = send_all(event_side);
+
+  EXPECT_TRUE(inline_results == event_results);
+  EXPECT_TRUE(inline_side.attempts == event_side.attempts);
+  EXPECT_TRUE(inline_side.deliveries == event_side.deliveries);
+  EXPECT_EQ(inline_side.mac.CcaBusyCount(), event_side.mac.CcaBusyCount());
+  EXPECT_GT(inline_side.mac.CcaBusyCount(), 0u);
+  EXPECT_LT(inline_side.simulator.EventsExecuted(),
+            event_side.simulator.EventsExecuted());
 }
 
 }  // namespace

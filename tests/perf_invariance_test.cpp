@@ -1,28 +1,32 @@
-// Property suite locking down the sweep-executor overhaul.
+// Property suite locking down the sweep executor and the CSMA ladder's two
+// drivers.
 //
-// The performance work (shared pool, chunked dispatch, collapsed MAC fast
-// path) is only admissible because it changes *nothing* observable. This
-// file pins that:
+// The performance work (shared pool, chunked dispatch, inline CSMA driver)
+// is only admissible because it changes *nothing* observable. This file
+// pins that:
 //  * bit-identical metrics, counters and traces across worker counts
 //    {1, 4, 16} crossed with several chunk sizes;
-//  * the untraced collapsed MAC path produces the same metrics and the
-//    same MAC/link/app counters as the traced event-by-event path, up to
-//    the first packet that arrives at the instant another completes (a
-//    tie the two paths break in opposite orders);
+//  * tracing only observes: traced and untraced runs agree on every
+//    packet, metric and counter, kernel event counts included;
+//  * the inline driver (no shared medium) and the event driver (a medium
+//    attached) agree up to the first packet that arrives at the instant
+//    another completes, a tie the two drivers break in opposite orders;
 // plus the physical monotonicity properties the paper's models rely on:
 // PER non-increasing in SNR, every served packet uses >= 1 transmission,
 // PLR_radio non-increasing in N_maxTries, and energy per delivered bit
 // minimised at an interior payload size.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <string_view>
 #include <vector>
 
+#include "channel/medium.h"
 #include "core/opt/config_space.h"
 #include "experiment/sweep.h"
 #include "node/link_simulation.h"
+#include "node/node_stack.h"
+#include "sim/simulator.h"
 #include "trace/trace.h"
+#include "util/rng.h"
 
 namespace wsnlink {
 namespace {
@@ -108,42 +112,6 @@ TEST(PerfInvariance, EffectiveChunkSizeIsSaneAndBounded) {
   }
 }
 
-// The untraced sweep uses CsmaMac's collapsed fast path (one synchronous
-// pass per packet); the traced sweep keeps the original event-per-hop
-// chain so the trace ring stays time-ordered. Both must agree on every
-// observable except the simulator's own event bookkeeping.
-TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
-  const auto configs = SliceOfTableI(6);
-
-  experiment::SweepOptions options;
-  options.base_seed = 424242;
-  options.packet_count = 150;
-  options.capture_traces = false;
-  const auto fast = RunSweep(configs, options);
-
-  options.capture_traces = true;
-  const auto traced = RunSweep(configs, options);
-
-  ASSERT_EQ(fast.size(), traced.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    ExpectSamePoint(fast[i], traced[i], i);
-    // Counters must match except the sim.* family: the collapsed path
-    // executes fewer simulator events by design.
-    auto NonSim = [](const std::vector<trace::CounterSample>& samples) {
-      std::vector<trace::CounterSample> kept;
-      for (const auto& s : samples) {
-        if (std::string_view(s.name).substr(0, 4) != "sim.") {
-          kept.push_back(s);
-        }
-      }
-      return kept;
-    };
-    EXPECT_TRUE(NonSim(fast[i].counters) == NonSim(traced[i].counters))
-        << "config " << i;
-    EXPECT_FALSE(traced[i].events.empty()) << "config " << i;
-  }
-}
-
 bool SamePacket(const link::PacketRecord& a, const link::PacketRecord& b) {
   return a.id == b.id && a.payload_bytes == b.payload_bytes &&
          a.arrived_at == b.arrived_at &&
@@ -157,8 +125,77 @@ bool SamePacket(const link::PacketRecord& a, const link::PacketRecord& b) {
          a.rssi_dbm == b.rssi_dbm && a.snr_db == b.snr_db && a.lqi == b.lqi;
 }
 
+bool SameAttempt(const link::AttemptRecord& a, const link::AttemptRecord& b) {
+  return a.packet_id == b.packet_id && a.attempt == b.attempt &&
+         a.payload_bytes == b.payload_bytes && a.at == b.at &&
+         a.rssi_dbm == b.rssi_dbm && a.snr_db == b.snr_db &&
+         a.data_received == b.data_received && a.acked == b.acked;
+}
+
+/// Table I configs whose 300-packet runs (seed SweepSeed(99, index))
+/// contain a packet arriving at the instant an earlier one completes, and
+/// whose inline and event drivers part ways at such a tie.
+constexpr std::size_t kTieConfigs[] = {6216, 11174, 19573, 35964};
+
+node::SimulationOptions TieReproducer(std::size_t index) {
+  node::SimulationOptions options;
+  options.config = core::opt::ConfigSpace::PaperTableI().At(index);
+  options.seed = experiment::SweepSeed(99, index);
+  options.packet_count = 300;
+  return options;
+}
+
+// A tracer only observes: the traced run takes the same driver as the
+// untraced one, so every metric, counter (sim.* included), packet and
+// attempt agrees, ties and all.
+TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
+  const auto configs = SliceOfTableI(6);
+
+  experiment::SweepOptions options;
+  options.base_seed = 424242;
+  options.packet_count = 150;
+  options.capture_traces = false;
+  const auto untraced = RunSweep(configs, options);
+
+  options.capture_traces = true;
+  const auto traced = RunSweep(configs, options);
+
+  ASSERT_EQ(untraced.size(), traced.size());
+  for (std::size_t i = 0; i < untraced.size(); ++i) {
+    ExpectSamePoint(untraced[i], traced[i], i);
+    EXPECT_TRUE(untraced[i].counters == traced[i].counters) << "config " << i;
+    EXPECT_FALSE(traced[i].events.empty()) << "config " << i;
+  }
+
+  for (const std::size_t index : kTieConfigs) {
+    auto run_options = TieReproducer(index);
+    const auto plain = node::RunLinkSimulation(run_options);
+    trace::Tracer tracer;
+    run_options.tracer = &tracer;
+    const auto traced_run = node::RunLinkSimulation(run_options);
+
+    const auto& a = plain.log.Packets();
+    const auto& b = traced_run.log.Packets();
+    ASSERT_EQ(a.size(), b.size()) << "config " << index;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_TRUE(SamePacket(a[k], b[k]))
+          << "config " << index << ": packet " << k;
+    }
+    const auto& x = plain.log.Attempts();
+    const auto& y = traced_run.log.Attempts();
+    ASSERT_EQ(x.size(), y.size()) << "config " << index;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      EXPECT_TRUE(SameAttempt(x[k], y[k]))
+          << "config " << index << ": attempt " << k;
+    }
+    EXPECT_EQ(plain.events_executed, traced_run.events_executed)
+        << "config " << index;
+    EXPECT_TRUE(plain.counters == traced_run.counters) << "config " << index;
+  }
+}
+
 /// True when packet `k` arrives at the exact instant an earlier packet
-/// completes: the tie the two MAC paths break in opposite orders.
+/// completes: the tie the two drivers break in opposite orders.
 bool ArrivesAtACompletion(const std::vector<link::PacketRecord>& packets,
                           std::size_t k) {
   for (std::size_t j = 0; j < k; ++j) {
@@ -167,28 +204,31 @@ bool ArrivesAtACompletion(const std::vector<link::PacketRecord>& packets,
   return false;
 }
 
-TEST(PerfInvariance, TracedAndUntracedPathsAgreeUntilACompletionArrivalTie) {
-  // The untraced fast path schedules Complete() when the packet is sent,
-  // so at a completion/arrival tie it frees the queue before the arrival
-  // runs; the traced event path schedules it from the last attempt, after
-  // the arrival, which then finds the queue full. These Table I configs
-  // (300 packets, seed SweepSeed(99, index)) contain such ties, and the
-  // two paths diverge at one of them. Whatever the tie order, the paths
-  // must agree on every packet before the first divergence, and that
-  // packet must arrive at an earlier packet's completion instant.
-  const auto space = core::opt::ConfigSpace::PaperTableI();
-  for (const std::size_t index : {6216, 11174, 19573, 35964}) {
-    node::SimulationOptions options;
-    options.config = space.At(index);
-    options.seed = experiment::SweepSeed(99, index);
-    options.packet_count = 300;
-    const auto fast = node::RunLinkSimulation(options);
-    trace::Tracer tracer;
-    options.tracer = &tracer;
-    const auto traced = node::RunLinkSimulation(options);
+TEST(PerfInvariance, InlineAndEventDriversAgreeUntilACompletionArrivalTie) {
+  // Without a shared medium the MAC runs a packet's ladder when the packet
+  // is sent and schedules Complete() right away, so at a
+  // completion/arrival tie it frees the queue before the arrival runs.
+  // With a medium attached (here a single-node one, which never finds the
+  // air busy) each step is an event and Complete() is scheduled from the
+  // last one, after the arrival, which then finds the queue full. Whatever
+  // the tie order, the drivers must agree on every packet before the first
+  // divergence, and that packet must arrive at an earlier packet's
+  // completion instant.
+  for (const std::size_t index : kTieConfigs) {
+    const auto options = TieReproducer(index);
+    const auto inline_run = node::RunLinkSimulation(options);
 
-    const auto& a = fast.log.Packets();
-    const auto& b = traced.log.Packets();
+    sim::Simulator simulator;
+    channel::Medium medium;
+    node::NodeStack stack(simulator, options, util::Rng(options.seed),
+                          &medium, 0);
+    stack.Start();
+    simulator.Run();
+    const auto event_run =
+        stack.Harvest(simulator.Now(), simulator.EventsExecuted());
+
+    const auto& a = inline_run.log.Packets();
+    const auto& b = event_run.log.Packets();
     ASSERT_EQ(a.size(), b.size()) << "config " << index;
     std::size_t ties = 0;
     for (std::size_t k = 0; k < a.size(); ++k) {
@@ -197,17 +237,19 @@ TEST(PerfInvariance, TracedAndUntracedPathsAgreeUntilACompletionArrivalTie) {
     EXPECT_GT(ties, 0u) << "config " << index << " no longer has a tie";
     std::size_t first = 0;
     while (first < a.size() && SamePacket(a[first], b[first])) ++first;
-    if (first < a.size()) {
-      EXPECT_TRUE(ArrivesAtACompletion(a, first))
-          << "config " << index << ": packet " << first
-          << " differs without a completion/arrival tie";
-    }
+    ASSERT_LT(first, a.size())
+        << "config " << index << ": the drivers no longer part ways";
+    EXPECT_TRUE(ArrivesAtACompletion(a, first))
+        << "config " << index << ": packet " << first
+        << " differs without a completion/arrival tie";
+    EXPECT_LT(inline_run.events_executed, event_run.events_executed)
+        << "config " << index;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Physical monotonicity properties (paper Sec. III): these hold for any
-// correct executor and would catch a fast path that, say, reuses RNG draws
+// correct executor and would catch a driver that, say, reuses RNG draws
 // or mis-orders attempts.
 // ---------------------------------------------------------------------------
 

@@ -79,28 +79,6 @@ TEST(Simulator, NestedSchedulingFromCallback) {
   EXPECT_EQ(fire_times, (std::vector<Time>{5, 12}));
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  bool fired = false;
-  auto handle = sim.Schedule(10, [&] { fired = true; });
-  EXPECT_TRUE(handle.Pending());
-  handle.Cancel();
-  EXPECT_FALSE(handle.Pending());
-  sim.Run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sim.EventsExecuted(), 0u);
-}
-
-TEST(Simulator, CancelAfterFireIsNoop) {
-  Simulator sim;
-  int count = 0;
-  auto handle = sim.Schedule(1, [&] { ++count; });
-  sim.Run();
-  EXPECT_FALSE(handle.Pending());
-  handle.Cancel();  // must not crash or rewind anything
-  EXPECT_EQ(count, 1);
-}
-
 TEST(Simulator, RunUntilStopsAtBoundaryInclusive) {
   Simulator sim;
   std::vector<int> fired;
@@ -148,16 +126,6 @@ TEST(Simulator, ManyEventsCountTracked) {
   EXPECT_EQ(sim.QueueSize(), 1000u);
   sim.Run();
   EXPECT_EQ(sim.EventsExecuted(), 1000u);
-}
-
-TEST(Simulator, CancelledHeadDoesNotBlockRunUntil) {
-  Simulator sim;
-  bool later_fired = false;
-  auto handle = sim.Schedule(5, [] {});
-  handle.Cancel();
-  sim.Schedule(10, [&] { later_fired = true; });
-  sim.RunUntil(10);
-  EXPECT_TRUE(later_fired);
 }
 
 }  // namespace

@@ -57,6 +57,24 @@ TEST(Trace, RingOverwritesOldestWhenFull) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(events[i].at, 6 + i);
 }
 
+TEST(Trace, EventsComeBackInTimeOrder) {
+  // Emitters may run ahead of simulated time (the CSMA MAC emits a whole
+  // attempt ladder when the packet is sent), so Events() sorts by time and
+  // keeps emission order among equal times.
+  trace::Tracer tracer(8);
+  const sim::Time times[] = {30, 10, 20, 10, 30};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    tracer.Emit({times[i], EventType::kCcaBusy, trace::Layer::kMac, i, 0, 0,
+                 0.0});
+  }
+  const auto events = tracer.Events();
+  ASSERT_EQ(events.size(), 5u);
+  const std::uint64_t expected_ids[] = {1, 3, 2, 0, 4};
+  for (std::size_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(events[k].packet_id, expected_ids[k]) << "position " << k;
+  }
+}
+
 TEST(Trace, ClearForgetsEvents) {
   trace::Tracer tracer(4);
   tracer.Emit({1, EventType::kCcaBusy, trace::Layer::kMac, 0, 0, 0, 0.0});
@@ -151,7 +169,7 @@ TEST(TraceInvariants, LifecyclePairingAndAttemptAccounting) {
   ASSERT_FALSE(events.empty());
 
   // Global timestamp monotonicity: simulated time never goes backwards in
-  // the emitted stream.
+  // the returned stream.
   for (std::size_t i = 1; i < events.size(); ++i) {
     ASSERT_GE(events[i].at, events[i - 1].at) << "event " << i;
   }
