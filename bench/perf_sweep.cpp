@@ -7,7 +7,7 @@
 // fails (exit 1) if the calibration-normalized configs/sec regressed by
 // more than the tolerance versus the committed BENCH_sweep.json, or if
 // steady-state heap allocations exceed the `--max-allocs` ceiling (the
-// zero-alloc invariant: the arena/scratch path must stay allocation-free
+// zero-alloc invariant: the scratch path must stay allocation-free
 // per config, so the ceiling is absolute, not host-relative) — the CI
 // perf-smoke gate.
 //
@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     // The allocation gate is a hard ceiling, never host-normalized: the
-    // arena/scratch executor is designed to run allocation-free per
+    // scratch executor is designed to run allocation-free per
     // config, so any drift here is a real leak back onto the heap, not
     // machine noise.
     std::printf("check: allocs/run %.1f vs ceiling %.1f\n",

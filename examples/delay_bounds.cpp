@@ -2,8 +2,8 @@
 // distribution for one configuration — the CLI face of the cross-
 // validation harness (src/validate/).
 //
-//   delay_bounds --distance 25 --pa 31 --payload 110 --tries 3 \
-//                --interval 100 --packets 1000
+//   delay_bounds --distance 25 --pa 31 --payload 110 --tries 3
+//                --interval 100 --packets 1000   (one command line)
 //
 // Useful both to sanity-check a tuned configuration ("is my p99 close to
 // the analytic worst case?") and to reproduce a bound-violation failure

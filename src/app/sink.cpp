@@ -2,6 +2,13 @@
 
 namespace wsnlink::app {
 
+PacketSink::PacketSink(std::vector<std::uint8_t>& seen,
+                       std::vector<ReceptionRecord>& receptions)
+    : seen_(seen), receptions_(receptions) {
+  seen_.clear();
+  receptions_.clear();
+}
+
 void PacketSink::AttachTrace(const trace::TraceContext& ctx) {
   counters_ = ctx.counters;
   if (counters_ != nullptr) {
@@ -11,22 +18,14 @@ void PacketSink::AttachTrace(const trace::TraceContext& ctx) {
 }
 
 void PacketSink::Reserve(std::size_t packet_count) {
-  seen_->reserve(packet_count + 1);
-  receptions_->reserve(packet_count);
-}
-
-void PacketSink::AttachStorage(std::vector<std::uint8_t>* seen,
-                               std::vector<ReceptionRecord>* receptions) {
-  seen_ = seen;
-  receptions_ = receptions;
-  seen_->clear();
-  receptions_->clear();
+  seen_.reserve(packet_count + 1);
+  receptions_.reserve(packet_count);
 }
 
 bool PacketSink::MarkSeen(std::uint64_t packet_id) {
-  if (packet_id >= seen_->size()) seen_->resize(packet_id + 1, 0);
-  const bool fresh = (*seen_)[packet_id] == 0;
-  (*seen_)[packet_id] = 1;
+  if (packet_id >= seen_.size()) seen_.resize(packet_id + 1, 0);
+  const bool fresh = seen_[packet_id] == 0;
+  seen_[packet_id] = 1;
   if (fresh) ++unique_count_;
   return fresh;
 }
@@ -54,7 +53,7 @@ void PacketSink::OnDelivery(const mac::DeliveryInfo& info) {
   rssi_stats_.Add(info.rssi_dbm);
   snr_stats_.Add(info.snr_db);
   lqi_stats_.Add(static_cast<double>(info.lqi));
-  receptions_->push_back(record);
+  receptions_.push_back(record);
 }
 
 }  // namespace wsnlink::app

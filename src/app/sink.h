@@ -29,6 +29,12 @@ struct ReceptionRecord {
 /// Collects deliveries; wire its OnDelivery into the link layer.
 class PacketSink {
  public:
+  /// The duplicate-suppression table and the reception log live in the
+  /// caller's `seen` and `receptions` (cleared here, capacity kept, so a
+  /// reused worker fills warm heap blocks); both must outlive the sink.
+  PacketSink(std::vector<std::uint8_t>& seen,
+             std::vector<ReceptionRecord>& receptions);
+
   /// Handles one decoded copy.
   void OnDelivery(const mac::DeliveryInfo& info);
 
@@ -40,12 +46,6 @@ class PacketSink {
   /// Pre-sizes the reception log and the duplicate-suppression table (ids
   /// are sequential per run, so the caller knows both bounds up front).
   void Reserve(std::size_t packet_count);
-
-  /// Redirects the sink's growable state into caller-owned vectors (cleared
-  /// here, capacity kept) so a reused sweep worker fills warm heap blocks.
-  /// Call before Reserve; the pointees must outlive the sink.
-  void AttachStorage(std::vector<std::uint8_t>* seen,
-                     std::vector<ReceptionRecord>* receptions);
 
   /// Unique packets received.
   [[nodiscard]] std::size_t UniqueCount() const noexcept {
@@ -63,7 +63,7 @@ class PacketSink {
   [[nodiscard]] sim::Time LastDeliveryAt() const noexcept { return last_at_; }
 
   [[nodiscard]] const std::vector<ReceptionRecord>& Receptions() const noexcept {
-    return *receptions_;
+    return receptions_;
   }
 
   /// RSSI / SNR / LQI statistics over all decoded copies.
@@ -81,10 +81,8 @@ class PacketSink {
   /// Duplicate suppression: packet ids are small sequential integers, so a
   /// dense byte-per-id table beats a hash set on the delivery hot path.
   [[nodiscard]] bool MarkSeen(std::uint64_t packet_id);
-  std::vector<std::uint8_t> own_seen_;
-  std::vector<ReceptionRecord> own_receptions_;
-  std::vector<std::uint8_t>* seen_ = &own_seen_;
-  std::vector<ReceptionRecord>* receptions_ = &own_receptions_;
+  std::vector<std::uint8_t>& seen_;           // borrowed
+  std::vector<ReceptionRecord>& receptions_;  // borrowed
   std::size_t unique_count_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t unique_bytes_ = 0;

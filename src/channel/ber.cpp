@@ -56,8 +56,9 @@ double CalibratedExponentialBer::FrameSuccessProbability(
   return std::clamp(1.0 - loss, 0.0, 1.0);
 }
 
-std::unique_ptr<BerModel> MakeDefaultBerModel() {
-  return std::make_unique<CalibratedExponentialBer>();
+const BerModel& DefaultBerModel() {
+  static const CalibratedExponentialBer kModel;
+  return kModel;
 }
 
 }  // namespace wsnlink::channel

@@ -26,7 +26,6 @@
 // quantify what each curve does to the reproduced figures.
 #pragma once
 
-#include <memory>
 #include <string>
 
 namespace wsnlink::channel {
@@ -76,7 +75,8 @@ class CalibratedExponentialBer final : public BerModel {
   double b_;
 };
 
-/// Factory for the default (calibrated) curve.
-[[nodiscard]] std::unique_ptr<BerModel> MakeDefaultBerModel();
+/// The default (calibrated) curve: one immutable process-wide instance,
+/// safe to share across threads and channels.
+[[nodiscard]] const BerModel& DefaultBerModel();
 
 }  // namespace wsnlink::channel

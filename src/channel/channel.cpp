@@ -54,24 +54,6 @@ int SnrToLqi(double snr_db, util::Rng& rng) {
   return static_cast<int>(std::clamp(raw, 40.0, 110.0));
 }
 
-Channel::Channel(ChannelConfig config, std::unique_ptr<BerModel> ber,
-                 util::Rng rng)
-    : config_(config),
-      path_loss_(config.path_loss),
-      ber_owned_(std::move(ber)),
-      ber_(ber_owned_.get()),
-      shadowing_(ResolveShadowing(config), rng.Derive("shadowing")),
-      noise_(config.noise, rng.Derive("noise-floor")),
-      interferer_(config.interferer, rng.Derive("interferer")),
-      mobility_(config.mobility, config.distance_m),
-      loss_rng_(rng.Derive("frame-loss")),
-      lqi_rng_(rng.Derive("lqi")) {
-  if (ber_ == nullptr) {
-    throw std::invalid_argument("Channel: BER model must be non-null");
-  }
-  config_.Validate();
-}
-
 Channel::Channel(ChannelConfig config, const BerModel* ber, util::Rng rng)
     : config_(config),
       path_loss_(config.path_loss),
@@ -89,7 +71,7 @@ Channel::Channel(ChannelConfig config, const BerModel* ber, util::Rng rng)
 }
 
 Channel::Channel(ChannelConfig config, util::Rng rng)
-    : Channel(config, MakeDefaultBerModel(), rng) {}
+    : Channel(config, &DefaultBerModel(), rng) {}
 
 double Channel::PathRssiDbm(double tx_power_dbm, double distance_m) const {
   if (!rssi_cache_valid_ || tx_power_dbm != rssi_cache_tx_dbm_ ||

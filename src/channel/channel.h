@@ -6,8 +6,6 @@
 // now — does it arrive, and with what RSSI/LQI?".
 #pragma once
 
-#include <memory>
-
 #include "channel/ber.h"
 #include "channel/interferer.h"
 #include "channel/medium.h"
@@ -78,16 +76,12 @@ struct TransmissionOutcome {
 /// A point-to-point radio channel between one sender and one receiver.
 class Channel {
  public:
-  /// `ber` must be non-null. `rng` seeds the channel's private random
-  /// streams (shadowing / noise / bit errors are derived sub-streams).
-  Channel(ChannelConfig config, std::unique_ptr<BerModel> ber, util::Rng rng);
-
-  /// Non-owning BER variant for arena/scratch construction: `ber` must be
-  /// non-null and outlive the channel. Behaviour is identical to the owning
-  /// constructor with the same model — only the lifetime contract differs.
+  /// `ber` must be non-null and outlive the channel (the channel borrows
+  /// it). `rng` seeds the channel's private random streams (shadowing /
+  /// noise / bit errors are derived sub-streams).
   Channel(ChannelConfig config, const BerModel* ber, util::Rng rng);
 
-  /// Convenience constructor using the default calibrated BER model.
+  /// Convenience constructor borrowing DefaultBerModel().
   Channel(ChannelConfig config, util::Rng rng);
 
   /// Simulates one frame of `frame_bytes` total PHY bytes sent at
@@ -150,8 +144,7 @@ class Channel {
  private:
   ChannelConfig config_;
   PathLoss path_loss_;
-  std::unique_ptr<BerModel> ber_owned_;  // empty in non-owning mode
-  const BerModel* ber_;                  // always valid; what Transmit uses
+  const BerModel* ber_;  // borrowed; never null
   ShadowingProcess shadowing_;
   NoiseFloorProcess noise_;
   InterfererProcess interferer_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -92,35 +92,25 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
         util::FaultInjector::Global().MaybeThrow("sweep.worker");
       }
       auto sim_options = MakeOptions(configs[i], options, i);
+      // Trace capture allocates by design (the event log escapes). Per-run
+      // tracer: runs never share observability state, which is what keeps
+      // captured traces identical across thread counts.
+      std::optional<trace::Tracer> tracer;
       if (options.capture_traces) {
-        // Trace capture allocates by design (the event log escapes), so it
-        // takes the plain path. Per-run tracer: runs never share
-        // observability state, which is what keeps captured traces
-        // identical across thread counts.
-        const auto tracer =
-            std::make_unique<trace::Tracer>(options.trace_capacity);
-        sim_options.tracer = tracer.get();
-        auto result = node::RunLinkSimulation(sim_options);
-        points[i].config = configs[i];
-        points[i].measured =
-            metrics::ComputeMetrics(result, configs[i].pkt_interval_ms);
-        points[i].mean_snr_db = result.mean_snr_db;
-        points[i].counters = std::move(result.counters);
-        points[i].events = tracer->Events();
-      } else {
-        // Steady-state hot path: every growable resource comes from the
-        // worker's recycled scratch; results are bit-identical to the
-        // plain path.
-        node::LinkRunScratch& scratch = WorkerScratch();
-        auto result = node::RunLinkSimulation(sim_options, scratch);
-        points[i].config = configs[i];
-        points[i].measured = metrics::ComputeMetrics(
-            result, configs[i].pkt_interval_ms, scratch.delay_buf);
-        points[i].mean_snr_db = result.mean_snr_db;
-        points[i].counters = std::move(result.counters);
-        // Hand the log's heap blocks back for the next run.
-        result.log.ExtractStorage(scratch.packet_buf, scratch.attempt_buf);
+        sim_options.tracer = &tracer.emplace(options.trace_capacity);
       }
+      // Every growable resource comes from the worker's recycled scratch;
+      // results do not depend on what the scratch ran before.
+      node::LinkRunScratch& scratch = WorkerScratch();
+      auto result = node::RunLinkSimulation(sim_options, scratch);
+      points[i].config = configs[i];
+      points[i].measured = metrics::ComputeMetrics(
+          result, configs[i].pkt_interval_ms, scratch.delay_buf);
+      points[i].mean_snr_db = result.mean_snr_db;
+      points[i].counters = std::move(result.counters);
+      if (tracer) points[i].events = tracer->Events();
+      // Hand the log's heap blocks back for the next run.
+      result.log.ExtractStorage(scratch.packet_buf, scratch.attempt_buf);
     } catch (const std::exception& e) {
       points[i] = SweepPoint{};
       points[i].config = configs[i];
@@ -147,7 +137,7 @@ std::vector<node::SimulationResult> RunSweepRaw(
   std::atomic<std::size_t> done{0};
   SweepParallelFor(configs.size(), options, [&](std::size_t i) {
     const auto sim_options = MakeOptions(configs[i], options, i);
-    results[i] = node::RunLinkSimulation(sim_options);
+    results[i] = node::RunLinkSimulation(sim_options, WorkerScratch());
     if (options.progress) {
       options.progress(done.fetch_add(1) + 1, configs.size());
     }

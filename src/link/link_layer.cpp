@@ -5,18 +5,14 @@
 namespace wsnlink::link {
 
 LinkLayer::LinkLayer(sim::Simulator& simulator, mac::Mac& mac,
-                     int queue_capacity)
-    : LinkLayer(simulator, mac, queue_capacity, Storage{}) {}
-
-LinkLayer::LinkLayer(sim::Simulator& simulator, mac::Mac& mac,
-                     int queue_capacity, Storage storage)
+                     int queue_capacity, std::vector<QueuedPacket>& queue_ring,
+                     std::vector<OpenRecord>& open_records)
     : sim_(simulator),
       mac_(mac),
-      queue_(queue_capacity, storage.queue),
-      open_records_(storage.open_records != nullptr ? storage.open_records
-                                                    : &own_open_records_) {
-  open_records_->clear();
-  open_records_->reserve(static_cast<std::size_t>(queue_capacity) + 1);
+      queue_(queue_capacity, queue_ring),
+      open_records_(open_records) {
+  open_records_.clear();
+  open_records_.reserve(static_cast<std::size_t>(queue_capacity) + 1);
   mac_.SetDeliveryCallback(
       [this](const mac::DeliveryInfo& info) { OnDelivery(info); });
   mac_.SetAttemptCallback([this](const mac::AttemptInfo& info) {
@@ -84,7 +80,7 @@ bool LinkLayer::Accept(std::uint64_t packet_id, int payload_bytes) {
                    0.0, node_});
   }
 
-  open_records_->emplace_back(packet_id, log_.Packets().size() - 1);
+  open_records_.emplace_back(packet_id, log_.Packets().size() - 1);
   if (!queue_.InService()) ServeNext();
   return true;
 }
@@ -124,8 +120,8 @@ void LinkLayer::OnSendDone(const mac::SendResult& result) {
   record.tx_energy_uj = result.tx_energy_uj;
   record.listen_time = result.listen_time;
   // Swap-erase: lookup is by id, so order within the array is irrelevant.
-  *open = open_records_->back();
-  open_records_->pop_back();
+  *open = open_records_.back();
+  open_records_.pop_back();
 
   if (counters_ != nullptr) {
     counters_->Add(id_completed_);
@@ -163,7 +159,7 @@ void LinkLayer::OnDelivery(const mac::DeliveryInfo& info) {
 }
 
 LinkLayer::OpenRecord* LinkLayer::FindOpen(std::uint64_t packet_id) noexcept {
-  for (OpenRecord& entry : *open_records_) {
+  for (OpenRecord& entry : open_records_) {
     if (entry.first == packet_id) return &entry;
   }
   return nullptr;

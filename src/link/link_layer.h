@@ -26,23 +26,17 @@ class LinkLayer {
   /// application sink can count deliveries.
   using DeliveryCallback = std::function<void(const mac::DeliveryInfo&)>;
 
-  /// Caller-owned growable buffers for scratch-mode construction (the
-  /// zero-alloc sweep worker's recycled heap blocks). Null members fall
-  /// back to the link layer's own storage.
-  struct Storage {
-    std::vector<QueuedPacket>* queue = nullptr;
-    std::vector<std::pair<std::uint64_t, std::size_t>>* open_records = nullptr;
-  };
+  /// Index into Log().Packets() for one unfinished packet id.
+  using OpenRecord = std::pair<std::uint64_t, std::size_t>;
 
-  /// `simulator` and `mac` must outlive the link layer. `queue_capacity`
-  /// is the paper's Q_max (>= 1, counting the in-service slot).
-  LinkLayer(sim::Simulator& simulator, mac::Mac& mac, int queue_capacity);
-
-  /// Scratch-mode constructor: identical behaviour, but the queue ring and
-  /// open-record table live in `storage`'s pointees (which must outlive the
-  /// link layer; cleared here, capacity kept).
+  /// `queue_capacity` is the paper's Q_max (>= 1, counting the in-service
+  /// slot). The queue ring and the open-record table live in the caller's
+  /// `queue_ring` and `open_records` (cleared here, capacity kept, so a
+  /// reused worker fills warm heap blocks). `simulator`, `mac` and both
+  /// vectors must outlive the link layer.
   LinkLayer(sim::Simulator& simulator, mac::Mac& mac, int queue_capacity,
-            Storage storage);
+            std::vector<QueuedPacket>& queue_ring,
+            std::vector<OpenRecord>& open_records);
 
   /// Accepts one application packet (payload in [1, 114]). Returns false if
   /// it was dropped at the queue.
@@ -73,12 +67,10 @@ class LinkLayer {
   PacketLog log_;
   DeliveryCallback on_delivery_;
 
-  // Index into log_.Packets() for each unfinished packet id. Live entries
-  // are bounded by the queue capacity (queued + in-service packets), so a
-  // flat array with linear lookup beats a hash map on the packet hot path.
-  using OpenRecord = std::pair<std::uint64_t, std::size_t>;
-  std::vector<OpenRecord> own_open_records_;
-  std::vector<OpenRecord>* open_records_;  // &own_open_records_ or external
+  // Live entries are bounded by the queue capacity (queued + in-service
+  // packets), so a flat array with linear lookup beats a hash map on the
+  // packet hot path.
+  std::vector<OpenRecord>& open_records_;  // borrowed
   [[nodiscard]] OpenRecord* FindOpen(std::uint64_t packet_id) noexcept;
   std::uint64_t in_service_id_ = 0;
 

@@ -2,20 +2,16 @@
 
 namespace wsnlink::link {
 
-TransmitQueue::TransmitQueue(int capacity)
-    : TransmitQueue(capacity, nullptr) {}
-
-TransmitQueue::TransmitQueue(int capacity, std::vector<QueuedPacket>* storage)
-    : capacity_(capacity),
-      ring_(storage != nullptr ? storage : &own_storage_) {
+TransmitQueue::TransmitQueue(int capacity, std::vector<QueuedPacket>& ring)
+    : capacity_(capacity), ring_(ring) {
   if (capacity < 1) {
     throw std::invalid_argument("TransmitQueue: capacity must be >= 1");
   }
   // `capacity` slots: while one packet is in service, up to capacity - 1
   // can wait; between Offer and StartService (nothing in service yet) the
   // waiting count itself can reach capacity.
-  ring_->clear();
-  ring_->resize(static_cast<std::size_t>(capacity_));
+  ring_.clear();
+  ring_.resize(static_cast<std::size_t>(capacity_));
 }
 
 int TransmitQueue::Occupancy() const noexcept {
@@ -39,8 +35,7 @@ bool TransmitQueue::Offer(const QueuedPacket& packet) {
     if (counters_ != nullptr) counters_->Add(id_drops_);
     return false;
   }
-  const std::size_t cap = ring_->size();
-  (*ring_)[(head_ + count_) % cap] = packet;
+  ring_[(head_ + count_) % ring_.size()] = packet;
   ++count_;
   ++accepted_;
   if (counters_ != nullptr) counters_->Add(id_accepted_);
@@ -54,8 +49,8 @@ QueuedPacket TransmitQueue::StartService() {
   if (count_ == 0) {
     throw std::logic_error("TransmitQueue::StartService: nothing waiting");
   }
-  QueuedPacket head = (*ring_)[head_];
-  head_ = (head_ + 1) % ring_->size();
+  QueuedPacket head = ring_[head_];
+  head_ = (head_ + 1) % ring_.size();
   --count_;
   in_service_ = true;
   return head;

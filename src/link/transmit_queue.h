@@ -29,16 +29,11 @@ struct QueuedPacket {
 /// the queue), sized once at construction — no per-packet allocation.
 class TransmitQueue {
  public:
-  /// Requires capacity >= 1 (capacity counts the in-service slot).
-  explicit TransmitQueue(int capacity);
+  /// Requires capacity >= 1 (capacity counts the in-service slot). The ring
+  /// lives in the caller's `ring` (resized to `capacity` here, reusing its
+  /// heap block across runs), which must outlive the queue.
+  TransmitQueue(int capacity, std::vector<QueuedPacket>& ring);
 
-  /// Scratch-mode constructor: the ring lives in `*storage` (resized to
-  /// `capacity` here, reusing its heap block across runs — the sweep
-  /// worker's recycling hook). The pointee must outlive the queue; nullptr
-  /// falls back to the queue's own storage.
-  TransmitQueue(int capacity, std::vector<QueuedPacket>* storage);
-
-  // The ring pointer may refer to own_storage_, so moves would dangle.
   TransmitQueue(const TransmitQueue&) = delete;
   TransmitQueue& operator=(const TransmitQueue&) = delete;
 
@@ -77,8 +72,7 @@ class TransmitQueue {
 
  private:
   int capacity_;
-  std::vector<QueuedPacket> own_storage_;
-  std::vector<QueuedPacket>* ring_;  // &own_storage_ or caller-owned
+  std::vector<QueuedPacket>& ring_;  // borrowed
   std::size_t head_ = 0;             // oldest waiting packet
   std::size_t count_ = 0;            // waiting packets (excl. in-service)
   bool in_service_ = false;

@@ -1,7 +1,5 @@
 #include "node/link_simulation.h"
 
-#include <stdexcept>
-
 #include "node/network_simulation.h"
 #include "node/node_stack.h"
 #include "node/run_scratch.h"
@@ -33,41 +31,31 @@ channel::ChannelConfig MakeChannelConfig(const SimulationOptions& options) {
 }
 
 SimulationResult RunLinkSimulation(const SimulationOptions& options) {
-  // The single link is the N=1 network: one stack, no shared medium. The
-  // collapse merges the node- and run-scoped counters back into the single
-  // snapshot this function has always returned — bit-identical to the
-  // pre-refactor inline assembly.
-  return CollapseToSingleLink(RunNetworkSimulation(SingleLinkNetwork(options)));
+  LinkRunScratch scratch;
+  return RunLinkSimulation(options, scratch);
 }
 
 SimulationResult RunLinkSimulation(const SimulationOptions& options,
                                    LinkRunScratch& scratch) {
-  // Same validation, in the same order and with the same messages, as the
-  // N=1 network path above (ResolveNodeOptions) — callers must not be able
-  // to tell the two overloads apart.
-  if (options.packet_count < 0) {
-    throw std::invalid_argument(
-        "RunNetworkSimulation: NodeSpec::packet_count must be >= 0 "
-        "(0 inherits the base packet count)");
-  }
-  options.config.Validate();
-  if (options.packet_count < 1) {
-    throw std::invalid_argument(
-        "RunNetworkSimulation: packet_count must be >= 1");
-  }
-  MakeChannelConfig(options).Validate();
+  const SimulationOptions resolved = ResolveNodeOptions(
+      options, {options.config, options.spatial_shadow_db,
+                options.packet_count});
 
-  scratch.BeginRun();
-  const util::Rng root(options.seed);
-  // N=1 never joins a shared medium (the generic path only builds one for
+  // Rewind whatever the previous run left, including a run that threw.
+  scratch.simulator.Reset();
+  scratch.registry.BeginRun();
+  // N=1 never joins a shared medium (the network path only builds one for
   // shared_medium && nodes > 1), so the MAC runs its ladder inline.
-  NodeStack stack(scratch.simulator, options, root, nullptr, 0, &scratch);
+  NodeStack stack(scratch.simulator, resolved, util::Rng(resolved.seed),
+                  nullptr, 0, scratch);
 
+  // The kernel counts into the node's registry: its "sim.*" names are
+  // disjoint from the layers', so the one snapshot Harvest takes is the
+  // whole run's.
   trace::TraceContext run_ctx;
   run_ctx.tracer = options.tracer;
-  run_ctx.counters = options.collect_counters ? &scratch.run_registry : nullptr;
+  run_ctx.counters = options.collect_counters ? &scratch.registry : nullptr;
   if (run_ctx.Active()) scratch.simulator.AttachTrace(run_ctx);
-  if (options.collect_counters) stack.SetRunRegistry(&scratch.run_registry);
 
   stack.AttachTrace(options.tracer, options.collect_counters);
   stack.Start();

@@ -4,13 +4,12 @@
 // stack parameter configuration, a fixed number of packets, per-packet and
 // per-attempt logs. The stack itself — channel (from the config's
 // distance), CC2420 PHY, CSMA MAC, bounded queue, traffic source and sink —
-// is assembled by node_stack.h; RunLinkSimulation is the N=1 special case
-// of the network simulation (network_simulation.h), collapsed back to this
-// single-link result shape.
+// is assembled by node_stack.h, the same stack each node of a network run
+// (network_simulation.h) builds; both runners validate their options
+// through ResolveNodeOptions.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "app/sink.h"
 #include "channel/channel.h"
@@ -107,15 +106,17 @@ struct SimulationResult {
   std::vector<trace::CounterSample> counters;
 };
 
-/// Runs one experiment to completion. Deterministic in (options).
+/// Runs one experiment to completion. Deterministic in (options): the
+/// result is the same for a fresh and a reused scratch.
 [[nodiscard]] SimulationResult RunLinkSimulation(const SimulationOptions& options);
 
 struct LinkRunScratch;
 
-/// Zero-alloc variant: identical results (bit for bit) to the overload
-/// above, but every growable resource the run needs is recycled from
-/// `scratch` (see run_scratch.h). After warm-up the only steady-state heap
-/// allocation is the result's counters snapshot. The sweep hot path.
+/// The one single-link runner: every growable resource the run needs is
+/// recycled from `scratch` (see run_scratch.h), so after warm-up the only
+/// steady-state heap allocation is the result's counters snapshot. The
+/// overload above runs this on a fresh scratch. A run that throws leaves
+/// `scratch` reusable.
 [[nodiscard]] SimulationResult RunLinkSimulation(const SimulationOptions& options,
                                                  LinkRunScratch& scratch);
 

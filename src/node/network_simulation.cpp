@@ -11,14 +11,33 @@
 
 namespace wsnlink::node {
 
+SimulationOptions ResolveNodeOptions(const SimulationOptions& base,
+                                     const NodeSpec& spec) {
+  SimulationOptions resolved = base;
+  resolved.config = spec.config;
+  resolved.spatial_shadow_db = spec.spatial_shadow_db;
+  if (spec.packet_count < 0) {
+    throw std::invalid_argument(
+        "RunNetworkSimulation: NodeSpec::packet_count must be >= 0 "
+        "(0 inherits the base packet count)");
+  }
+  if (spec.packet_count > 0) resolved.packet_count = spec.packet_count;
+  resolved.config.Validate();
+  if (resolved.packet_count < 1) {
+    throw std::invalid_argument(
+        "RunNetworkSimulation: packet_count must be >= 1");
+  }
+  // Channel-level consistency (mobility bounds etc.) fails here, before
+  // any part of the stack is built; MakeChannelConfig validates.
+  static_cast<void>(MakeChannelConfig(resolved));
+  return resolved;
+}
+
 NetworkOptions SingleLinkNetwork(const SimulationOptions& options) {
   NetworkOptions network;
   network.base = options;
-  NodeSpec spec;
-  spec.config = options.config;
-  spec.spatial_shadow_db = options.spatial_shadow_db;
-  spec.packet_count = options.packet_count;
-  network.nodes.push_back(spec);
+  network.nodes.push_back(
+      {options.config, options.spatial_shadow_db, options.packet_count});
   return network;
 }
 
@@ -38,31 +57,6 @@ NetworkOptions UniformNetwork(const SimulationOptions& base,
 }
 
 namespace {
-
-// Folds a NodeSpec over the shared base options into the per-node
-// SimulationOptions a NodeStack consumes, validating as the single-link
-// runner always has.
-SimulationOptions ResolveNodeOptions(const NetworkOptions& options,
-                                     const NodeSpec& spec) {
-  SimulationOptions resolved = options.base;
-  resolved.config = spec.config;
-  resolved.spatial_shadow_db = spec.spatial_shadow_db;
-  if (spec.packet_count < 0) {
-    throw std::invalid_argument(
-        "RunNetworkSimulation: NodeSpec::packet_count must be >= 0 "
-        "(0 inherits the base packet count)");
-  }
-  if (spec.packet_count > 0) resolved.packet_count = spec.packet_count;
-  resolved.config.Validate();
-  if (resolved.packet_count < 1) {
-    throw std::invalid_argument(
-        "RunNetworkSimulation: packet_count must be >= 1");
-  }
-  // Channel-level consistency (mobility bounds etc.) fails here with the
-  // node index still known to the caller, not deep inside the stack build.
-  MakeChannelConfig(resolved).Validate();
-  return resolved;
-}
 
 // Computes the aggregate tallies (PER, PLR, drops, ...) over
 // `result.nodes` and, when `collect_counters`, the merged aggregate counter
@@ -145,6 +139,7 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
   }
 
   const util::Rng root(options.base.seed);
+  std::vector<NodeScratch> scratches(options.nodes.size());
   std::vector<std::unique_ptr<NodeStack>> stacks;
   stacks.reserve(options.nodes.size());
   for (std::size_t i = 0; i < options.nodes.size(); ++i) {
@@ -153,8 +148,9 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
     const util::Rng node_root =
         i == 0 ? root : root.Derive("node-" + std::to_string(i));
     stacks.push_back(std::make_unique<NodeStack>(
-        simulator, ResolveNodeOptions(options, options.nodes[i]),
-        node_root, medium ? &*medium : nullptr, static_cast<int>(i)));
+        simulator, ResolveNodeOptions(options.base, options.nodes[i]),
+        node_root, medium ? &*medium : nullptr, static_cast<int>(i),
+        scratches[i]));
   }
 
   // Observability: the kernel's counters are run-scoped (one simulator
@@ -192,23 +188,6 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
     result.run_counters = run_registry.Snapshot();
   }
   FinalizeNetworkAggregates(result, options.base.collect_counters);
-  return result;
-}
-
-SimulationResult CollapseToSingleLink(NetworkResult&& network) {
-  if (network.nodes.size() != 1) {
-    throw std::invalid_argument(
-        "CollapseToSingleLink: expected exactly one node, got " +
-        std::to_string(network.nodes.size()));
-  }
-  SimulationResult result = std::move(network.nodes.front());
-  // The pre-refactor runner kept one registry for the whole run; merging
-  // the node-scoped and run-scoped snapshots (disjoint name sets, both
-  // sorted) reproduces that single snapshot byte for byte.
-  if (!result.counters.empty() || !network.run_counters.empty()) {
-    result.counters =
-        trace::MergeCounters({result.counters, network.run_counters});
-  }
   return result;
 }
 

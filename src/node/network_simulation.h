@@ -9,9 +9,10 @@
 // mechanism — the synthetic interferer remains available as an ablation by
 // disabling the shared medium.
 //
-// The N=1 case is the old single-link simulation, bit for bit:
-// RunLinkSimulation delegates here and collapses the result, so every
-// existing caller (sweeps, campaigns, examples, goldens) is unchanged.
+// Every node is the stack the single-link simulation runs (node_stack.h),
+// validated by the same ResolveNodeOptions, so an N=1 network reproduces
+// RunLinkSimulation bit for bit; only the kernel's "sim.*" counters land in
+// run_counters instead of the node's snapshot.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,13 @@ struct NetworkOptions {
   /// is always sequential and any value other than 1 is rejected.
   int sim_threads = 1;
 };
+
+/// Folds `spec` over the shared `base` into the options one NodeStack runs
+/// with, validating them as both runners do: throws std::invalid_argument
+/// for a negative NodeSpec::packet_count, an invalid stack configuration, a
+/// resolved packet count below 1 or an inconsistent channel placement.
+[[nodiscard]] SimulationOptions ResolveNodeOptions(
+    const SimulationOptions& base, const NodeSpec& spec);
 
 /// The N=1 topology equivalent to RunLinkSimulation(options).
 [[nodiscard]] NetworkOptions SingleLinkNetwork(const SimulationOptions& options);
@@ -96,10 +104,5 @@ struct NetworkResult {
 /// root.Derive("node-i") otherwise, so adding senders never perturbs the
 /// streams of existing ones.
 [[nodiscard]] NetworkResult RunNetworkSimulation(const NetworkOptions& options);
-
-/// Converts a 1-node NetworkResult into the legacy SimulationResult
-/// (merging the node's counters with the run-scoped ones exactly as the
-/// pre-refactor single registry reported them). Requires nodes.size() == 1.
-[[nodiscard]] SimulationResult CollapseToSingleLink(NetworkResult&& network);
 
 }  // namespace wsnlink::node

@@ -1,12 +1,12 @@
-// Reusable per-worker scratch for zero-alloc link simulations.
+// Reusable storage for node stacks and zero-alloc link simulations.
 // wsnlint:hot-path — the zero-alloc invariant is linted in this file.
 //
-// A sweep worker runs thousands of configurations back to back; every
-// growable resource a single run needs — the event kernel's slot pool, the
-// stack components' arena, both counter registries and all record buffers —
-// lives here and is recycled run to run. After the first few runs warm the
-// capacities up, a run performs no steady-state heap allocation beyond the
-// one escaping counters snapshot.
+// A NodeStack never owns growable storage: its counter registry and every
+// record buffer come from a NodeScratch. A sweep worker runs thousands of
+// configurations back to back on one LinkRunScratch, which adds the event
+// kernel, so after the first few runs warm the capacities up, a run
+// performs no steady-state heap allocation beyond the one escaping
+// counters snapshot. A network run gives each node a fresh NodeScratch.
 #pragma once
 
 #include <cstdint>
@@ -18,35 +18,28 @@
 #include "link/transmit_queue.h"
 #include "sim/simulator.h"
 #include "trace/counters.h"
-#include "util/arena.h"
 
 namespace wsnlink::node {
 
-/// One worker's recycled simulation state. Pass to the scratch overload of
-/// RunLinkSimulation; the struct must outlive each run's result reduction
-/// (reception/log buffers are borrowed by the stack during the run).
-struct LinkRunScratch {
-  sim::Simulator simulator;
-  util::MonotonicArena arena;          ///< stack components live here
-  trace::CounterRegistry node_registry;
-  trace::CounterRegistry run_registry;  ///< kernel-level "sim.*" counters
+/// The registry and buffers one NodeStack borrows. They must outlive the
+/// stack; a stack clears each buffer it adopts (capacity kept).
+struct NodeScratch {
+  trace::CounterRegistry registry;
   std::vector<link::PacketRecord> packet_buf;
   std::vector<link::AttemptRecord> attempt_buf;
   std::vector<link::QueuedPacket> queue_buf;
   std::vector<std::pair<std::uint64_t, std::size_t>> open_buf;
   std::vector<std::uint8_t> seen_buf;
   std::vector<app::ReceptionRecord> reception_buf;
-  std::vector<double> delay_buf;  ///< metric quantile scratch
+};
 
-  /// Prepares for the next run: destroys the previous run's arena-resident
-  /// stack components first (they may still reference the simulator), then
-  /// rewinds the event kernel and marks both registries' counters stale.
-  void BeginRun() {
-    arena.Reset();
-    simulator.Reset();
-    node_registry.BeginRun();
-    run_registry.BeginRun();
-  }
+/// One worker's recycled single-link simulation state: the node's storage
+/// plus the event kernel and the metrics' quantile scratch. Pass to the
+/// scratch overload of RunLinkSimulation, which rewinds the kernel and the
+/// registry at the start of every run.
+struct LinkRunScratch : NodeScratch {
+  sim::Simulator simulator;
+  std::vector<double> delay_buf;  ///< metric quantile scratch
 };
 
 }  // namespace wsnlink::node

@@ -89,38 +89,4 @@ void AddSample(std::vector<CounterSample>& samples, std::string_view name,
   samples.insert(it, CounterSample{InternCounterName(name), value});
 }
 
-std::vector<CounterSample> SnapshotMerged(const CounterRegistry& a,
-                                          const CounterRegistry& b) {
-  std::vector<CounterSample> out;
-  out.reserve(a.Size() + b.Size());
-  auto ita = a.index_.begin();
-  auto itb = b.index_.begin();
-  const auto live_a = [&] {
-    while (ita != a.index_.end() && a.epochs_[ita->second] != a.epoch_) ++ita;
-    return ita != a.index_.end();
-  };
-  const auto live_b = [&] {
-    while (itb != b.index_.end() && b.epochs_[itb->second] != b.epoch_) ++itb;
-    return itb != b.index_.end();
-  };
-  while (true) {
-    const bool has_a = live_a();
-    const bool has_b = live_b();
-    if (!has_a && !has_b) break;
-    if (has_a && (!has_b || ita->first < itb->first)) {
-      out.push_back(CounterSample{ita->first, a.values_[ita->second]});
-      ++ita;
-    } else if (has_b && (!has_a || itb->first < ita->first)) {
-      out.push_back(CounterSample{itb->first, b.values_[itb->second]});
-      ++itb;
-    } else {
-      out.push_back(CounterSample{
-          ita->first, a.values_[ita->second] + b.values_[itb->second]});
-      ++ita;
-      ++itb;
-    }
-  }
-  return out;
-}
-
 }  // namespace wsnlink::trace

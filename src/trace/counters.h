@@ -72,9 +72,6 @@ class CounterRegistry {
   void BeginRun() noexcept { ++epoch_; }
 
  private:
-  friend std::vector<CounterSample> SnapshotMerged(const CounterRegistry&,
-                                                   const CounterRegistry&);
-
   std::vector<std::string_view> names_;  // by id; interned
   std::vector<std::uint64_t> values_;    // by id
   std::vector<std::uint64_t> epochs_;    // by id; live iff == epoch_
@@ -92,12 +89,5 @@ class CounterRegistry {
 /// counters — e.g. "campaign.configs_failed" — into the per-run roll-up).
 void AddSample(std::vector<CounterSample>& samples, std::string_view name,
                std::uint64_t value);
-
-/// Sorted merge-join of two registries' live counters into one snapshot,
-/// summing values on name collisions. Byte-identical to
-/// MergeCounters({a.Snapshot(), b.Snapshot()}) but with exactly one
-/// allocation — the single heap touch a zero-alloc simulation run makes.
-[[nodiscard]] std::vector<CounterSample> SnapshotMerged(
-    const CounterRegistry& a, const CounterRegistry& b);
 
 }  // namespace wsnlink::trace

@@ -1,6 +1,9 @@
 // Unit tests for the application layer: traffic generation and the sink.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "app/sink.h"
 #include "app/traffic_gen.h"
 #include "channel/channel.h"
@@ -16,12 +19,14 @@ struct AppHarness {
   sim::Simulator simulator;
   channel::Channel channel;
   mac::CsmaMac mac;
+  std::vector<link::QueuedPacket> queue_ring;
+  std::vector<link::LinkLayer::OpenRecord> open_records;
   link::LinkLayer link;
 
   explicit AppHarness(std::uint64_t seed, double distance = 5.0)
       : channel(MakeChannel(distance), util::Rng(seed)),
         mac(simulator, channel, mac::MacParams{}, util::Rng(seed + 1)),
-        link(simulator, mac, 30) {}
+        link(simulator, mac, 30, queue_ring, open_records) {}
 
   static channel::ChannelConfig MakeChannel(double distance) {
     channel::ChannelConfig config;
@@ -94,7 +99,9 @@ TEST(TrafficGenerator, InvalidParamsRejected) {
 }
 
 TEST(PacketSink, CountsUniqueAndDuplicates) {
-  PacketSink sink;
+  std::vector<std::uint8_t> seen;
+  std::vector<ReceptionRecord> receptions;
+  PacketSink sink(seen, receptions);
   mac::DeliveryInfo info;
   info.packet_id = 1;
   info.payload_bytes = 50;
@@ -121,7 +128,9 @@ TEST(PacketSink, CountsUniqueAndDuplicates) {
 
 TEST(PacketSink, EndToEndWithLink) {
   AppHarness h(303);
-  PacketSink sink;
+  std::vector<std::uint8_t> seen;
+  std::vector<ReceptionRecord> receptions;
+  PacketSink sink(seen, receptions);
   h.link.SetDeliveryCallback(
       [&sink](const mac::DeliveryInfo& info) { sink.OnDelivery(info); });
   TrafficParams params;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -178,9 +179,10 @@ TEST(Determinism, CampaignCsvIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Scratch-recycled runs vs plain runs. The arena-backed overload promises
-// the exact results of the allocating one — cold (first use of a scratch)
-// and warm (scratch previously used by a *different* configuration).
+// Reused scratch vs fresh scratch. RunLinkSimulation(options) runs on a
+// fresh LinkRunScratch; a reused one must give the exact same results —
+// cold (first use of a scratch) and warm (scratch previously used by a
+// *different* configuration or MAC, or by a run that threw).
 // ---------------------------------------------------------------------------
 
 node::SimulationOptions ScratchRunOptions(std::size_t space_index) {
@@ -190,6 +192,14 @@ node::SimulationOptions ScratchRunOptions(std::size_t space_index) {
   options.seed = 4242;
   options.packet_count = 150;
   options.collect_counters = true;
+  return options;
+}
+
+node::SimulationOptions LplScratchRunOptions() {
+  auto options = ScratchRunOptions(0);
+  options.mac = node::MacKind::kLpl;
+  options.lpl_wakeup_interval_ms = 50.0;
+  options.config.pkt_interval_ms = 200.0;
   return options;
 }
 
@@ -205,6 +215,7 @@ void ExpectResultsIdentical(const node::SimulationResult& a,
   EXPECT_EQ(a.mean_snr_db, b.mean_snr_db) << label;
   EXPECT_EQ(a.cca_busy, b.cca_busy) << label;
   EXPECT_EQ(a.events_executed, b.events_executed) << label;
+  EXPECT_EQ(a.receiver_idle_duty, b.receiver_idle_duty) << label;
   ASSERT_EQ(a.counters.size(), b.counters.size()) << label;
   EXPECT_TRUE(a.counters == b.counters) << label;
   const auto ma = metrics::ComputeMetrics(a, pkt_interval_ms);
@@ -215,21 +226,49 @@ void ExpectResultsIdentical(const node::SimulationResult& a,
 TEST(Determinism, ScratchRunMatchesPlainRunColdAndWarm) {
   const auto options_a = ScratchRunOptions(0);
   const auto options_b = ScratchRunOptions(1234);
+  const auto options_l = LplScratchRunOptions();
   const auto plain_a = node::RunLinkSimulation(options_a);
   const auto plain_b = node::RunLinkSimulation(options_b);
+  const auto plain_l = node::RunLinkSimulation(options_l);
 
   node::LinkRunScratch scratch;
   const auto cold_a = node::RunLinkSimulation(options_a, scratch);
   ExpectResultsIdentical(plain_a, cold_a, options_a.config.pkt_interval_ms,
                          "cold A");
-  // Warm: the scratch just carried a different configuration; nothing of B
-  // may bleed into a rerun of A.
+  // Warm: the scratch just carried a different configuration or MAC;
+  // nothing of the previous run may bleed into the next. LPL registers
+  // mac.lpl_* counters that a CSMA run never revives.
+  const auto warm_l = node::RunLinkSimulation(options_l, scratch);
+  ExpectResultsIdentical(plain_l, warm_l, options_l.config.pkt_interval_ms,
+                         "warm LPL after A");
   const auto warm_b = node::RunLinkSimulation(options_b, scratch);
   ExpectResultsIdentical(plain_b, warm_b, options_b.config.pkt_interval_ms,
                          "warm B");
+  const auto warm_l2 = node::RunLinkSimulation(options_l, scratch);
+  ExpectResultsIdentical(plain_l, warm_l2, options_l.config.pkt_interval_ms,
+                         "warm LPL after B");
   const auto warm_a = node::RunLinkSimulation(options_a, scratch);
   ExpectResultsIdentical(plain_a, warm_a, options_a.config.pkt_interval_ms,
                          "warm A");
+}
+
+TEST(Determinism, ScratchSurvivesARunThatThrows) {
+  // A 5 ms LPL wakeup passes option validation, but LplMac's constructor
+  // rejects it (the 11 ms probe must fit inside the interval): the run
+  // throws with the stack half built, after the runner rewound the scratch.
+  auto failing = LplScratchRunOptions();
+  failing.lpl_wakeup_interval_ms = 5.0;
+  const auto options_a = ScratchRunOptions(0);
+  const auto options_b = ScratchRunOptions(1234);
+  const auto plain_a = node::RunLinkSimulation(options_a);
+
+  node::LinkRunScratch scratch;
+  static_cast<void>(node::RunLinkSimulation(options_b, scratch));
+  EXPECT_THROW(static_cast<void>(node::RunLinkSimulation(failing, scratch)),
+               std::invalid_argument);
+  const auto after = node::RunLinkSimulation(options_a, scratch);
+  ExpectResultsIdentical(plain_a, after, options_a.config.pkt_interval_ms,
+                         "after a throw");
 }
 
 TEST(Determinism, SweepWithoutTracesIdenticalAcrossThreadCounts) {
@@ -254,9 +293,9 @@ TEST(Determinism, SweepWithoutTracesIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, SweepScratchPathMatchesTracedPathMetrics) {
-  // The traced sweep path allocates per run; the untraced one recycles
-  // scratch. Metrics and every counter, the kernel's sim.* included, must
-  // not depend on which path ran.
+  // Traced and untraced configs run the same scratch body; the traced ones
+  // attach a per-run tracer. Metrics and every counter, the kernel's sim.*
+  // included, must not depend on whether a tracer watched.
   const auto configs = TestConfigs();
   auto traced = BaseOptions(4);
   auto untraced = BaseOptions(4);

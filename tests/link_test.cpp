@@ -1,6 +1,8 @@
 // Unit tests for the transmit queue and link layer.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "channel/channel.h"
 #include "link/link_layer.h"
 #include "link/transmit_queue.h"
@@ -14,7 +16,8 @@ namespace {
 // ------------------------------------------------------ transmit queue ----
 
 TEST(TransmitQueue, CapacityOneMeansNoBuffering) {
-  TransmitQueue q(1);
+  std::vector<QueuedPacket> ring;
+  TransmitQueue q(1, ring);
   EXPECT_TRUE(q.Offer({1, 10, 0}));
   (void)q.StartService();
   // In-service packet occupies the single slot: next arrival drops.
@@ -25,7 +28,8 @@ TEST(TransmitQueue, CapacityOneMeansNoBuffering) {
 }
 
 TEST(TransmitQueue, FifoOrder) {
-  TransmitQueue q(10);
+  std::vector<QueuedPacket> ring;
+  TransmitQueue q(10, ring);
   for (std::uint64_t id = 1; id <= 5; ++id) EXPECT_TRUE(q.Offer({id, 10, 0}));
   for (std::uint64_t id = 1; id <= 5; ++id) {
     EXPECT_EQ(q.StartService().id, id);
@@ -34,7 +38,8 @@ TEST(TransmitQueue, FifoOrder) {
 }
 
 TEST(TransmitQueue, OccupancyCountsInService) {
-  TransmitQueue q(3);
+  std::vector<QueuedPacket> ring;
+  TransmitQueue q(3, ring);
   EXPECT_EQ(q.Occupancy(), 0);
   (void)q.Offer({1, 10, 0});
   (void)q.Offer({2, 10, 0});
@@ -49,13 +54,14 @@ TEST(TransmitQueue, OccupancyCountsInService) {
 }
 
 TEST(TransmitQueue, MisuseThrows) {
-  TransmitQueue q(2);
+  std::vector<QueuedPacket> ring;
+  TransmitQueue q(2, ring);
   EXPECT_THROW((void)q.StartService(), std::logic_error);  // nothing waiting
   EXPECT_THROW(q.FinishService(), std::logic_error);       // nothing serving
   (void)q.Offer({1, 10, 0});
   (void)q.StartService();
   EXPECT_THROW((void)q.StartService(), std::logic_error);  // already serving
-  EXPECT_THROW(TransmitQueue(0), std::invalid_argument);
+  EXPECT_THROW(TransmitQueue(0, ring), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- link layer ----
@@ -64,6 +70,8 @@ struct LinkHarness {
   sim::Simulator simulator;
   channel::Channel channel;
   mac::CsmaMac mac;
+  std::vector<QueuedPacket> queue_ring;
+  std::vector<LinkLayer::OpenRecord> open_records;
   LinkLayer link;
 
   LinkHarness(double distance, int pa_level, int max_tries, int queue_cap,
@@ -71,7 +79,7 @@ struct LinkHarness {
       : channel(MakeChannel(distance), util::Rng(seed)),
         mac(simulator, channel, MakeMac(pa_level, max_tries),
             util::Rng(seed + 1)),
-        link(simulator, mac, queue_cap) {}
+        link(simulator, mac, queue_cap, queue_ring, open_records) {}
 
   static channel::ChannelConfig MakeChannel(double distance) {
     channel::ChannelConfig config;

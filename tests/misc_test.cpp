@@ -136,7 +136,7 @@ TEST(Timing, NegativeMillisecondsRound) {
 TEST(Ber, ModelNamesDistinct) {
   EXPECT_EQ(channel::AnalyticOQpskBer().Name(), "analytic-oqpsk");
   EXPECT_EQ(channel::CalibratedExponentialBer().Name(), "calibrated-exp");
-  EXPECT_EQ(channel::MakeDefaultBerModel()->Name(), "calibrated-exp");
+  EXPECT_EQ(channel::DefaultBerModel().Name(), "calibrated-exp");
 }
 
 TEST(Histogram, AsciiRendersBars) {

@@ -220,8 +220,9 @@ TEST(PerfInvariance, InlineAndEventDriversAgreeUntilACompletionArrivalTie) {
 
     sim::Simulator simulator;
     channel::Medium medium;
+    node::NodeScratch scratch;
     node::NodeStack stack(simulator, options, util::Rng(options.seed),
-                          &medium, 0);
+                          &medium, 0, scratch);
     stack.Start();
     simulator.Run();
     const auto event_run =

@@ -175,8 +175,8 @@ void CheckHotAlloc(const FileContext& ctx, std::vector<Finding>* out) {
   // invariant holds (perf_sweep --check measures it dynamically; this rule
   // makes it visible at review time). In marked files, tokens that
   // unconditionally hit the heap allocator are findings. Placement new
-  // (`new (addr) T`) constructs into caller-owned storage — the arena's
-  // whole point — and stays exempt, as do preprocessor lines.
+  // (`new (addr) T`) constructs into caller-owned storage (sim::EventFn's
+  // inline buffer) and stays exempt, as do preprocessor lines.
   bool marked = false;
   for (const Comment& comment : ctx.scan.comments) {
     if (comment.text.find("wsnlint:hot-path") != std::string::npos) {
