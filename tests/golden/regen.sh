@@ -1,16 +1,18 @@
 #!/usr/bin/env sh
-# Regenerates tests/golden/campaign_summary.csv, contention_ladder.csv and
-# serve_responses.txt after an *intentional* behaviour change (channel
-# calibration, MAC timing, medium/contention rules, same-time event order,
-# metric definitions, serve protocol/response schema).
+# Regenerates tests/golden/campaign_summary.csv, contention_ladder.csv,
+# serve_responses.txt and every pinned output under tests/golden/outputs/
+# after an *intentional* behaviour change (channel calibration, MAC timing,
+# medium/contention rules, same-time event order, metric definitions,
+# report formats, serve protocol/response schema).
 #
 # The files are byte-compared by Golden.CampaignSummaryCsvMatchesCheckedInFile,
-# Golden.ContentionLadderCsvMatchesCheckedInFile and
-# ServeGolden.TraceResponsesMatchCheckedInFile, so never refresh them
-# to silence a failing test without understanding why the numbers moved —
-# review the diff like any other calibration change. A serve-response
-# change that affects answers also needs a kServeVersionTag bump
-# (src/serve/protocol.h) so stale persisted caches invalidate.
+# Golden.ContentionLadderCsvMatchesCheckedInFile,
+# ServeGolden.TraceResponsesMatchCheckedInFile and one Golden/<name> ctest
+# per outputs/<name>/ directory, so never refresh them to silence a failing
+# test without understanding why the numbers moved — review the diff like
+# any other calibration change. A serve-response change that affects
+# answers also needs a kServeVersionTag bump (src/serve/protocol.h) so
+# stale persisted caches invalidate.
 #
 # The workload mirrors GoldenCampaignOptions() in tests/golden_test.cpp:
 # an 8-configuration stride through the 48,384-point Table I space
@@ -26,6 +28,12 @@
 #     --checkpoint checkpoint_v1.ckpt --checkpoint-every 2 --max-configs 5
 #   wsnlink_client --inprocess --cache servecache_v1.cache \
 #     --trace <the first four requests of serve_trace.txt>
+#
+# Each outputs/<name>/ directory holds a `cmd` line and the files that run
+# must reproduce (see check_output.sh). To pin a new run, add a directory
+# with its `cmd` and an empty file for each output to pin (`stdout` for
+# the standard output), rerun cmake so its ctest is registered, then run
+# this script.
 #
 # Usage:  tests/golden/regen.sh   [BUILD_DIR=/path/to/build]
 set -eu
@@ -60,7 +68,15 @@ cmake --build "$BUILD" --target wsnlink_client
   --trace "$ROOT/tests/golden/serve_trace.txt" \
   --out "$SERVE_GOLDEN"
 
+# Output goldens: rerun each pinned bench and example and copy back the
+# files its directory pins.
+OUTPUTS="$ROOT/tests/golden/outputs"
+cmake --build "$BUILD"
+for dir in "$OUTPUTS"/*/; do
+  sh "$ROOT/tests/golden/check_output.sh" regen "$BUILD" "${dir%/}"
+done
+
 echo
 git -C "$ROOT" --no-pager diff --stat -- \
-  "$GOLDEN" "$LADDER_GOLDEN" "$SERVE_GOLDEN" || true
-echo "regen.sh: wrote $GOLDEN, $LADDER_GOLDEN and $SERVE_GOLDEN — review the diff, then commit deliberately."
+  "$GOLDEN" "$LADDER_GOLDEN" "$SERVE_GOLDEN" "$OUTPUTS" || true
+echo "regen.sh: wrote $GOLDEN, $LADDER_GOLDEN, $SERVE_GOLDEN and $OUTPUTS — review the diff, then commit deliberately."
