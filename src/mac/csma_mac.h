@@ -40,26 +40,10 @@ class CsmaMac final : public Mac {
   CsmaMac(sim::Simulator& simulator, channel::Channel& channel,
           MacParams params, util::Rng rng);
 
-  void Send(std::uint64_t packet_id, int payload_bytes,
-            DoneCallback done) override;
-
-  [[nodiscard]] bool Busy() const override { return busy_; }
-
-  void SetDeliveryCallback(DeliveryCallback cb) override {
-    on_delivery_ = std::move(cb);
-  }
-  void SetAttemptCallback(AttemptCallback cb) override {
-    on_attempt_ = std::move(cb);
-  }
-
+  /// Also registers mac.tx_attempts.
   void AttachTrace(const trace::TraceContext& ctx) override;
 
   [[nodiscard]] const MacParams& Params() const noexcept { return params_; }
-
-  /// Cumulative count of CCA checks that found the channel busy.
-  [[nodiscard]] std::uint64_t CcaBusyCount() const noexcept override {
-    return cca_busy_;
-  }
 
  private:
   /// The rungs of one attempt, in ladder order. A CCA that exhausts its
@@ -71,59 +55,16 @@ class CsmaMac final : public Mac {
     kOutcome,
     kFinish,
   };
-  /// Advance's result once the packet is finished.
-  static constexpr sim::Duration kDone = -1;
 
-  /// Runs the current step at simulated time `t` and returns the wait
-  /// until the next one, or kDone. The ladder's only implementation: Send
-  /// drives it inline when no shared medium is attached, and OnStep drives
-  /// it one event per step when one is. Either way every RNG draw, channel
-  /// query, callback and trace event happens in the same order with the
-  /// same timestamp.
-  sim::Duration Advance(sim::Time t);
-  /// Event driver: one Advance per event, completing in the last one.
-  void OnStep();
-  void Complete();
-  void EmitRadioState(sim::Time at, trace::RadioState state);
+  sim::Duration Advance(sim::Time t) override;
+  /// Traces the sender radio's state as kRadioState events.
+  void OnRadioState(sim::Time at, trace::RadioState state) override;
 
-  sim::Simulator& sim_;
-  channel::Channel& channel_;
   MacParams params_;
   util::Rng rng_;
-  DeliveryCallback on_delivery_;
-  AttemptCallback on_attempt_;
-
-  // In-flight send state.
-  bool busy_ = false;
-  std::uint64_t packet_id_ = 0;
-  int payload_bytes_ = 0;
-  int frame_bytes_ = 0;
-  int tries_done_ = 0;
-  bool delivered_any_ = false;
-  bool acked_ = false;
-  sim::Time accepted_at_ = 0;
-  double tx_energy_uj_ = 0.0;
-  sim::Duration listen_time_ = 0;
   Step step_ = Step::kBackoff;
   int cca_retries_left_ = 0;
-  DoneCallback done_;
-
-  std::uint64_t cca_busy_ = 0;
-
-  // Observability (null = off).
-  trace::Tracer* tracer_ = nullptr;
-  trace::CounterRegistry* counters_ = nullptr;
-  std::int32_t node_ = 0;
-  trace::CounterRegistry::Id id_sends_ = 0;
   trace::CounterRegistry::Id id_tx_attempts_ = 0;
-  trace::CounterRegistry::Id id_cca_busy_ = 0;
-  trace::CounterRegistry::Id id_frames_decoded_ = 0;
-  trace::CounterRegistry::Id id_acks_received_ = 0;
-  trace::CounterRegistry::Id id_bytes_radiated_ = 0;
 };
-
-/// Maximum number of congestion backoffs per attempt before the attempt is
-/// abandoned as if unacknowledged (bounds pathological interference).
-inline constexpr int kMaxCcaRetries = 16;
 
 }  // namespace wsnlink::mac

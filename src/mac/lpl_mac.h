@@ -49,18 +49,7 @@ class LplMac final : public Mac {
   LplMac(sim::Simulator& simulator, channel::Channel& channel,
          LplParams params, util::Rng rng);
 
-  void Send(std::uint64_t packet_id, int payload_bytes,
-            DoneCallback done) override;
-
-  [[nodiscard]] bool Busy() const override { return busy_; }
-
-  void SetDeliveryCallback(DeliveryCallback cb) override {
-    on_delivery_ = std::move(cb);
-  }
-  void SetAttemptCallback(AttemptCallback cb) override {
-    on_attempt_ = std::move(cb);
-  }
-
+  /// Also registers mac.lpl_trains and mac.lpl_copies.
   void AttachTrace(const trace::TraceContext& ctx) override;
 
   [[nodiscard]] const LplParams& Params() const noexcept { return params_; }
@@ -74,69 +63,41 @@ class LplMac final : public Mac {
   /// full RX power instead; this quantifies LPL's receiver saving.
   [[nodiscard]] double ReceiverIdlePowerMw() const noexcept;
 
-  /// Total copies radiated across all packets (diagnostics).
-  [[nodiscard]] std::uint64_t CopiesSent() const noexcept { return copies_sent_; }
-
-  /// Carrier-sense checks that found another node's frame on the air
-  /// (always 0 without a shared medium: the solo LPL sender pre-dates
-  /// multi-node and samples nothing before a train).
-  [[nodiscard]] std::uint64_t CcaBusyCount() const noexcept override {
-    return cca_busy_;
-  }
-
  private:
+  /// The rungs of one packet, in ladder order.
+  enum class Step : std::uint8_t {
+    kTrainStart,  ///< count the train, draw its backoff
+    /// Carrier sense of the shared medium only (RNG-free). Once clear, or
+    /// out of backoffs, the first copy goes out in the same step; without
+    /// a medium it is always clear, so a single-link train draws nothing
+    /// here.
+    kTrainCca,
+    kCopy,     ///< put one copy on the air
+    kCopyEnd,  ///< decode and ACK; a train that ends unacked finishes here
+    kFinish,   ///< done, or the next train after the retry delay
+  };
+
+  sim::Duration Advance(sim::Time t) override;
+
   /// True if the receiver is awake at `t` (probe window each wakeup, plus
   /// it stays awake once a copy for the in-flight packet was decoded).
   [[nodiscard]] bool ReceiverAwake(sim::Time t) const;
 
-  void StartTrain();
-  /// Medium-only carrier sense before the train's first copy. Without a
-  /// shared medium it falls straight through to SendCopy — no extra
-  /// events, no RNG draws — keeping single-link runs bit-identical.
-  void TrainCca(int retries_left);
-  void BeginCopies();
-  void SendCopy(sim::Time train_deadline);
-  void FinishTrain(bool acked);
-  void Complete();
-
-  sim::Simulator& sim_;
-  channel::Channel& channel_;
   LplParams params_;
   util::Rng rng_;
-  DeliveryCallback on_delivery_;
-  AttemptCallback on_attempt_;
 
   // Receiver wake schedule: wakes at phase_ + k * wakeup_interval.
   sim::Duration phase_ = 0;
 
-  // In-flight state.
-  bool busy_ = false;
-  std::uint64_t packet_id_ = 0;
-  int payload_bytes_ = 0;
-  int frame_bytes_ = 0;
-  int trains_done_ = 0;
-  int copies_this_packet_ = 0;
-  bool delivered_any_ = false;
+  // Ladder state of the packet in flight.
+  Step step_ = Step::kTrainStart;
+  int cca_retries_left_ = 0;
+  int copies_ = 0;                 // copies radiated for this packet
+  sim::Time train_deadline_ = 0;   // no copy may end after it
   bool receiver_latched_ = false;  // receiver saw a copy: stays awake
-  bool acked_ = false;
-  sim::Time accepted_at_ = 0;
-  double tx_energy_uj_ = 0.0;
-  DoneCallback done_;
 
-  std::uint64_t copies_sent_ = 0;
-  std::uint64_t cca_busy_ = 0;
-
-  // Observability (null = off).
-  trace::Tracer* tracer_ = nullptr;
-  trace::CounterRegistry* counters_ = nullptr;
-  std::int32_t node_ = 0;
-  trace::CounterRegistry::Id id_sends_ = 0;
   trace::CounterRegistry::Id id_trains_ = 0;
-  trace::CounterRegistry::Id id_cca_busy_ = 0;
   trace::CounterRegistry::Id id_copies_ = 0;
-  trace::CounterRegistry::Id id_frames_decoded_ = 0;
-  trace::CounterRegistry::Id id_acks_received_ = 0;
-  trace::CounterRegistry::Id id_bytes_radiated_ = 0;
 };
 
 }  // namespace wsnlink::mac

@@ -1,7 +1,7 @@
-// Property suite locking down the sweep executor and the CSMA ladder's two
-// drivers.
+// Property suite locking down the sweep executor and the two drivers of
+// the MAC ladders.
 //
-// The performance work (shared pool, chunked dispatch, inline CSMA driver)
+// The performance work (shared pool, chunked dispatch, inline MAC driver)
 // is only admissible because it changes *nothing* observable. This file
 // pins that:
 //  * bit-identical metrics, counters and traces across worker counts
@@ -17,6 +17,7 @@
 // minimised at an interior payload size.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "channel/medium.h"
@@ -132,17 +133,39 @@ bool SameAttempt(const link::AttemptRecord& a, const link::AttemptRecord& b) {
          a.data_received == b.data_received && a.acked == b.acked;
 }
 
-/// Table I configs whose 300-packet runs (seed SweepSeed(99, index))
-/// contain a packet arriving at the instant an earlier one completes, and
-/// whose inline and event drivers part ways at such a tie.
-constexpr std::size_t kTieConfigs[] = {6216, 11174, 19573, 35964};
+/// A Table I config run for 300 packets (seed SweepSeed(99, index)) with
+/// CSMA, or with LPL at `lpl_wakeup_ms` when that is nonzero.
+struct TieCase {
+  std::size_t index;
+  double lpl_wakeup_ms;
+};
 
-node::SimulationOptions TieReproducer(std::size_t index) {
+/// Runs that contain a packet arriving at the instant an earlier one
+/// completes, and whose inline and event drivers part ways at such a tie:
+/// four CSMA configs, and one LPL config at each of three wakeups.
+constexpr TieCase kTieCases[] = {{6216, 0.0},    {11174, 0.0},
+                                 {19573, 0.0},   {35964, 0.0},
+                                 {10946, 50.0},  {40158, 100.0},
+                                 {6344, 200.0}};
+
+node::SimulationOptions TieReproducer(const TieCase& tie) {
   node::SimulationOptions options;
-  options.config = core::opt::ConfigSpace::PaperTableI().At(index);
-  options.seed = experiment::SweepSeed(99, index);
+  options.config = core::opt::ConfigSpace::PaperTableI().At(tie.index);
+  options.seed = experiment::SweepSeed(99, tie.index);
   options.packet_count = 300;
+  if (tie.lpl_wakeup_ms > 0.0) {
+    options.mac = node::MacKind::kLpl;
+    options.lpl_wakeup_interval_ms = tie.lpl_wakeup_ms;
+  }
   return options;
+}
+
+std::string Describe(const TieCase& tie) {
+  return "config " + std::to_string(tie.index) +
+         (tie.lpl_wakeup_ms > 0.0
+              ? " (LPL " + std::to_string(static_cast<int>(tie.lpl_wakeup_ms)) +
+                    " ms)"
+              : " (CSMA)");
 }
 
 // A tracer only observes: the traced run takes the same driver as the
@@ -167,8 +190,9 @@ TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
     EXPECT_FALSE(traced[i].events.empty()) << "config " << i;
   }
 
-  for (const std::size_t index : kTieConfigs) {
-    auto run_options = TieReproducer(index);
+  for (const TieCase& tie : kTieCases) {
+    const std::string what = Describe(tie);
+    auto run_options = TieReproducer(tie);
     const auto plain = node::RunLinkSimulation(run_options);
     trace::Tracer tracer;
     run_options.tracer = &tracer;
@@ -176,21 +200,18 @@ TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
 
     const auto& a = plain.log.Packets();
     const auto& b = traced_run.log.Packets();
-    ASSERT_EQ(a.size(), b.size()) << "config " << index;
+    ASSERT_EQ(a.size(), b.size()) << what;
     for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_TRUE(SamePacket(a[k], b[k]))
-          << "config " << index << ": packet " << k;
+      EXPECT_TRUE(SamePacket(a[k], b[k])) << what << ": packet " << k;
     }
     const auto& x = plain.log.Attempts();
     const auto& y = traced_run.log.Attempts();
-    ASSERT_EQ(x.size(), y.size()) << "config " << index;
+    ASSERT_EQ(x.size(), y.size()) << what;
     for (std::size_t k = 0; k < x.size(); ++k) {
-      EXPECT_TRUE(SameAttempt(x[k], y[k]))
-          << "config " << index << ": attempt " << k;
+      EXPECT_TRUE(SameAttempt(x[k], y[k])) << what << ": attempt " << k;
     }
-    EXPECT_EQ(plain.events_executed, traced_run.events_executed)
-        << "config " << index;
-    EXPECT_TRUE(plain.counters == traced_run.counters) << "config " << index;
+    EXPECT_EQ(plain.events_executed, traced_run.events_executed) << what;
+    EXPECT_TRUE(plain.counters == traced_run.counters) << what;
   }
 }
 
@@ -213,9 +234,11 @@ TEST(PerfInvariance, InlineAndEventDriversAgreeUntilACompletionArrivalTie) {
   // last one, after the arrival, which then finds the queue full. Whatever
   // the tie order, the drivers must agree on every packet before the first
   // divergence, and that packet must arrive at an earlier packet's
-  // completion instant.
-  for (const std::size_t index : kTieConfigs) {
-    const auto options = TieReproducer(index);
+  // completion instant. Both MACs share the one driver, so the rule holds
+  // for CSMA and LPL alike.
+  for (const TieCase& tie : kTieCases) {
+    const std::string what = Describe(tie);
+    const auto options = TieReproducer(tie);
     const auto inline_run = node::RunLinkSimulation(options);
 
     sim::Simulator simulator;
@@ -230,21 +253,19 @@ TEST(PerfInvariance, InlineAndEventDriversAgreeUntilACompletionArrivalTie) {
 
     const auto& a = inline_run.log.Packets();
     const auto& b = event_run.log.Packets();
-    ASSERT_EQ(a.size(), b.size()) << "config " << index;
+    ASSERT_EQ(a.size(), b.size()) << what;
     std::size_t ties = 0;
     for (std::size_t k = 0; k < a.size(); ++k) {
       if (ArrivesAtACompletion(a, k)) ++ties;
     }
-    EXPECT_GT(ties, 0u) << "config " << index << " no longer has a tie";
+    EXPECT_GT(ties, 0u) << what << " no longer has a tie";
     std::size_t first = 0;
     while (first < a.size() && SamePacket(a[first], b[first])) ++first;
-    ASSERT_LT(first, a.size())
-        << "config " << index << ": the drivers no longer part ways";
+    ASSERT_LT(first, a.size()) << what << ": the drivers no longer part ways";
     EXPECT_TRUE(ArrivesAtACompletion(a, first))
-        << "config " << index << ": packet " << first
+        << what << ": packet " << first
         << " differs without a completion/arrival tie";
-    EXPECT_LT(inline_run.events_executed, event_run.events_executed)
-        << "config " << index;
+    EXPECT_LT(inline_run.events_executed, event_run.events_executed) << what;
   }
 }
 
