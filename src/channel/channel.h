@@ -121,7 +121,7 @@ class Channel {
   }
 
   /// True when this channel senses real concurrent transmitters (a medium
-  /// is attached). The CSMA MAC then drives its ladder one event per step
+  /// is attached). The MAC then drives its ladder one event per step
   /// instead of inline.
   [[nodiscard]] bool ContendedMedium() const noexcept {
     return medium_ != nullptr;

@@ -127,6 +127,7 @@ class Mac {
 
   /// Cumulative count of carrier-sense checks that found the channel busy
   /// (also exported as the "mac.cca_busy" counter when one is attached).
+  /// LPL senses only a shared medium, so its count is 0 on a single link.
   [[nodiscard]] std::uint64_t CcaBusyCount() const noexcept {
     return cca_busy_;
   }

@@ -134,9 +134,9 @@ class Tracer {
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
   /// Records one event; O(1). When full, overwrites the event emitted
-  /// longest ago. Events may be emitted ahead of simulated time (the CSMA
-  /// MAC emits a packet's whole attempt ladder when no shared medium is
-  /// attached), so emission order need not be time order.
+  /// longest ago. Events may be emitted ahead of simulated time (the MAC
+  /// emits a packet's whole ladder when no shared medium is attached), so
+  /// emission order need not be time order.
   void Emit(const TraceEvent& event) noexcept {
     ring_[static_cast<std::size_t>(emitted_ % ring_.size())] = event;
     ++emitted_;

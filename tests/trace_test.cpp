@@ -392,6 +392,17 @@ TEST(TraceInvariants, LplTrainsMatchTries) {
     EXPECT_GE(pe.Count(EventType::kLplCopySent),
               pe.Count(EventType::kLplTrainStart));
     EXPECT_LE(pe.Count(EventType::kLplReceiverWake), record.tries);
+    // Copies are numbered 1, 2, ... within the packet, across its trains,
+    // and each names the train it belongs to.
+    std::int64_t copy = 0;
+    std::int64_t train = 1;
+    for (const auto& e : pe.events) {
+      if (e.type != EventType::kLplCopySent) continue;
+      EXPECT_EQ(e.arg1, ++copy) << "packet " << record.id;
+      EXPECT_GE(e.arg0, train) << "packet " << record.id;
+      EXPECT_LE(e.arg0, record.tries) << "packet " << record.id;
+      train = e.arg0;
+    }
   }
 }
 
