@@ -114,7 +114,9 @@ class Mac {
   [[nodiscard]] bool Busy() const noexcept { return busy_; }
 
   /// Installs the receiver-side delivery observer (may be empty).
-  void SetDeliveryCallback(DeliveryCallback cb) { on_delivery_ = std::move(cb); }
+  void SetDeliveryCallback(DeliveryCallback cb) {
+    on_delivery_ = std::move(cb);
+  }
 
   /// Installs the per-attempt observer (may be empty).
   void SetAttemptCallback(AttemptCallback cb) { on_attempt_ = std::move(cb); }

@@ -161,11 +161,11 @@ node::SimulationOptions TieReproducer(const TieCase& tie) {
 }
 
 std::string Describe(const TieCase& tie) {
-  return "config " + std::to_string(tie.index) +
-         (tie.lpl_wakeup_ms > 0.0
-              ? " (LPL " + std::to_string(static_cast<int>(tie.lpl_wakeup_ms)) +
-                    " ms)"
-              : " (CSMA)");
+  const std::string mac =
+      tie.lpl_wakeup_ms > 0.0
+          ? "LPL " + std::to_string(static_cast<int>(tie.lpl_wakeup_ms)) + " ms"
+          : "CSMA";
+  return "config " + std::to_string(tie.index) + " (" + mac + ")";
 }
 
 // A tracer only observes: the traced run takes the same driver as the
