@@ -21,13 +21,6 @@ double EnergyModel::MicrojoulesPerBit(int payload_bytes, double snr_db,
   return e_tx * overhead_ratio / (1.0 - per);
 }
 
-double EnergyModel::BitsPerMicrojoule(int payload_bytes, double snr_db,
-                                      int pa_level) const {
-  const double u = MicrojoulesPerBit(payload_bytes, snr_db, pa_level);
-  if (!(u < std::numeric_limits<double>::infinity())) return 0.0;
-  return 1.0 / u;
-}
-
 int EnergyModel::OptimalPayload(double snr_db, int pa_level) const {
   int best = 1;
   double best_u = MicrojoulesPerBit(1, snr_db, pa_level);

@@ -18,12 +18,6 @@ double NtriesModel::MeanTries(int payload_bytes, double snr_db) const {
                    std::exp(coeff_.b * snr_db);
 }
 
-double NtriesModel::ImpliedAttemptFailure(int payload_bytes,
-                                          double snr_db) const {
-  const double x = MeanTries(payload_bytes, snr_db) - 1.0;
-  return x / (1.0 + x);
-}
-
 double NtriesModel::MeanTriesTruncated(int payload_bytes, double snr_db,
                                        int max_tries) const {
   if (max_tries < 1) {

@@ -26,11 +26,6 @@ class NtriesModel {
   [[nodiscard]] double MeanTriesTruncated(int payload_bytes, double snr_db,
                                           int max_tries) const;
 
-  /// The per-attempt failure probability implied by Eq. (7):
-  /// p = x / (1 + x) with x = a * l_D * exp(b * SNR). Always in [0, 1).
-  [[nodiscard]] double ImpliedAttemptFailure(int payload_bytes,
-                                             double snr_db) const;
-
   [[nodiscard]] const ScaledExpCoefficients& Coefficients() const noexcept {
     return coeff_;
   }

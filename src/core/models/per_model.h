@@ -20,10 +20,6 @@ class PerModel {
   /// PER for one attempt, clamped to [0, 1]. payload_bytes in [1, 114].
   [[nodiscard]] double Per(int payload_bytes, double snr_db) const;
 
-  /// SNR at which PER drops to `target` for the given payload (inverse of
-  /// Eq. 3). Requires 0 < target < 1.
-  [[nodiscard]] double SnrForPer(int payload_bytes, double target) const;
-
   /// Joint-effect zone classification of Fig. 6(d).
   enum class Zone { kHighImpact, kMediumImpact, kLowImpact };
   [[nodiscard]] static Zone ClassifyZone(double snr_db) noexcept;

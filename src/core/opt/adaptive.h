@@ -100,11 +100,6 @@ class AdaptiveController {
   /// The currently recommended configuration.
   [[nodiscard]] const StackConfig& Config() const noexcept { return config_; }
 
-  /// The estimator (for inspection / tests).
-  [[nodiscard]] const LinkQualityEstimator& Estimator() const noexcept {
-    return estimator_;
-  }
-
   /// Number of reconfigurations performed so far.
   [[nodiscard]] int Reconfigurations() const noexcept { return reconfigs_; }
 

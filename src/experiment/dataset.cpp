@@ -1,7 +1,11 @@
 #include "experiment/dataset.h"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/args.h"
 #include "util/csv.h"
@@ -25,39 +29,24 @@ double CellToDouble(const std::string& cell) {
   }
 }
 
-}  // namespace
-
-std::vector<std::string> PacketCsvHeaders() {
-  return {"packet_id",     "payload_bytes",  "arrived_us",
-          "queue_depth",   "dropped_queue",  "service_start_us",
-          "completed_us",  "acked",          "delivered",
-          "tries",         "tx_energy_uj",   "first_delivered_us",
-          "rssi_dbm",      "snr_db",         "lqi"};
-}
-
-void WritePacketLogCsv(const std::string& path, const link::PacketLog& log) {
-  util::CsvWriter writer(path, PacketCsvHeaders());
-  for (const auto& p : log.Packets()) {
-    writer.WriteRow({
-        std::to_string(p.id),
-        std::to_string(p.payload_bytes),
-        std::to_string(p.arrived_at),
-        std::to_string(p.queue_depth_at_arrival),
-        p.dropped_at_queue ? "1" : "0",
-        std::to_string(p.service_start),
-        std::to_string(p.completed_at),
-        p.acked ? "1" : "0",
-        p.delivered ? "1" : "0",
-        std::to_string(p.tries),
-        Fmt(p.tx_energy_uj),
-        std::to_string(p.first_delivered_at),
-        Fmt(p.rssi_dbm),
-        Fmt(p.snr_db),
-        std::to_string(p.lqi),
-    });
+/// Converts a parsed cell to the integer type of its field. Casting a NaN,
+/// infinite, or out-of-range double is undefined behaviour, so anything but
+/// a finite integral value that T can hold throws, naming the column.
+template <typename T>
+T ToInteger(double value, std::string_view column) {
+  // T holds exactly the integers in [lowest, 2^digits); both bounds are
+  // exact doubles.
+  const double lo = static_cast<double>(std::numeric_limits<T>::lowest());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= lo && value < hi) || std::trunc(value) != value) {
+    throw std::runtime_error("dataset column " + std::string(column) +
+                             " holds " + Fmt(value) +
+                             ", not an integer in range");
   }
-  writer.Close();
+  return static_cast<T>(value);
 }
+
+}  // namespace
 
 std::vector<std::string> AttemptCsvHeaders() {
   return {"packet_id", "attempt", "payload_bytes", "at_us",
@@ -94,16 +83,14 @@ std::vector<link::AttemptRecord> ReadAttemptLogCsv(const std::string& path) {
 
   std::vector<link::AttemptRecord> records(data.rows.size());
   for (std::size_t i = 0; i < data.rows.size(); ++i) {
-    records[i].packet_id = static_cast<std::uint64_t>(packet_id[i]);
-    records[i].attempt = static_cast<int>(attempt[i]);
-    records[i].payload_bytes = static_cast<int>(payload[i]);
-    records[i].at = static_cast<sim::Time>(at[i]);
+    records[i].packet_id = ToInteger<std::uint64_t>(packet_id[i], "packet_id");
+    records[i].attempt = ToInteger<int>(attempt[i], "attempt");
+    records[i].payload_bytes = ToInteger<int>(payload[i], "payload_bytes");
+    records[i].at = ToInteger<sim::Time>(at[i], "at_us");
     records[i].rssi_dbm = rssi[i];
     records[i].snr_db = snr[i];
-    // wsnlint:allow(no-float-eq): 0/1 flag columns parse to exactly 0.0 or
-    // 1.0, so != 0.0 is the precise decode, not a tolerance bug.
-    records[i].data_received = received[i] != 0.0;
-    records[i].acked = acked[i] != 0.0;
+    records[i].data_received = ToInteger<bool>(received[i], "data_received");
+    records[i].acked = ToInteger<bool>(acked[i], "acked");
   }
   return records;
 }
@@ -155,19 +142,23 @@ std::string SerializeSummaryRow(const SweepPoint& point) {
 
 SweepPoint ParseSummaryRow(const std::string& row) {
   const auto cells = util::ParseCsvLine(row);
-  if (cells.size() != SummaryCsvHeaders().size()) {
+  const auto headers = SummaryCsvHeaders();
+  if (cells.size() != headers.size()) {
     throw std::runtime_error("ParseSummaryRow: expected " +
-                             std::to_string(SummaryCsvHeaders().size()) +
-                             " cells, got " + std::to_string(cells.size()));
+                             std::to_string(headers.size()) + " cells, got " +
+                             std::to_string(cells.size()));
   }
+  const auto cell_int = [&cells, &headers](std::size_t i) {
+    return ToInteger<int>(CellToDouble(cells[i]), headers[i]);
+  };
   SweepPoint p;
   p.config.distance_m = CellToDouble(cells[0]);
-  p.config.pa_level = static_cast<int>(CellToDouble(cells[1]));
-  p.config.max_tries = static_cast<int>(CellToDouble(cells[2]));
+  p.config.pa_level = cell_int(1);
+  p.config.max_tries = cell_int(2);
   p.config.retry_delay_ms = CellToDouble(cells[3]);
-  p.config.queue_capacity = static_cast<int>(CellToDouble(cells[4]));
+  p.config.queue_capacity = cell_int(4);
   p.config.pkt_interval_ms = CellToDouble(cells[5]);
-  p.config.payload_bytes = static_cast<int>(CellToDouble(cells[6]));
+  p.config.payload_bytes = cell_int(6);
   p.mean_snr_db = CellToDouble(cells[7]);
   p.measured.per = CellToDouble(cells[8]);
   p.measured.mean_tries_acked = CellToDouble(cells[9]);
@@ -179,9 +170,9 @@ SweepPoint ParseSummaryRow(const std::string& row) {
   p.measured.plr_radio = CellToDouble(cells[15]);
   p.measured.plr_total = CellToDouble(cells[16]);
   p.measured.utilization = CellToDouble(cells[17]);
-  p.measured.generated = static_cast<int>(CellToDouble(cells[18]));
+  p.measured.generated = cell_int(18);
   p.measured.delivered_unique =
-      static_cast<std::uint64_t>(CellToDouble(cells[19]));
+      ToInteger<std::uint64_t>(CellToDouble(cells[19]), headers[19]);
   p.measured.delay_p50_ms = CellToDouble(cells[20]);
   p.measured.p99_delay_ms = CellToDouble(cells[21]);
   p.measured.delay_max_ms = CellToDouble(cells[22]);
@@ -258,12 +249,12 @@ std::vector<SweepPoint> ReadSummaryCsv(const std::string& path) {
   for (std::size_t i = 0; i < data.rows.size(); ++i) {
     auto& p = points[i];
     p.config.distance_m = distance[i];
-    p.config.pa_level = static_cast<int>(pa[i]);
-    p.config.max_tries = static_cast<int>(tries[i]);
+    p.config.pa_level = ToInteger<int>(pa[i], "pa_level");
+    p.config.max_tries = ToInteger<int>(tries[i], "max_tries");
     p.config.retry_delay_ms = retry[i];
-    p.config.queue_capacity = static_cast<int>(qcap[i]);
+    p.config.queue_capacity = ToInteger<int>(qcap[i], "queue_cap");
     p.config.pkt_interval_ms = interval[i];
-    p.config.payload_bytes = static_cast<int>(payload[i]);
+    p.config.payload_bytes = ToInteger<int>(payload[i], "payload_bytes");
     p.mean_snr_db = snr[i];
     p.measured.per = per[i];
     p.measured.mean_tries_acked = mean_tries[i];
@@ -275,8 +266,9 @@ std::vector<SweepPoint> ReadSummaryCsv(const std::string& path) {
     p.measured.plr_radio = plr_radio[i];
     p.measured.plr_total = plr_total[i];
     p.measured.utilization = util_col[i];
-    p.measured.generated = static_cast<int>(generated[i]);
-    p.measured.delivered_unique = static_cast<std::uint64_t>(delivered[i]);
+    p.measured.generated = ToInteger<int>(generated[i], "generated");
+    p.measured.delivered_unique =
+        ToInteger<std::uint64_t>(delivered[i], "delivered");
     p.measured.delay_p50_ms = delay_p50[i];
     p.measured.p99_delay_ms = delay_p99[i];
     p.measured.delay_max_ms = delay_max[i];

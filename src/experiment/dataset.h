@@ -1,10 +1,14 @@
 // Dataset export — the synthetic counterpart of the paper's public dataset.
 //
 // Two CSV schemas:
-//  * per-packet:  one row per application packet with the same metadata the
-//    motes logged (timestamps, tries, queue depth, RSSI/LQI, outcome);
+//  * per-attempt: one row per transmission attempt (packet, attempt index,
+//    payload, time, RSSI/SNR, outcome), the trace the offline what-if
+//    replay consumes;
 //  * per-config:  one summary row per configuration with the measured
 //    metric vector, which is what the analysis/fitting stages consume.
+//
+// The readers reject an integer column whose cell is not a finite integral
+// value in the field's range, naming the column.
 #pragma once
 
 #include <string>
@@ -14,12 +18,6 @@
 #include "link/packet_log.h"
 
 namespace wsnlink::experiment {
-
-/// Column headers of the per-packet schema.
-[[nodiscard]] std::vector<std::string> PacketCsvHeaders();
-
-/// Writes one run's packet log (throws std::runtime_error on I/O failure).
-void WritePacketLogCsv(const std::string& path, const link::PacketLog& log);
 
 /// Column headers of the per-attempt schema (the trace the what-if
 /// analysis in metrics/what_if.h consumes offline).

@@ -59,7 +59,6 @@ class TransmitQueue {
   /// Marks the in-service packet finished. Requires InService().
   void FinishService();
 
-  [[nodiscard]] int Capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t Drops() const noexcept { return drops_; }
   [[nodiscard]] std::uint64_t Accepted() const noexcept { return accepted_; }
 

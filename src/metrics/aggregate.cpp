@@ -38,17 +38,6 @@ std::vector<SnrBucket> PerBySnr(std::span<const link::AttemptRecord> attempts,
   return out;
 }
 
-std::vector<SnrBucket> PerBySnrForPayload(
-    std::span<const link::AttemptRecord> attempts, int payload_bytes,
-    double bucket_width_db) {
-  std::vector<link::AttemptRecord> filtered;
-  filtered.reserve(attempts.size());
-  for (const auto& a : attempts) {
-    if (a.payload_bytes == payload_bytes) filtered.push_back(a);
-  }
-  return PerBySnr(filtered, bucket_width_db);
-}
-
 std::vector<core::fit::ScaledExpSample> PerFitSamples(
     std::span<const link::AttemptRecord> attempts, double bucket_width_db,
     std::uint64_t min_attempts_per_bucket) {

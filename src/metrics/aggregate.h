@@ -33,11 +33,6 @@ struct SnrBucket {
 [[nodiscard]] std::vector<SnrBucket> PerBySnr(
     std::span<const link::AttemptRecord> attempts, double bucket_width_db);
 
-/// Same, restricted to attempts of one payload size.
-[[nodiscard]] std::vector<SnrBucket> PerBySnrForPayload(
-    std::span<const link::AttemptRecord> attempts, int payload_bytes,
-    double bucket_width_db);
-
 /// Converts bucketed PER observations into fitter samples
 /// (one sample per (payload, bucket), weighted implicitly by inclusion).
 [[nodiscard]] std::vector<core::fit::ScaledExpSample> PerFitSamples(

@@ -115,11 +115,6 @@ class ResultCache {
   /// Entries evicted by the cap so far (Store-time and Load-time alike).
   [[nodiscard]] std::uint64_t Evictions() const;
 
-  /// The configured entry cap (0 = unbounded).
-  [[nodiscard]] std::size_t MaxEntries() const noexcept {
-    return max_entries_;
-  }
-
   /// Makes every entry durable at `path`: appends the entries stored
   /// since the last Save, or compacts (see the file comment). Throws
   /// experiment::CheckpointError on failure (injected or real); every

@@ -154,8 +154,6 @@ class Tracer {
     return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
   }
 
-  [[nodiscard]] std::size_t Capacity() const noexcept { return ring_.size(); }
-
   /// Forgets all recorded events (capacity unchanged).
   void Clear() noexcept { emitted_ = 0; }
 

@@ -43,7 +43,6 @@ void CsvWriter::WriteRow(const std::vector<std::string>& cells) {
   }
   if (closed_) throw std::logic_error("CsvWriter: write after Close()");
   WriteCells(cells);
-  ++rows_;
 }
 
 void CsvWriter::Close() {
@@ -162,15 +161,12 @@ CsvData ReadCsv(const std::string& path) {
   return data;
 }
 
-std::size_t CsvData::ColumnIndex(std::string_view name) const {
-  for (std::size_t i = 0; i < headers.size(); ++i) {
-    if (headers[i] == name) return i;
-  }
-  throw std::out_of_range("CsvData: no column named " + std::string(name));
-}
-
 std::vector<double> CsvData::NumericColumn(std::string_view name) const {
-  const std::size_t col = ColumnIndex(name);
+  const auto header = std::find(headers.begin(), headers.end(), name);
+  if (header == headers.end()) {
+    throw std::out_of_range("CsvData: no column named " + std::string(name));
+  }
+  const auto col = static_cast<std::size_t>(header - headers.begin());
   std::vector<double> values;
   values.reserve(rows.size());
   for (const auto& row : rows) {

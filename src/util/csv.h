@@ -1,9 +1,9 @@
 // Minimal CSV writer/reader for dataset export.
 //
-// The experiment campaign emits the same per-packet metadata schema the
-// paper's public dataset used; this module handles the file format. The
-// reader exists so tests can round-trip what the campaign wrote and so
-// downstream analysis (fitting) can run off a dumped dataset instead of a
+// The experiment layer writes its attempt logs and the campaign's failure
+// list through this module; it handles the file format. The reader exists
+// so tests can round-trip what was written and so downstream analysis
+// (fitting, what-if replays) can run off a dumped dataset instead of a
 // live simulation.
 #pragma once
 
@@ -36,9 +36,6 @@ class CsvWriter {
   /// Idempotent; after Close() the writer accepts no more rows.
   void Close();
 
-  [[nodiscard]] std::size_t RowsWritten() const noexcept { return rows_; }
-  [[nodiscard]] const std::string& Path() const noexcept { return path_; }
-
  private:
   void WriteCells(const std::vector<std::string>& cells);
   void ThrowIfBad(const char* action);
@@ -46,7 +43,6 @@ class CsvWriter {
   std::ofstream out_;
   std::string path_;
   std::size_t columns_;
-  std::size_t rows_ = 0;
   bool closed_ = false;
 };
 
@@ -55,10 +51,9 @@ struct CsvData {
   std::vector<std::string> headers;
   std::vector<std::vector<std::string>> rows;
 
-  /// Index of a header column; throws std::out_of_range if absent.
-  [[nodiscard]] std::size_t ColumnIndex(std::string_view name) const;
-
-  /// Column values parsed as doubles; throws on non-numeric cells.
+  /// Column values parsed as doubles. Throws std::out_of_range if no
+  /// header is `name`, std::runtime_error on a short row or non-numeric
+  /// cell.
   [[nodiscard]] std::vector<double> NumericColumn(std::string_view name) const;
 };
 

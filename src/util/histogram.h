@@ -22,9 +22,6 @@ class Histogram {
   void Add(double x, std::size_t weight) noexcept;
 
   [[nodiscard]] std::size_t BinCount() const noexcept { return counts_.size(); }
-  [[nodiscard]] double Lo() const noexcept { return lo_; }
-  [[nodiscard]] double Hi() const noexcept { return hi_; }
-  [[nodiscard]] double BinWidth() const noexcept { return width_; }
 
   /// Count in bin i (0-based). Requires i < BinCount().
   [[nodiscard]] std::size_t Count(std::size_t i) const;

@@ -205,48 +205,4 @@ std::optional<LinearFit> FitLine(std::span<const double> xs,
   return fit;
 }
 
-std::optional<double> Correlation(std::span<const double> xs,
-                                  std::span<const double> ys) {
-  if (xs.size() != ys.size()) throw std::invalid_argument("Correlation: size mismatch");
-  if (xs.size() < 2) return std::nullopt;
-  const double mx = Mean(xs);
-  const double my = Mean(ys);
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return std::nullopt;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-double Rmse(std::span<const double> predicted, std::span<const double> observed) {
-  if (predicted.size() != observed.size() || predicted.empty()) {
-    throw std::invalid_argument("Rmse: mismatched or empty spans");
-  }
-  double ss = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    const double d = predicted[i] - observed[i];
-    ss += d * d;
-  }
-  return std::sqrt(ss / static_cast<double>(predicted.size()));
-}
-
-double MaxAbsError(std::span<const double> predicted,
-                   std::span<const double> observed) {
-  if (predicted.size() != observed.size() || predicted.empty()) {
-    throw std::invalid_argument("MaxAbsError: mismatched or empty spans");
-  }
-  double worst = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    worst = std::max(worst, std::abs(predicted[i] - observed[i]));
-  }
-  return worst;
-}
-
 }  // namespace wsnlink::util

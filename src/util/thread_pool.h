@@ -2,8 +2,8 @@
 //
 // The previous executors spawned a fresh std::thread fleet for every sweep;
 // a campaign that runs thousands of small sweeps paid thread creation and
-// teardown each time, and nested drivers (replication studies, adaptive
-// tuning loops) multiplied it. This pool is created once per process
+// teardown each time, and nested drivers (adaptive tuning loops)
+// multiplied it. This pool is created once per process
 // (ThreadPool::Shared()), keeps one worker per hardware thread parked on a
 // condition variable, and hands out work in batched index chunks.
 //

@@ -129,8 +129,6 @@ class ServiceCurveModel {
 
   /// Link quality the stochastic terms are evaluated at.
   [[nodiscard]] double MeanSnrDb() const noexcept { return mean_snr_db_; }
-  /// Conservative SNR standard deviation (shadowing + noise floor), dB.
-  [[nodiscard]] double SnrSigmaDb() const noexcept { return snr_sigma_db_; }
 
   /// Conservative mean per-attempt delivery-failure probability (the k=1
   /// tail) — handy for reports.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -206,24 +207,77 @@ TEST(Dataset, SummaryRoundTrip) {
   std::filesystem::remove(path);
 }
 
-TEST(Dataset, PacketLogCsvHasRowPerPacket) {
-  node::SimulationOptions options;
-  options.config = SmallConfigSet()[0];
-  options.packet_count = 60;
-  options.seed = 4;
-  const auto result = node::RunLinkSimulation(options);
-
+TEST(Dataset, ReadersRejectIntegerCellsTheFieldCannotHold) {
+  // Cast straight to its integer field, each of these cells is undefined
+  // behaviour or silently truncated; "-1" only for the unsigned and 0/1
+  // fields.
+  const auto bad_cells = [](bool unsigned_field) {
+    std::vector<std::string> cells = {"nan", "inf", "1e30", "2.5"};
+    if (unsigned_field) cells.push_back("-1");
+    return cells;
+  };
+  const auto join = [](const std::vector<std::string>& cells) {
+    std::string line;
+    for (const auto& cell : cells) {
+      if (!line.empty()) line += ',';
+      line += cell;
+    }
+    return line;
+  };
   const auto path =
-      (std::filesystem::temp_directory_path() / "wsn_packets.csv").string();
-  WritePacketLogCsv(path, result.log);
-  const auto data = util::ReadCsv(path);
-  EXPECT_EQ(data.rows.size(), 60u);
-  EXPECT_EQ(data.headers, PacketCsvHeaders());
-  // Tries column sane.
-  const auto tries = data.NumericColumn("tries");
-  for (const double t : tries) {
-    EXPECT_GE(t, 0.0);
-    EXPECT_LE(t, 3.0);
+      (std::filesystem::temp_directory_path() / "wsn_bad_cells.csv").string();
+  const auto write_file = [&path](const std::string& text) {
+    std::ofstream(path, std::ios::trunc) << text;
+  };
+
+  // Attempt log (what_if_payload <file>): packet_id, attempt,
+  // payload_bytes, at_us and the 0/1 flags data_received and acked.
+  const std::vector<std::string> attempt_row = {"1",   "1",  "80", "1000",
+                                                "-80", "10", "1",  "1"};
+  const std::string attempt_header = join(AttemptCsvHeaders()) + "\n";
+  write_file(attempt_header + join(attempt_row) + "\n");
+  ASSERT_EQ(ReadAttemptLogCsv(path).size(), 1u);
+  for (const std::size_t col : {0, 1, 2, 3, 6, 7}) {
+    for (const auto& cell : bad_cells(col == 0 || col >= 6)) {
+      auto row = attempt_row;
+      row[col] = cell;
+      write_file(attempt_header + join(row) + "\n");
+      EXPECT_THROW((void)ReadAttemptLogCsv(path), std::runtime_error)
+          << AttemptCsvHeaders()[col] << " = " << cell;
+    }
+  }
+  // With several bad cells in one row, the error names the first.
+  auto probe = attempt_row;
+  probe[0] = "-1";
+  probe[1] = "nan";
+  probe[2] = "1e30";
+  probe[3] = "inf";
+  write_file(attempt_header + join(probe) + "\n");
+  try {
+    (void)ReadAttemptLogCsv(path);
+    ADD_FAILURE() << "a row with four bad cells was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("packet_id"), std::string::npos)
+        << e.what();
+  }
+
+  // Summary rows: ParseSummaryRow (checkpoint resume) and ReadSummaryCsv
+  // (analyze_campaign <file>).
+  const auto summary_row = util::ParseCsvLine(SerializeSummaryRow({}));
+  const std::string summary_header = join(SummaryCsvHeaders()) + "\n";
+  write_file(summary_header + join(summary_row) + "\n");
+  ASSERT_EQ(ReadSummaryCsv(path).size(), 1u);
+  ASSERT_NO_THROW((void)ParseSummaryRow(join(summary_row)));
+  for (const std::size_t col : {1, 2, 4, 6, 18, 19}) {
+    for (const auto& cell : bad_cells(col == 19)) {
+      auto row = summary_row;
+      row[col] = cell;
+      EXPECT_THROW((void)ParseSummaryRow(join(row)), std::runtime_error)
+          << SummaryCsvHeaders()[col] << " = " << cell;
+      write_file(summary_header + join(row) + "\n");
+      EXPECT_THROW((void)ReadSummaryCsv(path), std::runtime_error)
+          << SummaryCsvHeaders()[col] << " = " << cell;
+    }
   }
   std::filesystem::remove(path);
 }

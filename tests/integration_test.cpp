@@ -5,11 +5,14 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "core/models/model_set.h"
 #include "core/opt/baselines.h"
+#include "experiment/sweep.h"
 #include "metrics/link_metrics.h"
 #include "node/link_simulation.h"
+#include "util/stats.h"
 
 namespace wsnlink {
 namespace {
@@ -33,6 +36,10 @@ node::SimulationOptions BaseOptions() {
 struct LinkPoint {
   double distance_m;
   int pa_level;
+  // gtest prints this parameter as a byte dump, and ctest bakes the dump
+  // into every test name; naming the four bytes the compiler would pad
+  // here keeps uninitialised memory out of the names.
+  int zero_pad = 0;
 };
 
 class ModelTracksSimulation : public ::testing::TestWithParam<LinkPoint> {};
@@ -360,6 +367,51 @@ TEST(PaperFindings, JointTuningBeatsSingleKnobsOnSimulatedLink) {
   // Better energy than the no-retransmission max-power policy too.
   EXPECT_LT(joint_measured.energy_uj_per_bit,
             power_measured.energy_uj_per_bit);
+}
+
+TEST(PaperFindings, CaseStudyDominanceHoldsAcrossSeeds) {
+  // The Fig. 1 verdict with error bars: joint beats power-only beyond the
+  // 95% intervals on the static case-study link.
+  node::SimulationOptions joint;
+  joint.config.distance_m = 35.0;
+  joint.config.pa_level = 31;
+  joint.config.max_tries = 8;
+  joint.config.queue_capacity = 30;
+  joint.config.pkt_interval_ms = 1.0;
+  joint.config.payload_bytes = 100;
+  // Saturating sender: only the served stream matters, so give it enough
+  // arrivals for a few hundred served packets per run.
+  joint.packet_count = 5000;
+  joint.spatial_shadow_db = -17.3;
+  joint.disable_temporal_shadowing = true;
+
+  auto power_only = joint;
+  power_only.config.max_tries = 1;
+  power_only.config.payload_bytes = 114;
+
+  // Goodput and energy of eight seeded runs of one policy.
+  const auto measure = [](node::SimulationOptions options) {
+    std::pair<util::RunningStats, util::RunningStats> goodput_energy;
+    for (std::size_t r = 0; r < 8; ++r) {
+      options.seed = experiment::SweepSeed(17, r);
+      const auto m = metrics::MeasureConfig(options);
+      goodput_energy.first.Add(m.goodput_kbps);
+      goodput_energy.second.Add(m.energy_uj_per_bit);
+    }
+    return goodput_energy;
+  };
+  // Half-width of the ~95% confidence interval of the mean.
+  const auto ci95 = [](const util::RunningStats& s) {
+    return 1.96 * s.StdDev() / std::sqrt(static_cast<double>(s.Count()));
+  };
+
+  const auto [joint_goodput, joint_energy] = measure(joint);
+  const auto [power_goodput, power_energy] = measure(power_only);
+  EXPECT_GT(joint_goodput.Mean() - ci95(joint_goodput),
+            power_goodput.Mean() + ci95(power_goodput));
+  // On energy the two policies are close (Eq. 2 is N-independent); joint
+  // must be at least non-inferior within the error bars.
+  EXPECT_LE(joint_energy.Mean(), power_energy.Mean() + ci95(power_energy));
 }
 
 }  // namespace

@@ -124,20 +124,6 @@ TEST(Aggregate, PerDecreasesAcrossSnrRange) {
   EXPECT_GT(low, high + 0.1 * third);
 }
 
-TEST(Aggregate, PayloadFilterRestricts) {
-  const auto result =
-      node::RunLinkSimulation(Options(30.0, 11, 2, 5, 30.0, 50, 400, 9));
-  const auto all = PerBySnr(result.log.Attempts(), 2.0);
-  const auto same = PerBySnrForPayload(result.log.Attempts(), 50, 2.0);
-  const auto none = PerBySnrForPayload(result.log.Attempts(), 51, 2.0);
-  EXPECT_EQ(none.size(), 0u);
-  std::uint64_t total_all = 0;
-  std::uint64_t total_same = 0;
-  for (const auto& b : all) total_all += b.attempts;
-  for (const auto& b : same) total_same += b.attempts;
-  EXPECT_EQ(total_all, total_same);
-}
-
 TEST(Aggregate, FitSamplesRespectMinCount) {
   const auto result =
       node::RunLinkSimulation(Options(35.0, 11, 1, 1, 30.0, 110, 500, 10));

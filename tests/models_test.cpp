@@ -58,14 +58,6 @@ TEST(PerModel, ClampsToProbabilityRange) {
   EXPECT_GE(per.Per(1, 40.0), 0.0);
 }
 
-TEST(PerModel, SnrForPerInvertsPer) {
-  PerModel per;
-  for (const double target : {0.5, 0.1, 0.01}) {
-    const double snr = per.SnrForPer(80, target);
-    EXPECT_NEAR(per.Per(80, snr), target, 1e-9);
-  }
-}
-
 TEST(PerModel, ZoneClassificationMatchesFig6d) {
   EXPECT_EQ(PerModel::ClassifyZone(8.0), PerModel::Zone::kHighImpact);
   EXPECT_EQ(PerModel::ClassifyZone(15.0), PerModel::Zone::kMediumImpact);
@@ -78,8 +70,6 @@ TEST(PerModel, RejectsBadCoefficientsAndInputs) {
   EXPECT_THROW(PerModel({0.01, 0.1}), std::invalid_argument);
   PerModel per;
   EXPECT_THROW((void)per.Per(0, 10.0), std::invalid_argument);
-  EXPECT_THROW((void)per.SnrForPer(50, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)per.SnrForPer(50, 1.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------- Ntries model ----
@@ -109,15 +99,6 @@ TEST(NtriesModel, TruncatedBoundedByMaxTries) {
 TEST(NtriesModel, TruncatedConvergesToUnboundedOnGoodLinks) {
   NtriesModel n;
   EXPECT_NEAR(n.MeanTriesTruncated(50, 25.0, 8), n.MeanTries(50, 25.0), 1e-3);
-}
-
-TEST(NtriesModel, ImpliedFailureConsistentWithGeometric) {
-  NtriesModel n;
-  const double p = n.ImpliedAttemptFailure(110, 12.0);
-  EXPECT_GT(p, 0.0);
-  EXPECT_LT(p, 1.0);
-  // Unbounded geometric mean tries = 1 / (1 - p).
-  EXPECT_NEAR(1.0 / (1.0 - p), n.MeanTries(110, 12.0), 1e-9);
 }
 
 TEST(NtriesModel, RejectsBadInputsMaxTriesFirst) {
@@ -288,7 +269,6 @@ TEST(EnergyModel, Equation2HandComputed) {
 TEST(EnergyModel, InfiniteWhenPerSaturates) {
   EnergyModel energy;
   EXPECT_TRUE(std::isinf(energy.MicrojoulesPerBit(114, -20.0, 31)));
-  EXPECT_DOUBLE_EQ(energy.BitsPerMicrojoule(114, -20.0, 31), 0.0);
 }
 
 TEST(EnergyModel, OptimalPayloadIsMaxAboveThreshold) {
@@ -307,17 +287,6 @@ TEST(EnergyModel, OptimalPayloadShrinksInGreyZone) {
   EXPECT_LT(at_10, phy::kMaxPayloadBytes);
   EXPECT_LT(at_5, 45);
   EXPECT_LT(at_5, at_10);
-}
-
-TEST(EnergyModel, OptimalPaLevelPrefersJustEnoughPower) {
-  // SNR(level) mapping of a 35 m link: lower levels save energy only while
-  // the PER cost stays moderate.
-  EnergyModel energy;
-  const LinkQualityMap lq;
-  const int best = energy.OptimalPaLevel(
-      110, [&](int level) { return lq.SnrDb(level, 35.0); });
-  EXPECT_GE(best, 7);
-  EXPECT_LT(best, 31);  // max power is never energy-optimal at 35 m
 }
 
 // ------------------------------------------------------- goodput model ----

@@ -13,6 +13,7 @@
 // mis-parameterised bounds (PER halved / quartered via per_scale) must
 // FAIL on lossy links, robustly in the seed (checked for seeds 1..5
 // during calibration; the baked-in seeds keep the test deterministic).
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -40,6 +41,11 @@ struct GridPoint {
   bool no_interference = false;
   bool no_shadowing = false;
 };
+
+// gtest prints a parameter without a printer as a byte dump, which ctest
+// bakes into each test name; this one would start with the `name` pointer
+// and differ in every process.
+void PrintTo(const GridPoint& p, std::ostream* os) { *os << p.name; }
 
 CrossValidationOptions MakeOptions(const GridPoint& p) {
   CrossValidationOptions options;
