@@ -10,9 +10,12 @@
 // a contention ladder.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "experiment/checkpoint.h"
@@ -308,6 +311,102 @@ TEST(NetworkSimulation, AblationSyntheticInterfererWithoutMedium) {
   EXPECT_EQ(result.medium.collisions, 0u);
   EXPECT_GT(result.cca_busy, 0u)
       << "the synthetic interferer should still drive CCA busy";
+}
+
+// --- shared-medium driver byte pins -------------------------------------
+
+// One contended network of the byte pin below.
+struct TieProneCase {
+  const char* name;
+  int nodes;
+  bool poisson;
+  double interval_ms;
+  int max_tries;
+  int queue;
+  double retry_delay_ms;
+  double interferer_duty;
+  std::uint64_t seed;
+  node::MacKind mac;
+  std::uint64_t digest;  // RunDigest at the parent of the driver change
+};
+
+// FNV-1a over the observable bytes of a network run: every node's packet
+// and attempt logs and non-kernel counters, then the medium's statistics.
+std::uint64_t RunDigest(const node::NetworkResult& result) {
+  std::string bytes;
+  const auto add = [&bytes](auto value) {
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      bytes += std::to_string(std::bit_cast<std::uint64_t>(value));
+    } else {
+      bytes += std::to_string(static_cast<std::int64_t>(value));
+    }
+    bytes += ',';
+  };
+  for (const auto& node : result.nodes) {
+    for (const auto& p : node.log.Packets()) {
+      add(p.id), add(p.payload_bytes), add(p.arrived_at);
+      add(p.queue_depth_at_arrival), add(p.dropped_at_queue);
+      add(p.service_start), add(p.completed_at), add(p.acked);
+      add(p.delivered), add(p.tries), add(p.tx_energy_uj);
+      add(p.listen_time), add(p.first_delivered_at), add(p.rssi_dbm);
+      add(p.snr_db), add(p.lqi);
+    }
+    for (const auto& a : node.log.Attempts()) {
+      add(a.packet_id), add(a.attempt), add(a.payload_bytes), add(a.at);
+      add(a.rssi_dbm), add(a.snr_db), add(a.data_received), add(a.acked);
+    }
+    for (const auto& c : node.counters) {
+      if (c.name.starts_with("sim.")) continue;
+      bytes += c.name;
+      add(c.value);
+    }
+  }
+  add(result.medium.frames), add(result.medium.busy_hits);
+  add(result.medium.collisions), add(result.medium.captures);
+  return experiment::CheckpointChecksum(bytes);
+}
+
+// Contended networks where a node's completion and its own next arrival
+// can land on one microsecond, so the order of same-time events in a lane
+// decides queue drops. The digests were recorded before the event driver
+// began running medium-proven CCAs inline; the driver must keep them.
+TEST(NetworkSimulation, TieProneNetworksKeepParentBytes) {
+  using node::MacKind;
+  constexpr TieProneCase kCases[] = {
+      {"n64-poisson5-tries1-seed1", 64, true, 5.0, 1, 10, 0.0, 0.1, 1,
+       MacKind::kCsma, 0xfa0fef74c9f13049},
+      {"n64-poisson5-tries1-seed2", 64, true, 5.0, 1, 10, 0.0, 0.1, 2,
+       MacKind::kCsma, 0x9f09e0c22f537784},
+      {"n64-poisson5-tries3-retry30", 64, true, 5.0, 3, 10, 30.0, 0.1, 2,
+       MacKind::kCsma, 0x1d9738f5e7a19b3a},
+      {"n8-periodic25", 8, false, 25.0, 3, 5, 0.0, 0.0, 9, MacKind::kCsma,
+       0xf4abce41fb17d3ed},
+      {"n32-periodic25-tries5-retry30", 32, false, 25.0, 5, 1, 30.0, 0.0, 3,
+       MacKind::kCsma, 0x3321f1de11ccd520},
+      {"n128-periodic25", 128, false, 25.0, 3, 5, 0.0, 0.0, 4,
+       MacKind::kCsma, 0xb67c633e21ec81db},
+      {"n16-poisson10-tries2", 16, true, 10.0, 2, 2, 0.0, 0.1, 5,
+       MacKind::kCsma, 0xbcf813ec86ee4534},
+      {"n4-lpl50", 4, false, 100.0, 3, 5, 0.0, 0.0, 6, MacKind::kLpl,
+       0x0c4d4774876bc103},
+  };
+  for (const TieProneCase& c : kCases) {
+    auto base = BaseOptions();
+    base.packet_count = 150;
+    base.seed = c.seed;
+    base.mac = c.mac;
+    base.lpl_wakeup_interval_ms = 50.0;
+    base.poisson_arrivals = c.poisson;
+    base.config.pkt_interval_ms = c.interval_ms;
+    base.config.max_tries = c.max_tries;
+    base.config.queue_capacity = c.queue;
+    base.config.retry_delay_ms = c.retry_delay_ms;
+    base.interferer_duty_cycle = c.interferer_duty;
+    base.disable_interference = c.interferer_duty <= 0.0;
+    const auto result = node::RunNetworkSimulation(node::UniformNetwork(
+        base, std::vector<double>(static_cast<std::size_t>(c.nodes), 20.0)));
+    EXPECT_EQ(RunDigest(result), c.digest) << c.name;
+  }
 }
 
 // --- contention sweep --------------------------------------------------
