@@ -1,17 +1,20 @@
 // Macro-benchmark for sequential network scaling.
 //
 // Runs contended uniform topologies at a ladder of node counts on the
-// sequential kernel and reports events/sec per rung. Deeper event heaps
-// and a longer shared-medium ledger make every event dearer as N grows,
-// so this is the N-scaling curve of the event kernel, the medium and the
-// event-path MAC together. The run is single-threaded by construction;
-// the JSON records `host_cores` and `threads: 1` so baselines from
-// different hosts are never mistaken for a scaling claim.
+// sequential kernel and reports generated node-packets/sec per rung, with
+// events/sec beside it. Deeper event heaps and more contenders make every
+// packet dearer as N grows, so this is the N-scaling curve of the event
+// kernel, the medium and the event-path MAC together. The unit of work is
+// the node-packet, not the event: the driver runs CCAs the medium already
+// proves busy inside an earlier event, so events per packet vary by
+// design. The run is single-threaded by construction; the JSON records
+// `host_cores` and `threads: 1` so baselines from different hosts are
+// never mistaken for a scaling claim.
 //
 // `--check <json>` re-runs the workload and fails (exit 1) if the
-// calibration-normalized events/sec on the largest rung regressed by more
-// than the tolerance versus the committed BENCH_network.json — the CI
-// perf-smoke gate.
+// calibration-normalized node-packets/sec on the largest rung regressed
+// by more than the tolerance versus the committed BENCH_network.json —
+// the CI perf-smoke gate.
 //
 // Usage:
 //   perf_network [--out BENCH_network.json] [--check BENCH_network.json]
@@ -85,7 +88,9 @@ wsnlink::node::NetworkOptions Topology(int nodes, int packets) {
 
 struct Rung {
   int nodes = 0;
+  std::uint64_t node_packets = 0;  // packets generated by all nodes
   std::uint64_t events = 0;
+  double node_packets_per_sec = 0.0;
   double events_per_sec = 0.0;
 };
 
@@ -115,7 +120,7 @@ void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
   std::ofstream out(path);
   char buf[64];
   out << "{\n";
-  out << "  \"schema\": \"wsnlink-bench-network-v2\",\n";
+  out << "  \"schema\": \"wsnlink-bench-network-v3\",\n";
   out << "  \"workload\": {\n    \"nodes\": [";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     out << (i ? "," : "") << rungs[i].nodes;
@@ -128,15 +133,18 @@ void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
   out << "  \"calibration_mops\": " << buf << ",\n";
   out << "  \"rungs\": [\n";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].events_per_sec);
     out << "    {\"nodes\": " << rungs[i].nodes
-        << ", \"events\": " << rungs[i].events
-        << ", \"events_per_sec\": " << buf << "}"
+        << ", \"node_packets\": " << rungs[i].node_packets
+        << ", \"events\": " << rungs[i].events;
+    std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].node_packets_per_sec);
+    out << ", \"node_packets_per_sec\": " << buf;
+    std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].events_per_sec);
+    out << ", \"events_per_sec\": " << buf << "}"
         << (i + 1 < rungs.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   std::snprintf(buf, sizeof(buf), "%.2f", normalized);
-  out << "  \"events_per_sec_per_calib_mop\": " << buf << "\n";
+  out << "  \"node_packets_per_sec_per_calib_mop\": " << buf << "\n";
   out << "}\n";
 }
 
@@ -176,17 +184,20 @@ int main(int argc, char** argv) {
       const double elapsed = Seconds(t0, t1);
       if (elapsed < best) {
         best = elapsed;
+        rung.node_packets = result.generated;
         rung.events = result.events_executed;
       }
     }
+    rung.node_packets_per_sec = static_cast<double>(rung.node_packets) / best;
     rung.events_per_sec = static_cast<double>(rung.events) / best;
-    std::printf("  nodes=%5d  %12.0f events/sec\n", nodes,
-                rung.events_per_sec);
+    std::printf("  nodes=%5d  %10.0f node-packets/sec  %12.0f events/sec\n",
+                nodes, rung.node_packets_per_sec, rung.events_per_sec);
     rungs.push_back(rung);
   }
-  const double normalized = rungs.back().events_per_sec / calib_mops;
+  const double normalized = rungs.back().node_packets_per_sec / calib_mops;
   std::printf("  calib        %10.1f Mops/s\n", calib_mops);
-  std::printf("  normalized (largest rung) %10.2f events/sec per calib Mop\n",
+  std::printf("  normalized (largest rung) %10.2f node-packets/sec per calib "
+              "Mop\n",
               normalized);
 
   if (!out_path.empty()) {
@@ -204,7 +215,7 @@ int main(int argc, char** argv) {
     std::stringstream ss;
     ss << in.rdbuf();
     const double committed =
-        JsonNumber(ss.str(), "events_per_sec_per_calib_mop");
+        JsonNumber(ss.str(), "node_packets_per_sec_per_calib_mop");
     if (committed <= 0.0) {
       std::fprintf(stderr, "perf_network: no baseline metric in %s\n",
                    check_path.c_str());
@@ -215,8 +226,8 @@ int main(int argc, char** argv) {
                 normalized, committed, floor);
     if (normalized < floor) {
       std::fprintf(stderr,
-                   "perf_network: REGRESSION — normalized events/sec %.2f "
-                   "is below %.2f (committed %.2f - %g%%)\n",
+                   "perf_network: REGRESSION — normalized node-packets/sec "
+                   "%.2f is below %.2f (committed %.2f - %g%%)\n",
                    normalized, floor, committed, tolerance * 100);
       return 1;
     }

@@ -121,8 +121,9 @@ class Channel {
   }
 
   /// True when this channel senses real concurrent transmitters (a medium
-  /// is attached). The MAC then drives its ladder one event per step
-  /// instead of inline.
+  /// is attached). The MAC then runs its ladder from events: a step runs
+  /// at its own time unless the medium already proves it a busy CCA (see
+  /// MediumBusyUntil).
   [[nodiscard]] bool ContendedMedium() const noexcept {
     return medium_ != nullptr;
   }
@@ -131,6 +132,13 @@ class Channel {
   /// without a medium). RNG-free, unlike CcaBusy.
   bool MediumBusy(sim::Time now) {
     return medium_ != nullptr && medium_->BusyAt(now, node_id_);
+  }
+
+  /// Until when another node's already-begun frame keeps the medium busy
+  /// for this node (0 without a medium): MediumBusy(t) holds for every t
+  /// from now up to it, whatever other nodes do meanwhile.
+  [[nodiscard]] sim::Time MediumBusyUntil() const noexcept {
+    return medium_ != nullptr ? medium_->BusyUntil(node_id_) : 0;
   }
 
   /// Announces a frame this node radiates over [start, end) to the shared

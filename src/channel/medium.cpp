@@ -7,11 +7,13 @@ namespace wsnlink::channel {
 
 namespace {
 
-// How far back a finished frame can still matter to any query. Receivers
-// look back one frame airtime from the reception instant; the largest
-// 802.15.4 frame is 133 bytes at 32 us/byte = 4256 us. Twice that is a
-// comfortable margin and keeps the active list a handful of entries
-// regardless of run length.
+// How far back a finished frame can still matter to StrongestOverlapDbm.
+// Receivers look back one frame airtime from the reception instant; the
+// largest 802.15.4 frame is 133 bytes at 32 us/byte = 4256 us. Twice that
+// is a comfortable margin and bounds the active list by the frames begun
+// in the last ~13 ms, whatever the run length. That is not a handful: in
+// 400-packet contention_sweep runs (seeds 1-3) it held up to 63 frames at
+// N=128 and 211 at N=512.
 constexpr sim::Duration kMediumRetentionWindow = 8'512;
 
 }  // namespace
@@ -28,6 +30,18 @@ void Medium::Begin(int node, sim::Time start, sim::Time end,
   if (end <= start) {
     throw std::invalid_argument("Medium::Begin: frame must have end > start");
   }
+  if (start < latest_start_) {
+    throw std::logic_error("Medium::Begin: frame starts before an earlier one");
+  }
+  latest_start_ = start;
+  if (node == latest_.node) {
+    latest_.end = std::max(latest_.end, end);
+  } else if (end > latest_.end) {
+    runner_up_ = latest_;
+    latest_ = {node, end};
+  } else if (end > runner_up_.end) {
+    runner_up_ = {node, end};
+  }
   // Prune frames that ended long before any query can still reach them.
   // Simulated time is monotonic, so everything retained stays relevant.
   if (start > kMediumRetentionWindow) {
@@ -40,13 +54,12 @@ void Medium::Begin(int node, sim::Time start, sim::Time end,
 }
 
 bool Medium::BusyAt(sim::Time t, int listener) {
-  for (const Frame& f : active_) {
-    if (f.node != listener && f.start <= t && t < f.end) {
-      ++stats_.busy_hits;
-      return true;
-    }
+  if (t < latest_start_) {
+    throw std::logic_error("Medium::BusyAt: query precedes a registered start");
   }
-  return false;
+  const bool busy = t < BusyUntil(listener);
+  if (busy) ++stats_.busy_hits;
+  return busy;
 }
 
 std::optional<double> Medium::StrongestOverlapDbm(sim::Time start,

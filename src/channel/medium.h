@@ -14,10 +14,12 @@
 //    each other, so BusyAt() ignores geometry between senders and only the
 //    receiver-side power (the registered RSSI at the sink) enters the
 //    capture comparison.
-//  * ACKs are not registered: 802.15.4 ACKs are sent inside the turnaround
-//    window without a CCA, and their 352 us airtime is negligible next to
-//    data frames. They can still be *lost* to a collision (the ACK's own
-//    Transmit() runs the overlap check like any frame).
+//  * ACKs are not registered: 802.15.4 ACKs are sent after the turnaround
+//    without a CCA, and their 352 us airtime is short next to data frames.
+//    The ACK's own Transmit() runs at the data frame's end, so its overlap
+//    window is the last 352 us of that data frame: it can only re-find
+//    frames the data frame already survived, and counts them again in
+//    `collisions`. No other frame can destroy an ACK.
 //  * All queries are RNG-free, so attaching a medium never perturbs the
 //    random streams of an uncontended stack — the N=1 network path stays
 //    bit-identical to the single-link simulation.
@@ -38,7 +40,8 @@ struct MediumStats {
   std::uint64_t frames = 0;
   /// CCA queries that found another node's frame on the air.
   std::uint64_t busy_hits = 0;
-  /// Receptions that overlapped a concurrent frame.
+  /// Receptions that overlapped a concurrent frame, ACKs included (an ACK
+  /// only re-finds the overlaps of its own data frame).
   std::uint64_t collisions = 0;
   /// Collided receptions saved by SINR capture.
   std::uint64_t captures = 0;
@@ -60,13 +63,25 @@ class Medium {
   Medium& operator=(const Medium&) = delete;
 
   /// Registers a frame node `node` radiates over [start, end) whose mean
-  /// received power at the sink is `sink_rssi_dbm`. `start` must be
-  /// non-decreasing across calls (simulated time is monotonic).
+  /// received power at the sink is `sink_rssi_dbm`. Throws
+  /// std::logic_error when `start` precedes an earlier frame's start
+  /// (simulated time is monotonic).
   void Begin(int node, sim::Time start, sim::Time end, double sink_rssi_dbm);
 
   /// True when a frame from any node other than `listener` is on the air at
   /// `t` (single collision domain: every sender hears every other sender).
+  /// O(1): `t < BusyUntil(listener)`, exact because every registered frame
+  /// began at or before `t`. Throws std::logic_error when `t` precedes the
+  /// latest registered start.
   [[nodiscard]] bool BusyAt(sim::Time t, int listener);
+
+  /// End of the latest-ending frame registered by a node other than
+  /// `listener` (0 before any). A CCA by `listener` at any t in [latest
+  /// start, BusyUntil) is busy whatever is registered later, because new
+  /// frames only add busy air. RNG-free and does not count a busy hit.
+  [[nodiscard]] sim::Time BusyUntil(int listener) const noexcept {
+    return listener == latest_.node ? runner_up_.end : latest_.end;
+  }
 
   /// Strongest sink-side RSSI among frames from nodes other than `node`
   /// overlapping the open interval (start, end); nullopt when the air was
@@ -92,7 +107,16 @@ class Medium {
     double sink_rssi_dbm = 0.0;
   };
 
+  /// The latest frame end of one node.
+  struct NodeEnd {
+    int node = -1;
+    sim::Time end = 0;
+  };
+
   std::vector<Frame> active_;
+  NodeEnd latest_;     // latest end over all nodes
+  NodeEnd runner_up_;  // latest end over nodes other than latest_.node
+  sim::Time latest_start_ = 0;
   double capture_margin_db_;
   MediumStats stats_;
 };

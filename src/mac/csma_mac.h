@@ -57,6 +57,9 @@ class CsmaMac final : public Mac {
   };
 
   sim::Duration Advance(sim::Time t) override;
+  int NextCcaRetriesLeft() const noexcept override {
+    return step_ == Step::kCca ? cca_retries_left_ : -1;
+  }
   /// Traces the sender radio's state as kRadioState events.
   void OnRadioState(sim::Time at, trace::RadioState state) override;
 

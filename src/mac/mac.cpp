@@ -50,12 +50,24 @@ void Mac::Send(std::uint64_t packet_id, int payload_bytes, DoneCallback done) {
 }
 
 void Mac::OnStep() {
-  const sim::Duration wait = Advance(sim_.Now());
+  sim::Time t = sim_.Now();
+  sim::Duration wait = Advance(t);
+  // A CCA before the medium's busy-until is busy whatever other nodes do
+  // first, so it runs now. The last two CCAs of a backoff budget always
+  // run as events: the final one may give up and complete the packet, so
+  // its event is scheduled from the CCA event before it, at that CCA's own
+  // time, and a same-node arrival at the completion's microsecond keeps
+  // its lane order (NetworkSimulation.TieProneNetworksKeepParentBytes).
+  while (wait != kDone && NextCcaRetriesLeft() >= 2 &&
+         t + wait < channel_.MediumBusyUntil()) {
+    t += wait;
+    wait = Advance(t);
+  }
   if (wait == kDone) {
     Complete();
     return;
   }
-  sim_.Schedule(wait, [this] { OnStep(); });
+  sim_.ScheduleAt(t + wait, [this] { OnStep(); });
 }
 
 void Mac::Complete() {

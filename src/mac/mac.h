@@ -105,9 +105,13 @@ class Mac {
   /// Send runs the whole ladder now with explicit timestamps and schedules
   /// only the completion, which must run at its true time because it
   /// serves the next queued packet. With a medium attached, other nodes
-  /// change the air between steps, so each step runs as its own event.
-  /// Either way every RNG draw, channel query, callback and trace event
-  /// happens in the same order with the same timestamp.
+  /// change the air between steps, so each step runs as its own event,
+  /// except a CSMA CCA the medium already proves busy: a frame another
+  /// node has begun covers it, and later frames only add busy air. Such a
+  /// CCA touches only this node's state and the medium's busy tally, so
+  /// the step before it runs it inline (see OnStep). Either way this
+  /// node's RNG draws, channel queries, callbacks and trace events happen
+  /// in the same order with the same timestamps.
   void Send(std::uint64_t packet_id, int payload_bytes, DoneCallback done);
 
   /// True while a send is in progress.
@@ -146,6 +150,11 @@ class Mac {
   /// wait until the next one, or kDone with the ladder back on its first
   /// step, ready for the next packet.
   virtual sim::Duration Advance(sim::Time t) = 0;
+
+  /// Congestion backoffs left to the CCA the ladder runs next, or -1 when
+  /// the event driver must run the next step as its own event. Only a CCA
+  /// that a busy medium alone makes busy may report a count.
+  [[nodiscard]] virtual int NextCcaRetriesLeft() const noexcept { return -1; }
 
   /// The sender radio changed state at `at`: Send reports kListen and the
   /// completion kIdle. CSMA traces these; LPL traces its trains instead.
@@ -192,7 +201,8 @@ class Mac {
   std::int32_t node_ = 0;
 
  private:
-  /// Event driver: one Advance per event, completing in the last one.
+  /// Event driver: one Advance per event, completing in the last one,
+  /// plus the medium-proven busy CCAs that follow it.
   void OnStep();
   void Complete();
 

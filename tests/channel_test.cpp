@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/ber.h"
 #include "channel/channel.h"
+#include "channel/medium.h"
 #include "channel/noise.h"
 #include "channel/path_loss.h"
 #include "channel/shadowing.h"
@@ -335,6 +338,147 @@ TEST(Channel, SpatialShadowShiftsMeanRssi) {
   Channel shifted(config, util::Rng(19));
   Channel base(TestConfig(20.0), util::Rng(19));
   EXPECT_NEAR(shifted.MeanRssiDbm(0.0) - base.MeanRssiDbm(0.0), 5.0, 1e-12);
+}
+
+// -------------------------------------------------------------- medium ----
+
+struct LedgerFrame {
+  int node;
+  sim::Time start;
+  sim::Time end;
+};
+
+// The definition BusyAt must agree with: another node's frame covers t.
+bool BruteForceBusy(const std::vector<LedgerFrame>& frames, sim::Time t,
+                    int listener) {
+  for (const LedgerFrame& f : frames) {
+    if (f.node != listener && f.start <= t && t < f.end) return true;
+  }
+  return false;
+}
+
+TEST(Medium, BusyAtMatchesBruteForceScan) {
+  constexpr int kNodes = 5;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    Medium medium;
+    std::vector<LedgerFrame> frames;
+    std::uint64_t busy = 0;
+    sim::Time now = 0;
+    for (int step = 0; step < 400; ++step) {
+      // Frames from a handful of nodes, often several on the air at once,
+      // with lengths from an ACK's to the longest data frame's airtime.
+      now += rng.UniformInt(0, 3'000);
+      if (rng.NextDouble() < 0.6) {
+        const auto node = static_cast<int>(rng.UniformInt(0, kNodes - 1));
+        const sim::Time end = now + rng.UniformInt(352, 4'256);
+        medium.Begin(node, now, end, -60.0);
+        frames.push_back({node, now, end});
+      }
+      // Query at the latest start and after it, as a CCA run ahead of its
+      // event time does.
+      for (const sim::Duration ahead : {sim::Duration{0}, sim::Duration{1},
+                                        rng.UniformInt(0, 5'000)}) {
+        for (int listener = 0; listener < kNodes; ++listener) {
+          const sim::Time t = now + ahead;
+          const bool expected = BruteForceBusy(frames, t, listener);
+          busy += expected ? 1 : 0;
+          EXPECT_EQ(medium.BusyAt(t, listener), expected)
+              << "seed " << seed << " t " << t << " listener " << listener;
+          EXPECT_EQ(t < medium.BusyUntil(listener), expected)
+              << "seed " << seed << " t " << t << " listener " << listener;
+        }
+      }
+    }
+    EXPECT_EQ(medium.Stats().busy_hits, busy) << "seed " << seed;
+    EXPECT_EQ(medium.Stats().frames, frames.size()) << "seed " << seed;
+  }
+}
+
+TEST(Medium, NodeNeverHearsItself) {
+  Medium medium;
+  medium.Begin(3, 100, 500, -60.0);
+  EXPECT_FALSE(medium.BusyAt(200, 3));
+  EXPECT_TRUE(medium.BusyAt(200, 4));
+  // Its own later frame does not hide another node's earlier one.
+  medium.Begin(4, 300, 400, -60.0);
+  medium.Begin(3, 350, 900, -60.0);
+  EXPECT_TRUE(medium.BusyAt(360, 3));
+  EXPECT_FALSE(medium.BusyAt(400, 3));
+  EXPECT_TRUE(medium.BusyAt(400, 4));
+  EXPECT_EQ(medium.BusyUntil(3), 400);
+  EXPECT_EQ(medium.BusyUntil(4), 900);
+}
+
+TEST(Medium, FrameIsBusyFromItsStartUntilBeforeItsEnd) {
+  Medium medium;
+  medium.Begin(0, 1'000, 2'000, -60.0);
+  EXPECT_TRUE(medium.BusyAt(1'000, 1));
+  EXPECT_TRUE(medium.BusyAt(1'999, 1));
+  EXPECT_FALSE(medium.BusyAt(2'000, 1));
+  EXPECT_EQ(medium.BusyUntil(1), 2'000);
+  EXPECT_EQ(medium.BusyUntil(0), 0);
+}
+
+TEST(Medium, BusyHitsCountOnlyBusyVerdicts) {
+  Medium medium;
+  medium.Begin(0, 0, 1'000, -60.0);
+  EXPECT_TRUE(medium.BusyAt(10, 1));
+  EXPECT_FALSE(medium.BusyAt(10, 0));
+  EXPECT_FALSE(medium.BusyAt(1'000, 1));
+  EXPECT_TRUE(medium.BusyAt(999, 2));
+  EXPECT_EQ(medium.Stats().busy_hits, 2u);
+  // BusyUntil and StrongestOverlapDbm are queries, not carrier sense.
+  (void)medium.BusyUntil(1);
+  (void)medium.StrongestOverlapDbm(0, 1'000, 1);
+  EXPECT_EQ(medium.Stats().busy_hits, 2u);
+}
+
+TEST(Medium, StrongestOverlapUsesTheOpenInterval) {
+  Medium medium;
+  medium.Begin(0, 0, 1'000, -70.0);
+  medium.Begin(1, 500, 1'500, -60.0);
+  medium.Begin(2, 600, 700, -50.0);
+  // Frames that only touch an endpoint do not overlap.
+  EXPECT_FALSE(medium.StrongestOverlapDbm(1'500, 2'000, 3).has_value());
+  EXPECT_FALSE(medium.StrongestOverlapDbm(-500, 0, 3).has_value());
+  EXPECT_EQ(medium.StrongestOverlapDbm(1'000, 1'600, 3), -60.0);
+  EXPECT_EQ(medium.StrongestOverlapDbm(0, 501, 3), -60.0);
+  EXPECT_EQ(medium.StrongestOverlapDbm(0, 500, 3), -70.0);
+  // The strongest overlapping frame of another node wins.
+  EXPECT_EQ(medium.StrongestOverlapDbm(650, 660, 3), -50.0);
+  EXPECT_EQ(medium.StrongestOverlapDbm(650, 660, 2), -60.0);
+  EXPECT_EQ(medium.StrongestOverlapDbm(1'000, 1'500, 1), std::nullopt);
+}
+
+// Expects `fn` to throw std::logic_error itself, not a subclass such as
+// std::invalid_argument, with a message naming `what`.
+template <typename Fn>
+void ExpectLogicError(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no throw: " << what;
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "invalid_argument instead of logic_error: " << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Medium, OutOfOrderStartsAndQueriesThrow) {
+  Medium medium;
+  medium.Begin(0, 1'000, 2'000, -60.0);
+  ExpectLogicError([&medium] { medium.Begin(1, 999, 1'500, -60.0); },
+                   "Medium::Begin");
+  ExpectLogicError([&medium] { (void)medium.BusyAt(999, 1); },
+                   "Medium::BusyAt");
+  // Equal times are in order; the failed calls changed nothing.
+  medium.Begin(1, 1'000, 1'200, -60.0);
+  EXPECT_TRUE(medium.BusyAt(1'000, 1));
+  EXPECT_EQ(medium.Stats().frames, 2u);
+  EXPECT_EQ(medium.Stats().busy_hits, 1u);
+  EXPECT_THROW(medium.Begin(2, 1'500, 1'500, -60.0), std::invalid_argument);
 }
 
 }  // namespace

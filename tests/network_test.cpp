@@ -328,6 +328,9 @@ struct TieProneCase {
   std::uint64_t seed;
   node::MacKind mac;
   std::uint64_t digest;  // RunDigest at the parent of the driver change
+  // Events executed once the driver runs medium-proven busy CCAs inline;
+  // 0 leaves the count unpinned.
+  std::uint64_t events = 0;
 };
 
 // FNV-1a over the observable bytes of a network run: every node's packet
@@ -369,7 +372,8 @@ std::uint64_t RunDigest(const node::NetworkResult& result) {
 // Contended networks where a node's completion and its own next arrival
 // can land on one microsecond, so the order of same-time events in a lane
 // decides queue drops. The digests were recorded before the event driver
-// began running medium-proven CCAs inline; the driver must keep them.
+// began running medium-proven CCAs inline; the driver must keep them. The
+// n128 event count (285,124 before) fails a driver that stops inlining.
 TEST(NetworkSimulation, TieProneNetworksKeepParentBytes) {
   using node::MacKind;
   constexpr TieProneCase kCases[] = {
@@ -384,7 +388,7 @@ TEST(NetworkSimulation, TieProneNetworksKeepParentBytes) {
       {"n32-periodic25-tries5-retry30", 32, false, 25.0, 5, 1, 30.0, 0.0, 3,
        MacKind::kCsma, 0x3321f1de11ccd520},
       {"n128-periodic25", 128, false, 25.0, 3, 5, 0.0, 0.0, 4,
-       MacKind::kCsma, 0xb67c633e21ec81db},
+       MacKind::kCsma, 0xb67c633e21ec81db, 157'311},
       {"n16-poisson10-tries2", 16, true, 10.0, 2, 2, 0.0, 0.1, 5,
        MacKind::kCsma, 0xbcf813ec86ee4534},
       {"n4-lpl50", 4, false, 100.0, 3, 5, 0.0, 0.0, 6, MacKind::kLpl,
@@ -406,6 +410,9 @@ TEST(NetworkSimulation, TieProneNetworksKeepParentBytes) {
     const auto result = node::RunNetworkSimulation(node::UniformNetwork(
         base, std::vector<double>(static_cast<std::size_t>(c.nodes), 20.0)));
     EXPECT_EQ(RunDigest(result), c.digest) << c.name;
+    if (c.events != 0) {
+      EXPECT_EQ(result.events_executed, c.events) << c.name;
+    }
   }
 }
 
