@@ -2,14 +2,14 @@
 //
 // Runs contended uniform topologies at a ladder of node counts on the
 // sequential kernel and reports generated node-packets/sec per rung, with
-// events/sec beside it. Deeper event heaps and more contenders make every
-// packet dearer as N grows, so this is the N-scaling curve of the event
-// kernel, the medium and the event-path MAC together. The unit of work is
-// the node-packet, not the event: the driver runs CCAs the medium already
-// proves busy inside an earlier event, so events per packet vary by
-// design. The run is single-threaded by construction; the JSON records
-// `host_cores` and `threads: 1` so baselines from different hosts are
-// never mistaken for a scaling claim.
+// the events each rung took. Deeper event heaps and more contenders make
+// every packet dearer as N grows, so this is the N-scaling curve of the
+// event kernel, the medium and the event-path MAC together. The unit of
+// work is the node-packet, not the event: the MAC's event driver runs
+// CCAs the medium already proves busy inside an earlier event, so events
+// per packet vary by design. The run is single-threaded by construction;
+// the JSON records `host_cores` and `threads: 1` so baselines from
+// different hosts are never mistaken for a scaling claim.
 //
 // `--check <json>` re-runs the workload and fails (exit 1) if the
 // calibration-normalized node-packets/sec on the largest rung regressed
@@ -91,7 +91,6 @@ struct Rung {
   std::uint64_t node_packets = 0;  // packets generated by all nodes
   std::uint64_t events = 0;
   double node_packets_per_sec = 0.0;
-  double events_per_sec = 0.0;
 };
 
 // Pulls `"key": <number>` out of a JSON file written by this tool (the
@@ -133,13 +132,11 @@ void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
   out << "  \"calibration_mops\": " << buf << ",\n";
   out << "  \"rungs\": [\n";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].node_packets_per_sec);
     out << "    {\"nodes\": " << rungs[i].nodes
         << ", \"node_packets\": " << rungs[i].node_packets
-        << ", \"events\": " << rungs[i].events;
-    std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].node_packets_per_sec);
-    out << ", \"node_packets_per_sec\": " << buf;
-    std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].events_per_sec);
-    out << ", \"events_per_sec\": " << buf << "}"
+        << ", \"events\": " << rungs[i].events
+        << ", \"node_packets_per_sec\": " << buf << "}"
         << (i + 1 < rungs.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -189,9 +186,9 @@ int main(int argc, char** argv) {
       }
     }
     rung.node_packets_per_sec = static_cast<double>(rung.node_packets) / best;
-    rung.events_per_sec = static_cast<double>(rung.events) / best;
-    std::printf("  nodes=%5d  %10.0f node-packets/sec  %12.0f events/sec\n",
-                nodes, rung.node_packets_per_sec, rung.events_per_sec);
+    std::printf("  nodes=%5d  %10.0f node-packets/sec  %8llu events\n", nodes,
+                rung.node_packets_per_sec,
+                static_cast<unsigned long long>(rung.events));
     rungs.push_back(rung);
   }
   const double normalized = rungs.back().node_packets_per_sec / calib_mops;

@@ -337,26 +337,28 @@ struct TieProneCase {
 // and attempt logs and non-kernel counters, then the medium's statistics.
 std::uint64_t RunDigest(const node::NetworkResult& result) {
   std::string bytes;
-  const auto add = [&bytes](auto value) {
-    if constexpr (std::is_floating_point_v<decltype(value)>) {
-      bytes += std::to_string(std::bit_cast<std::uint64_t>(value));
-    } else {
-      bytes += std::to_string(static_cast<std::int64_t>(value));
-    }
-    bytes += ',';
+  // Appends each value as decimal text (doubles by their bit pattern).
+  const auto add = [&bytes](auto... values) {
+    const auto one = [&bytes](auto value) {
+      if constexpr (std::is_floating_point_v<decltype(value)>) {
+        bytes += std::to_string(std::bit_cast<std::uint64_t>(value));
+      } else {
+        bytes += std::to_string(static_cast<std::int64_t>(value));
+      }
+      bytes += ',';
+    };
+    (one(values), ...);
   };
   for (const auto& node : result.nodes) {
     for (const auto& p : node.log.Packets()) {
-      add(p.id), add(p.payload_bytes), add(p.arrived_at);
-      add(p.queue_depth_at_arrival), add(p.dropped_at_queue);
-      add(p.service_start), add(p.completed_at), add(p.acked);
-      add(p.delivered), add(p.tries), add(p.tx_energy_uj);
-      add(p.listen_time), add(p.first_delivered_at), add(p.rssi_dbm);
-      add(p.snr_db), add(p.lqi);
+      add(p.id, p.payload_bytes, p.arrived_at, p.queue_depth_at_arrival,
+          p.dropped_at_queue, p.service_start, p.completed_at, p.acked,
+          p.delivered, p.tries, p.tx_energy_uj, p.listen_time,
+          p.first_delivered_at, p.rssi_dbm, p.snr_db, p.lqi);
     }
     for (const auto& a : node.log.Attempts()) {
-      add(a.packet_id), add(a.attempt), add(a.payload_bytes), add(a.at);
-      add(a.rssi_dbm), add(a.snr_db), add(a.data_received), add(a.acked);
+      add(a.packet_id, a.attempt, a.payload_bytes, a.at, a.rssi_dbm,
+          a.snr_db, a.data_received, a.acked);
     }
     for (const auto& c : node.counters) {
       if (c.name.starts_with("sim.")) continue;
@@ -364,8 +366,8 @@ std::uint64_t RunDigest(const node::NetworkResult& result) {
       add(c.value);
     }
   }
-  add(result.medium.frames), add(result.medium.busy_hits);
-  add(result.medium.collisions), add(result.medium.captures);
+  add(result.medium.frames, result.medium.busy_hits, result.medium.collisions,
+      result.medium.captures);
   return experiment::CheckpointChecksum(bytes);
 }
 
