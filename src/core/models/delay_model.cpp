@@ -8,10 +8,14 @@ DelayModel::DelayModel(ServiceTimeModel service) : service_(service) {}
 
 double DelayModel::Utilization(const ServiceTimeInputs& in,
                                double pkt_interval_ms) const {
+  return Utilization(service_.MeanMs(in), pkt_interval_ms);
+}
+
+double DelayModel::Utilization(double service_ms, double pkt_interval_ms) {
   if (pkt_interval_ms <= 0.0) {
     throw std::invalid_argument("DelayModel: packet interval must be > 0");
   }
-  return service_.MeanMs(in) / pkt_interval_ms;
+  return service_ms / pkt_interval_ms;
 }
 
 bool DelayModel::Stable(const ServiceTimeInputs& in,
@@ -22,26 +26,35 @@ bool DelayModel::Stable(const ServiceTimeInputs& in,
 double DelayModel::QueueWaitMs(const ServiceTimeInputs& in,
                                double pkt_interval_ms,
                                int queue_capacity) const {
+  return QueueWaitMs(service_.MeanMs(in), pkt_interval_ms, queue_capacity);
+}
+
+double DelayModel::QueueWaitMs(double service_ms, double pkt_interval_ms,
+                               int queue_capacity) {
   if (queue_capacity < 1) {
     throw std::invalid_argument("DelayModel: queue capacity must be >= 1");
   }
-  const double ts = service_.MeanMs(in);
-  const double rho = ts / pkt_interval_ms;
+  const double rho = service_ms / pkt_interval_ms;
   if (rho < 1.0) {
     // M/D/1 mean wait; the deterministic-ish service of the stack makes
     // this a better estimate than M/M/1.
-    const double wait = rho * ts / (2.0 * (1.0 - rho));
+    const double wait = rho * service_ms / (2.0 * (1.0 - rho));
     // A finite queue can never hold more than its capacity worth of wait.
-    const double cap = static_cast<double>(queue_capacity) * ts;
+    const double cap = static_cast<double>(queue_capacity) * service_ms;
     return wait < cap ? wait : cap;
   }
-  return static_cast<double>(queue_capacity) * ts;
+  return static_cast<double>(queue_capacity) * service_ms;
 }
 
 double DelayModel::TotalDelayMs(const ServiceTimeInputs& in,
                                 double pkt_interval_ms,
                                 int queue_capacity) const {
-  return QueueWaitMs(in, pkt_interval_ms, queue_capacity) + service_.MeanMs(in);
+  return TotalDelayMs(service_.MeanMs(in), pkt_interval_ms, queue_capacity);
+}
+
+double DelayModel::TotalDelayMs(double service_ms, double pkt_interval_ms,
+                                int queue_capacity) {
+  return QueueWaitMs(service_ms, pkt_interval_ms, queue_capacity) + service_ms;
 }
 
 int DelayModel::MaxStableTries(int payload_bytes, double snr_db,

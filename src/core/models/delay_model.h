@@ -11,6 +11,10 @@
 // an engineering estimate of the total delay combining an M/D/1-style wait
 // for rho < 1 with the full-queue cap for rho >= 1 — enough to reproduce the
 // 2-3 orders-of-magnitude Fig. 15 gap and drive the Sec. VI-B guideline.
+//
+// Each estimate has two entry points: one derives the mean service time
+// from ServiceTimeInputs, the static one takes it from a caller that
+// already holds it (ModelSet's traffic terms). The first calls the second.
 #pragma once
 
 #include "core/models/service_time_model.h"
@@ -26,6 +30,8 @@ class DelayModel {
   /// Requires pkt_interval_ms > 0.
   [[nodiscard]] double Utilization(const ServiceTimeInputs& in,
                                    double pkt_interval_ms) const;
+  [[nodiscard]] static double Utilization(double service_ms,
+                                          double pkt_interval_ms);
 
   /// True when rho < 1, i.e. the configuration avoids queue build-up
   /// (the Sec. VI-B guideline predicate).
@@ -38,11 +44,17 @@ class DelayModel {
   [[nodiscard]] double QueueWaitMs(const ServiceTimeInputs& in,
                                    double pkt_interval_ms,
                                    int queue_capacity) const;
+  [[nodiscard]] static double QueueWaitMs(double service_ms,
+                                          double pkt_interval_ms,
+                                          int queue_capacity);
 
   /// Queue wait + mean service time, ms.
   [[nodiscard]] double TotalDelayMs(const ServiceTimeInputs& in,
                                     double pkt_interval_ms,
                                     int queue_capacity) const;
+  [[nodiscard]] static double TotalDelayMs(double service_ms,
+                                           double pkt_interval_ms,
+                                           int queue_capacity);
 
   /// Largest N_maxTries (in [1, limit]) keeping rho < 1, or 0 if even a
   /// single attempt saturates the link — the knob Sec. VII-B turns.

@@ -11,9 +11,14 @@ EnergyModel::EnergyModel(PerModel per) : per_(per) {}
 
 double EnergyModel::MicrojoulesPerBit(int payload_bytes, double snr_db,
                                       int pa_level) const {
+  return MicrojoulesPerBitAtPer(payload_bytes, per_.Per(payload_bytes, snr_db),
+                                pa_level);
+}
+
+double EnergyModel::MicrojoulesPerBitAtPer(int payload_bytes, double per,
+                                           int pa_level) {
   phy::ValidatePayloadSize(payload_bytes);
   const double e_tx = phy::EnergyPerBitMicrojoule(pa_level);
-  const double per = per_.Per(payload_bytes, snr_db);
   if (per >= 1.0) return std::numeric_limits<double>::infinity();
   const double overhead_ratio =
       static_cast<double>(phy::kStackOverheadBytes + payload_bytes) /

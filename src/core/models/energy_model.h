@@ -23,6 +23,10 @@ class EnergyModel {
   [[nodiscard]] double MicrojoulesPerBit(int payload_bytes, double snr_db,
                                          int pa_level) const;
 
+  /// Eq. (2) for a caller that already holds the attempt error rate `per`.
+  [[nodiscard]] static double MicrojoulesPerBitAtPer(int payload_bytes,
+                                                     double per, int pa_level);
+
   /// Payload size in [1, 114] minimising U_eng at the given SNR and power
   /// (exhaustive scan; the optimum the paper's Fig. 9 tracks).
   [[nodiscard]] int OptimalPayload(double snr_db, int pa_level) const;

@@ -10,10 +10,16 @@ GoodputModel::GoodputModel(ServiceTimeModel service, PlrModel plr)
 
 double GoodputModel::MaxGoodputKbps(const ServiceTimeInputs& in) const {
   const double service_ms = service_.MeanMs(in);
-  const double plr = plr_.RadioLoss(in.payload_bytes, in.snr_db, in.max_tries);
-  const double bits = util::kBitsPerByte * static_cast<double>(in.payload_bytes);
+  return MaxGoodputKbps(
+      in.payload_bytes, service_ms,
+      plr_.RadioLoss(in.payload_bytes, in.snr_db, in.max_tries));
+}
+
+double GoodputModel::MaxGoodputKbps(int payload_bytes, double service_ms,
+                                    double plr_radio) {
+  const double bits = util::kBitsPerByte * static_cast<double>(payload_bytes);
   // bits / ms == kbit/s.
-  return bits / service_ms * (1.0 - plr);
+  return bits / service_ms * (1.0 - plr_radio);
 }
 
 int GoodputModel::OptimalPayload(double snr_db, int max_tries,

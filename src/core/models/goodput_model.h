@@ -23,6 +23,12 @@ class GoodputModel {
   /// Maximum goodput in kilobits per second.
   [[nodiscard]] double MaxGoodputKbps(const ServiceTimeInputs& in) const;
 
+  /// Eq. (4) for a caller that already holds the mean service time and the
+  /// radio loss of the payload's link.
+  [[nodiscard]] static double MaxGoodputKbps(int payload_bytes,
+                                             double service_ms,
+                                             double plr_radio);
+
   /// Payload size in [1, 114] maximising goodput for the given link and MAC
   /// setting — the optimum tracked by Fig. 13 and the Sec. V-C guideline.
   [[nodiscard]] int OptimalPayload(double snr_db, int max_tries,

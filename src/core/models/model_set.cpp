@@ -1,5 +1,6 @@
-// wsnlint:hot-path — part of the per-config inner loop; the zero-alloc
-// invariant (docs/PERF.md) is linted here and measured by perf_sweep.
+// wsnlint:hot-path — the optimize search (core/opt/epsilon_constraint.cpp)
+// calls LinkTermsAtSnr once per link and WithTraffic once per config; the
+// zero-alloc invariant (docs/PERF.md) is linted here.
 #include "core/models/model_set.h"
 
 #include <cstdio>
@@ -30,25 +31,39 @@ MetricPrediction ModelSet::Predict(const StackConfig& config) const {
 MetricPrediction ModelSet::PredictAtSnr(const StackConfig& config,
                                         double snr_db) const {
   config.Validate();
+  return WithTraffic(LinkTermsAtSnr(config, snr_db), config.pkt_interval_ms,
+                     config.queue_capacity);
+}
+
+LinkTerms ModelSet::LinkTermsAtSnr(const StackConfig& config,
+                                   double snr_db) const {
   ServiceTimeInputs in;
   in.payload_bytes = config.payload_bytes;
   in.snr_db = snr_db;
   in.max_tries = config.max_tries;
   in.retry_delay_ms = config.retry_delay_ms;
 
-  MetricPrediction p;
-  p.snr_db = snr_db;
-  p.per = per_.Per(config.payload_bytes, snr_db);
-  p.mean_tries = ntries_.MeanTriesTruncated(config.payload_bytes, snr_db,
+  LinkTerms t;
+  t.snr_db = snr_db;
+  t.per = per_.Per(config.payload_bytes, snr_db);
+  t.mean_tries = ntries_.MeanTriesTruncated(config.payload_bytes, snr_db,
                                             config.max_tries);
-  p.service_time_ms = service_.MeanMs(in);
-  p.utilization = delay_.Utilization(in, config.pkt_interval_ms);
-  p.energy_uj_per_bit =
-      energy_.MicrojoulesPerBit(config.payload_bytes, snr_db, config.pa_level);
-  p.max_goodput_kbps = goodput_.MaxGoodputKbps(in);
+  t.plr_radio = plr_.RadioLoss(config.payload_bytes, snr_db, config.max_tries);
+  t.service_time_ms = service_.MeanMs(in, t.plr_radio);
+  t.energy_uj_per_bit = EnergyModel::MicrojoulesPerBitAtPer(
+      config.payload_bytes, t.per, config.pa_level);
+  t.max_goodput_kbps = GoodputModel::MaxGoodputKbps(
+      config.payload_bytes, t.service_time_ms, t.plr_radio);
+  return t;
+}
+
+MetricPrediction WithTraffic(const LinkTerms& link, double pkt_interval_ms,
+                             int queue_capacity) {
+  const double service_ms = link.service_time_ms;
+  MetricPrediction p{link};
+  p.utilization = DelayModel::Utilization(service_ms, pkt_interval_ms);
   p.total_delay_ms =
-      delay_.TotalDelayMs(in, config.pkt_interval_ms, config.queue_capacity);
-  p.plr_radio = plr_.RadioLoss(config.payload_bytes, snr_db, config.max_tries);
+      DelayModel::TotalDelayMs(service_ms, pkt_interval_ms, queue_capacity);
   p.plr_queue = QueueLossEstimate(p.utilization);
   p.plr_total = CombineLoss(p.plr_queue, p.plr_radio);
   return p;

@@ -29,6 +29,9 @@ double NtriesModel::MeanTriesTruncated(int payload_bytes, double snr_db,
   const double x = MeanTries(payload_bytes, snr_db) - 1.0;
   const double p = x / (1.0 + x);
   if (p <= 0.0) return 1.0;
+  // On a dead link p rounds to 1, or is NaN once x overflows; every
+  // attempt fails and the sum below tends to N as p -> 1.
+  if (!(p < 1.0)) return static_cast<double>(max_tries);
   // E[min(G, N)] for G ~ Geometric(success = 1-p):
   // sum_{k=0}^{N-1} p^k = (1 - p^N) / (1 - p).
   const double pn = std::pow(p, max_tries);

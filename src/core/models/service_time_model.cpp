@@ -71,9 +71,13 @@ double ServiceTimeModel::LostMs(const ServiceTimeInputs& in) const {
 
 double ServiceTimeModel::MeanMs(const ServiceTimeInputs& in) const {
   ValidateInputs(in);
-  const double plr =
-      plr_.RadioLoss(in.payload_bytes, in.snr_db, in.max_tries);
-  return (1.0 - plr) * DeliveredMs(in) + plr * LostMs(in);
+  return MeanMs(in,
+                plr_.RadioLoss(in.payload_bytes, in.snr_db, in.max_tries));
+}
+
+double ServiceTimeModel::MeanMs(const ServiceTimeInputs& in,
+                                double plr_radio) const {
+  return (1.0 - plr_radio) * DeliveredMs(in) + plr_radio * LostMs(in);
 }
 
 }  // namespace wsnlink::core::models

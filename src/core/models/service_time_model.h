@@ -59,6 +59,11 @@ class ServiceTimeModel {
   /// time used for utilization and goodput.
   [[nodiscard]] double MeanMs(const ServiceTimeInputs& in) const;
 
+  /// The same mixture for a caller that already holds the radio loss
+  /// `plr_radio` of `in` (Eq. 8), so it is not derived a second time.
+  [[nodiscard]] double MeanMs(const ServiceTimeInputs& in,
+                              double plr_radio) const;
+
   [[nodiscard]] const NtriesModel& Ntries() const noexcept { return ntries_; }
   [[nodiscard]] const PlrModel& Plr() const noexcept { return plr_; }
 

@@ -92,10 +92,4 @@ StackConfig ConfigSpace::At(std::size_t index) const {
   return config;
 }
 
-void ConfigSpace::ForEach(
-    const std::function<void(const StackConfig&)>& fn) const {
-  const std::size_t size = Size();
-  for (std::size_t i = 0; i < size; ++i) fn(At(i));
-}
-
 }  // namespace wsnlink::core::opt

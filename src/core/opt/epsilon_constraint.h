@@ -7,7 +7,16 @@
 // and points at the epsilon-constraint method: optimise one primary metric
 // subject to upper bounds ("epsilons") on the others. Over a discrete space
 // the method is an exhaustive filtered search, which is exactly what we do —
-// the full Table I space is < 50k points and the model evaluation is cheap.
+// the full Table I space is < 50k points.
+//
+// The search visits configurations in ConfigSpace::At order, and a config
+// replaces the best only at a strictly lower cost, so among equal costs the
+// first in that order wins. Each prediction is the bit-exact
+// ModelSet::Predict (or PredictAtSnr) of its config, but the search builds
+// it from parts: the SNR once per (distance, PA level), the link terms
+// (every exp, pow and log10) once per (distance, PA level, max tries, retry
+// delay, payload), and only the traffic terms per config. The serving
+// space's 1,560 configs share 520 link terms.
 #pragma once
 
 #include <optional>

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <charconv>
+#include <cmath>
 #include <map>
 
 #include "util/args.h"
@@ -376,6 +377,9 @@ Request ParseRequest(std::string_view line) {
 }
 
 std::string FormatDouble(double value) {
+  // JSON has no token for NaN or the infinities (a dead link's energy per
+  // delivered bit is +inf); they render as null.
+  if (!std::isfinite(value)) return "null";
   char buf[64];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
   if (ec != std::errc()) return "0";  // unreachable for finite doubles

@@ -42,7 +42,7 @@ inline constexpr std::size_t kMaxRequestBytes = 8192;
 /// physics or the serving config space change in any observable way: a
 /// persisted cache with a different tag is discarded wholesale at warm
 /// start (invalidation rule, see docs/SERVING.md).
-inline constexpr std::string_view kServeVersionTag = "wsnlink-serve-v1";
+inline constexpr std::string_view kServeVersionTag = "wsnlink-serve-v2";
 
 /// Malformed or out-of-contract request. The message is safe to echo to
 /// the client (single line, no control characters).
@@ -103,7 +103,8 @@ struct Request {
 
 /// Shortest round-trip rendering of a double (std::to_chars): canonical,
 /// locale-free, byte-stable across runs — the only way numbers enter
-/// responses and cache keys.
+/// responses and cache keys. NaN and the infinities render as JSON null
+/// (requests carry finite numbers only, so keys never hold one).
 [[nodiscard]] std::string FormatDouble(double value);
 
 /// Escapes a string for embedding in a JSON-subset reply (quotes,

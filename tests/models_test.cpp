@@ -2,7 +2,10 @@
 // published anchor values (Table II, zone thresholds).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +19,7 @@
 #include "core/models/per_model.h"
 #include "core/models/plr_model.h"
 #include "core/models/service_time_model.h"
+#include "core/opt/config_space.h"
 #include "phy/frame.h"
 
 namespace wsnlink::core::models {
@@ -93,6 +97,13 @@ TEST(NtriesModel, TruncatedBoundedByMaxTries) {
     const double mean = n.MeanTriesTruncated(114, 0.0, max_tries);
     EXPECT_LE(mean, static_cast<double>(max_tries));
     EXPECT_GE(mean, 1.0);
+    // On a dead link the implied failure rate rounds to 1 (-300 dB) or
+    // overflows (-1e6 dB); every attempt is spent.
+    for (const double dead_snr : {-300.0, -1e6}) {
+      EXPECT_EQ(n.MeanTriesTruncated(114, dead_snr, max_tries),
+                static_cast<double>(max_tries))
+          << dead_snr;
+    }
   }
 }
 
@@ -405,24 +416,63 @@ TEST(DelayModel, MaxStableTries) {
 
 // ----------------------------------------------------------- model set ----
 
-TEST(ModelSet, PredictionFieldsConsistent) {
-  ModelSet models;
-  StackConfig config;
-  config.distance_m = 30.0;
-  config.pa_level = 15;
-  config.max_tries = 3;
-  config.queue_capacity = 10;
-  config.pkt_interval_ms = 50.0;
-  config.payload_bytes = 80;
+/// Every field of a prediction as raw bits, so NaN, infinities and
+/// signed zeros compare exactly.
+std::array<std::uint64_t, 11> Bits(const MetricPrediction& p) {
+  return {std::bit_cast<std::uint64_t>(p.snr_db),
+          std::bit_cast<std::uint64_t>(p.per),
+          std::bit_cast<std::uint64_t>(p.mean_tries),
+          std::bit_cast<std::uint64_t>(p.service_time_ms),
+          std::bit_cast<std::uint64_t>(p.utilization),
+          std::bit_cast<std::uint64_t>(p.energy_uj_per_bit),
+          std::bit_cast<std::uint64_t>(p.max_goodput_kbps),
+          std::bit_cast<std::uint64_t>(p.total_delay_ms),
+          std::bit_cast<std::uint64_t>(p.plr_radio),
+          std::bit_cast<std::uint64_t>(p.plr_queue),
+          std::bit_cast<std::uint64_t>(p.plr_total)};
+}
 
-  const auto p = models.Predict(config);
-  EXPECT_NEAR(p.snr_db, models.LinkQuality().SnrDb(15, 30.0), 1e-12);
-  EXPECT_NEAR(p.per, models.Per().Per(80, p.snr_db), 1e-12);
-  EXPECT_NEAR(p.utilization, p.service_time_ms / 50.0, 1e-12);
-  EXPECT_NEAR(p.plr_total,
-              1.0 - (1.0 - p.plr_queue) * (1.0 - p.plr_radio), 1e-12);
-  EXPECT_GT(p.max_goodput_kbps, 0.0);
-  EXPECT_GT(p.total_delay_ms, p.service_time_ms - 1e-9);
+TEST(ModelSet, PredictionFieldsConsistent) {
+  // Predict, the composition of the link and traffic terms, gives the very
+  // bits of each model's own entry point, for every Table I configuration
+  // at one distance, at the derived SNR and at fixed SNRs.
+  const ModelSet models;
+  auto space = opt::ConfigSpace::PaperTableI();
+  space.distances_m = {30.0};
+  for (std::size_t i = 0; i < space.Size(); ++i) {
+    const StackConfig config = space.At(i);
+    const double snrs[] = {
+        models.LinkQuality().SnrDb(config.pa_level, config.distance_m), -20.0,
+        0.0, 6.0, 12.0, 40.0};
+    for (std::size_t k = 0; k < std::size(snrs); ++k) {
+      const double snr = snrs[k];
+      ServiceTimeInputs in;
+      in.payload_bytes = config.payload_bytes;
+      in.snr_db = snr;
+      in.max_tries = config.max_tries;
+      in.retry_delay_ms = config.retry_delay_ms;
+      const double t_pkt = config.pkt_interval_ms;
+      MetricPrediction want;
+      want.snr_db = snr;
+      want.per = models.Per().Per(config.payload_bytes, snr);
+      want.mean_tries = models.Ntries().MeanTriesTruncated(
+          config.payload_bytes, snr, config.max_tries);
+      want.service_time_ms = models.Service().MeanMs(in);
+      want.utilization = models.Delay().Utilization(in, t_pkt);
+      want.energy_uj_per_bit = models.Energy().MicrojoulesPerBit(
+          config.payload_bytes, snr, config.pa_level);
+      want.max_goodput_kbps = models.Goodput().MaxGoodputKbps(in);
+      want.total_delay_ms =
+          models.Delay().TotalDelayMs(in, t_pkt, config.queue_capacity);
+      want.plr_radio =
+          models.Plr().RadioLoss(config.payload_bytes, snr, config.max_tries);
+      want.plr_queue = QueueLossEstimate(want.utilization);
+      want.plr_total = CombineLoss(want.plr_queue, want.plr_radio);
+      const MetricPrediction got = k == 0 ? models.Predict(config)
+                                          : models.PredictAtSnr(config, snr);
+      ASSERT_EQ(Bits(got), Bits(want)) << config.ToString() << " snr " << snr;
+    }
+  }
 }
 
 TEST(ModelSet, PredictAtSnrOverridesPlacement) {

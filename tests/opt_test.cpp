@@ -2,7 +2,14 @@
 // guidelines, Pareto front, epsilon-constraint MOP and baselines.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/models/model_set.h"
 #include "core/opt/baselines.h"
@@ -12,6 +19,7 @@
 #include "core/opt/objectives.h"
 #include "core/opt/pareto.h"
 #include "phy/frame.h"
+#include "serve/query_service.h"
 
 namespace wsnlink::core::opt {
 namespace {
@@ -56,17 +64,51 @@ TEST(ConfigSpace, DistanceIsSlowestIndex) {
 }
 
 TEST(ConfigSpace, ForEachVisitsAll) {
+  // ForEach visits At order, and its hooks fire exactly where the
+  // placement or the link digits change.
   ConfigSpace space;
-  space.distances_m = {10};
-  space.pa_levels = {31};
+  space.distances_m = {10, 25};
+  space.pa_levels = {7, 31};
   space.max_tries = {1, 3};
   space.retry_delays_ms = {0, 30};
-  space.queue_capacities = {1};
-  space.pkt_intervals_ms = {50};
-  space.payload_bytes = {20};
-  std::size_t count = 0;
-  space.ForEach([&count](const StackConfig&) { ++count; });
-  EXPECT_EQ(count, 4u);
+  space.queue_capacities = {1, 30};
+  space.pkt_intervals_ms = {20, 50};
+  space.payload_bytes = {20, 65, 110};
+  // Configurations per (distance, PA) and per (distance, PA, max tries,
+  // retry delay).
+  const std::size_t per_placement =
+      space.SizePerDistance() / space.pa_levels.size();
+  const std::size_t per_link = per_placement / (space.max_tries.size() *
+                                                space.retry_delays_ms.size());
+  std::size_t i = 0;
+  std::size_t placements = 0;
+  std::size_t links = 0;
+  space.ForEach(
+      [&](const StackConfig& placement) {
+        ++placements;
+        const StackConfig next = space.At(i);
+        EXPECT_EQ(i % per_placement, 0u);
+        EXPECT_EQ(placement.distance_m, next.distance_m);
+        EXPECT_EQ(placement.pa_level, next.pa_level);
+      },
+      [&](const StackConfig& link) {
+        ++links;
+        const StackConfig next = space.At(i);
+        EXPECT_EQ(i % per_link, 0u);
+        EXPECT_EQ(link.distance_m, next.distance_m);
+        EXPECT_EQ(link.pa_level, next.pa_level);
+        EXPECT_EQ(link.max_tries, next.max_tries);
+        EXPECT_EQ(link.retry_delay_ms, next.retry_delay_ms);
+      },
+      [&](const StackConfig& config, std::size_t payload) {
+        ASSERT_LT(i, space.Size());
+        EXPECT_EQ(config, space.At(i)) << i;
+        EXPECT_EQ(config.payload_bytes, space.payload_bytes[payload]);
+        ++i;
+      });
+  EXPECT_EQ(i, space.Size());
+  EXPECT_EQ(placements, 4u);
+  EXPECT_EQ(links, 16u);
 }
 
 TEST(ConfigSpace, ValidateCatchesBadValues) {
@@ -145,22 +187,106 @@ ConfigSpace SmallSpace() {
   return space;
 }
 
-TEST(EpsilonConstraint, UnconstrainedMatchesBruteForce) {
-  const models::ModelSet models;
-  const auto space = SmallSpace();
-  Problem problem;
-  problem.objective = Metric::kGoodput;
-  const auto solution = SolveEpsilonConstraint(models, space, problem);
-  ASSERT_TRUE(solution.has_value());
-  EXPECT_EQ(solution->feasible_count, space.Size());
+/// Every field of a prediction as raw bits, so NaN, infinities and
+/// signed zeros compare exactly.
+std::array<std::uint64_t, 11> Bits(const models::MetricPrediction& p) {
+  return {std::bit_cast<std::uint64_t>(p.snr_db),
+          std::bit_cast<std::uint64_t>(p.per),
+          std::bit_cast<std::uint64_t>(p.mean_tries),
+          std::bit_cast<std::uint64_t>(p.service_time_ms),
+          std::bit_cast<std::uint64_t>(p.utilization),
+          std::bit_cast<std::uint64_t>(p.energy_uj_per_bit),
+          std::bit_cast<std::uint64_t>(p.max_goodput_kbps),
+          std::bit_cast<std::uint64_t>(p.total_delay_ms),
+          std::bit_cast<std::uint64_t>(p.plr_radio),
+          std::bit_cast<std::uint64_t>(p.plr_queue),
+          std::bit_cast<std::uint64_t>(p.plr_total)};
+}
 
-  // Brute force comparison.
-  double best = -1.0;
+/// models.Predict (or PredictAtSnr) of every configuration, in At order.
+std::vector<models::MetricPrediction> PredictEach(
+    const models::ModelSet& models, const ConfigSpace& space,
+    std::optional<double> fixed_snr_db) {
+  std::vector<models::MetricPrediction> out;
   for (std::size_t i = 0; i < space.Size(); ++i) {
-    const auto p = models.Predict(space.At(i));
-    best = std::max(best, p.max_goodput_kbps);
+    const StackConfig config = space.At(i);
+    out.push_back(fixed_snr_db ? models.PredictAtSnr(config, *fixed_snr_db)
+                               : models.Predict(config));
   }
-  EXPECT_NEAR(solution->prediction.max_goodput_kbps, best, 1e-9);
+  return out;
+}
+
+TEST(EpsilonConstraint, UnconstrainedMatchesBruteForce) {
+  // The search gives what a plain loop over At(i) and Predict gives, where
+  // a strictly lower cost replaces the best, so the first of equal costs
+  // wins: the same configuration, the same prediction bits and the same
+  // feasible count, for every objective, with and without each constraint
+  // kind and a fixed SNR.
+  const models::ModelSet models;
+  auto table_i = ConfigSpace::PaperTableI();
+  table_i.distances_m = {25.0};
+  const std::pair<const char*, ConfigSpace> spaces[] = {
+      {"serving 10 m", serve::ServingSpace(10.0, 100.0)},
+      {"serving 22.5 m", serve::ServingSpace(22.5, 20.0)},
+      {"serving 35 m", serve::ServingSpace(35.0, 10.0)},
+      {"Table I 25 m", table_i}};
+  const std::vector<Constraint> constraint_sets[] = {
+      {},
+      {AtMost(Metric::kEnergy, 0.3)},
+      {AtMost(Metric::kDelay, 30.0)},
+      {AtMost(Metric::kLoss, 0.05)},
+      {GoodputAtLeast(20.0)},
+      {AtMost(Metric::kEnergy, 0.5), AtMost(Metric::kDelay, 60.0),
+       AtMost(Metric::kLoss, 0.1), GoodputAtLeast(5.0)}};
+  // 40 dB is tie-heavy: the total loss of most configurations is exactly 0.
+  const std::optional<double> snrs[] = {std::nullopt, 6.0, 40.0};
+  std::size_t ties = 0;
+  for (const auto& [name, space] : spaces) {
+    for (const auto& snr : snrs) {
+      const auto predictions = PredictEach(models, space, snr);
+      for (const Metric objective : {Metric::kEnergy, Metric::kGoodput,
+                                     Metric::kDelay, Metric::kLoss}) {
+        for (const auto& constraints : constraint_sets) {
+          Problem problem;
+          problem.objective = objective;
+          problem.constraints = constraints;
+          problem.fixed_snr_db = snr;
+          std::optional<std::size_t> best;
+          double best_cost = 0.0;
+          std::size_t feasible = 0;
+          for (std::size_t i = 0; i < predictions.size(); ++i) {
+            bool ok = true;
+            for (const auto& c : constraints) {
+              if (MetricCost(predictions[i], c.metric) > c.max_cost) ok = false;
+            }
+            if (!ok) continue;
+            ++feasible;
+            const double cost = MetricCost(predictions[i], objective);
+            if (!best || cost < best_cost) {
+              best = i;
+              best_cost = cost;
+            } else if (!(cost > best_cost)) {
+              ++ties;  // an equal cost: the earlier configuration stays
+            }
+          }
+          const auto solution = SolveEpsilonConstraint(models, space, problem);
+          const std::string where =
+              std::string(name) + " objective " +
+              std::string(MetricName(objective)) + " constraints " +
+              std::to_string(constraints.size()) + " snr " +
+              (snr ? std::to_string(*snr) : std::string("derived"));
+          ASSERT_EQ(solution.has_value(), best.has_value()) << where;
+          if (!best) continue;
+          EXPECT_EQ(solution->config, space.At(*best)) << where;
+          EXPECT_EQ(Bits(solution->prediction), Bits(predictions[*best]))
+              << where;
+          EXPECT_EQ(solution->feasible_count, feasible) << where;
+        }
+      }
+    }
+  }
+  // The tie rule is exercised, not vacuous.
+  EXPECT_GT(ties, 1000u);
 }
 
 TEST(EpsilonConstraint, ConstraintsFilterFeasibleSet) {
@@ -216,9 +342,19 @@ TEST(EpsilonConstraint, FixedSnrOverridesPlacement) {
 
 TEST(EvaluateSpace, ReturnsEveryPoint) {
   const models::ModelSet models;
-  const auto space = SmallSpace();
-  const auto points = EvaluateSpace(models, space);
-  EXPECT_EQ(points.size(), space.Size());
+  auto table_i = ConfigSpace::PaperTableI();
+  table_i.distances_m = {15.0, 30.0};
+  for (const ConfigSpace& space : {SmallSpace(), table_i}) {
+    for (const std::optional<double> snr : {std::optional<double>(), {6.0}}) {
+      const auto points = EvaluateSpace(models, space, snr);
+      const auto predictions = PredictEach(models, space, snr);
+      ASSERT_EQ(points.size(), space.Size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(points[i].config, space.At(i)) << i;
+        EXPECT_EQ(Bits(points[i].prediction), Bits(predictions[i])) << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- guidelines ----

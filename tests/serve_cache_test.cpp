@@ -659,6 +659,8 @@ TEST(ServeCache, Version1CacheWarmStartsByteIdentical) {
   QueryService cold(cold_options);
   ServiceOptions options;
   options.cache_path = path;
+  // The tag the frozen file was written under; later tags discard it.
+  options.version_tag = "wsnlink-serve-v1";
   {
     QueryService warm(options);
     EXPECT_EQ(warm.Stats().warm_loaded, 4u);
@@ -672,7 +674,7 @@ TEST(ServeCache, Version1CacheWarmStartsByteIdentical) {
     (void)warm.Answer(kWhatIfLine);
   }
   EXPECT_EQ(ReadFile(path).rfind("wsnlink-servecache 2 ", 0), 0u);
-  ResultCache reloaded(std::string(serve::kServeVersionTag));
+  ResultCache reloaded(options.version_tag);
   EXPECT_EQ(reloaded.Load(path).loaded, 5u);
   std::remove(path.c_str());
 }

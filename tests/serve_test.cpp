@@ -220,6 +220,34 @@ TEST(ServeService, InfeasibleOptimizeIsAnswered) {
       << reply;
 }
 
+TEST(ServeService, DeadLinkOptimizeRepliesAreJson) {
+  // On a dead link the energy per delivered bit is +inf and the implied
+  // per-attempt failure rate rounds to 1 (-300 dB) or overflows (-1e6 dB).
+  // JSON has no inf or nan token: such numbers render as null, and the
+  // mean tries take their limit, max_tries.
+  QueryService service(ServiceOptions{});
+  for (const char* given :
+       {"\"snr_db\":-300", "\"snr_db\":-1e6", "\"distance_m\":10000"}) {
+    const std::string reply =
+        service.Answer(std::string("{\"verb\":\"optimize\",") + given + "}");
+    SCOPED_TRACE(reply);
+    ASSERT_EQ(reply.find("{\"status\":\"ok\""), 0u);
+    for (const char* token : {"inf", "nan"}) {
+      for (const char* before : {":", ":-"}) {
+        EXPECT_EQ(reply.find(std::string(before) + token), std::string::npos);
+      }
+    }
+    EXPECT_NE(reply.find("\"energy_uj_per_bit\":null"), std::string::npos);
+    const auto field = [&reply](const std::string& name) {
+      const std::size_t at = reply.find("\"" + name + "\":");
+      EXPECT_NE(at, std::string::npos) << name;
+      return reply.substr(at + name.size() + 3,
+                          reply.find_first_of(",}", at) - at - name.size() - 3);
+    };
+    EXPECT_EQ(field("mean_tries"), field("max_tries"));
+  }
+}
+
 TEST(ServeService, MalformedLineYieldsStructuredError) {
   QueryService service(ServiceOptions{});
   const std::string reply = service.Answer("garbage");
