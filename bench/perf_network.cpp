@@ -8,24 +8,19 @@
 // work is the node-packet, not the event: the MAC's event driver runs
 // CCAs the medium already proves busy inside an earlier event, so events
 // per packet vary by design. The run is single-threaded by construction;
-// the JSON records `host_cores` and `threads: 1` so baselines from
+// the JSON records `host_cores` and `threads: 1` so figures from
 // different hosts are never mistaken for a scaling claim.
 //
-// `--check <json>` re-runs the workload and fails (exit 1) if the
-// calibration-normalized node-packets/sec on the largest rung regressed
-// by more than the tolerance versus the committed BENCH_network.json —
-// the CI perf-smoke gate.
+// bench/perf_gate.py compares the largest rung's node-packets/sec with
+// the parent commit's binary on the same runner (the CI perf-smoke gate).
 //
 // Usage:
-//   perf_network [--out BENCH_network.json] [--check BENCH_network.json]
-//                [--tolerance 0.30] [--nodes 64,256,1024] [--packets 15]
-//                [--repeat 1]
+//   perf_network [--out BENCH_network.json] [--nodes 64,256,1024]
+//                [--packets 15] [--repeat 1]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,23 +34,6 @@ using Clock = std::chrono::steady_clock;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-// Same fixed integer workload as perf_sweep: calibrates machine speed so
-// normalized figures are comparable across hosts.
-double CalibrationScore() {
-  constexpr std::uint64_t kIters = 40'000'000;
-  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kIters; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x += i;
-  }
-  const auto t1 = Clock::now();
-  const double jitter = static_cast<double>(x & 1) * 1e-9;
-  return static_cast<double>(kIters) / Seconds(t0, t1) / 1e6 + jitter;
 }
 
 std::vector<int> ParseIntList(const std::string& list, const char* flag) {
@@ -93,33 +71,12 @@ struct Rung {
   double node_packets_per_sec = 0.0;
 };
 
-// Pulls `"key": <number>` out of a JSON file written by this tool (the
-// bench owns both sides of the format). -1 when missing/non-numeric.
-double JsonNumber(const std::string& text, const std::string& key) {
-  const auto pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return -1.0;
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return -1.0;
-  auto begin = text.find_first_not_of(" \t\n", colon + 1);
-  if (begin == std::string::npos) return -1.0;
-  auto end = text.find_first_of(",\n}", begin);
-  if (end == std::string::npos) end = text.size();
-  const auto last = text.find_last_not_of(" \t", end - 1);
-  try {
-    return wsnlink::util::ParseDouble(text.substr(begin, last - begin + 1),
-                                      key);
-  } catch (const std::invalid_argument&) {
-    return -1.0;
-  }
-}
-
 void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
-               int packets, unsigned host_cores, double calib_mops,
-               double normalized) {
+               int packets, unsigned host_cores) {
   std::ofstream out(path);
   char buf[64];
   out << "{\n";
-  out << "  \"schema\": \"wsnlink-bench-network-v3\",\n";
+  out << "  \"schema\": \"wsnlink-bench-v1\",\n";
   out << "  \"workload\": {\n    \"nodes\": [";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     out << (i ? "," : "") << rungs[i].nodes;
@@ -128,8 +85,6 @@ void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
       << ",\n    \"base_seed\": 20150629\n  },\n";
   out << "  \"host_cores\": " << host_cores << ",\n";
   out << "  \"threads\": 1,\n";
-  std::snprintf(buf, sizeof(buf), "%.1f", calib_mops);
-  out << "  \"calibration_mops\": " << buf << ",\n";
   out << "  \"rungs\": [\n";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "%.0f", rungs[i].node_packets_per_sec);
@@ -139,9 +94,7 @@ void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
         << ", \"node_packets_per_sec\": " << buf << "}"
         << (i + 1 < rungs.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  std::snprintf(buf, sizeof(buf), "%.2f", normalized);
-  out << "  \"node_packets_per_sec_per_calib_mop\": " << buf << "\n";
+  out << "  ]\n";
   out << "}\n";
 }
 
@@ -155,16 +108,13 @@ int main(int argc, char** argv) {
                                       "--nodes");
   const int packets = args.GetPositiveInt("--packets", 15);
   const auto repeat = args.GetSize("--repeat", 1);
-  const double tolerance = args.GetDouble("--tolerance", 0.30);
   const std::string out_path = args.GetString("--out", "");
-  const std::string check_path = args.GetString("--check", "");
   const unsigned host_cores = std::thread::hardware_concurrency();
 
   std::printf("perf_network: %zu node rungs, %d packets/node, threads=1, "
               "host_cores=%u\n",
               node_list.size(), packets, host_cores);
 
-  const double calib_mops = CalibrationScore();
   std::vector<Rung> rungs;
   for (const int nodes : node_list) {
     Rung rung;
@@ -191,44 +141,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rung.events));
     rungs.push_back(rung);
   }
-  const double normalized = rungs.back().node_packets_per_sec / calib_mops;
-  std::printf("  calib        %10.1f Mops/s\n", calib_mops);
-  std::printf("  normalized (largest rung) %10.2f node-packets/sec per calib "
-              "Mop\n",
-              normalized);
 
   if (!out_path.empty()) {
-    WriteJson(out_path, rungs, packets, host_cores, calib_mops, normalized);
+    WriteJson(out_path, rungs, packets, host_cores);
     std::printf("wrote %s\n", out_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "perf_network: cannot read %s\n",
-                   check_path.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const double committed =
-        JsonNumber(ss.str(), "node_packets_per_sec_per_calib_mop");
-    if (committed <= 0.0) {
-      std::fprintf(stderr, "perf_network: no baseline metric in %s\n",
-                   check_path.c_str());
-      return 2;
-    }
-    const double floor = committed * (1.0 - tolerance);
-    std::printf("check: normalized %.2f vs committed %.2f (floor %.2f)\n",
-                normalized, committed, floor);
-    if (normalized < floor) {
-      std::fprintf(stderr,
-                   "perf_network: REGRESSION — normalized node-packets/sec "
-                   "%.2f is below %.2f (committed %.2f - %g%%)\n",
-                   normalized, floor, committed, tolerance * 100);
-      return 1;
-    }
-    std::printf("check: OK\n");
   }
   return 0;
 }

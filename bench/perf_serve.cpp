@@ -5,25 +5,25 @@
 // with a fixed what_if workload twice: once cold (every request is a cache
 // miss and runs the simulator) and once hot (every request is a cache hit).
 // Reports throughput and p50/p99 latency for both phases plus the
-// hit-over-miss throughput ratio — the number that justifies the cache's
-// existence — and a machine-speed calibration score so the committed
-// BENCH_serve.json baseline compares across hosts. `--check <json>` re-runs
-// the workload and fails (exit 1) when the calibration-normalized hit
-// throughput regressed beyond the tolerance or the hit/miss ratio fell
-// under the floor — the CI serve gate.
+// hit-over-miss ratio of median latencies — the number that justifies the
+// cache's existence. It fails (exit 1) whenever that ratio is below
+// kMinHitOverMiss: both phases run on the same host in the same process,
+// so the floor is an absolute constant. Hit throughput is not judged here;
+// bench/perf_gate.py compares it with the parent commit's binary on the
+// same runner (the CI perf-smoke gate). Requests are answered one at a
+// time on the calling thread.
 //
 // Usage:
-//   perf_serve [--out BENCH_serve.json] [--check BENCH_serve.json]
-//              [--tolerance 0.4] [--min-ratio 10] [--requests 48]
-//              [--packets 120] [--hot-repeat 20] [--threads 0]
+//   perf_serve [--out BENCH_serve.json] [--requests 48] [--packets 120]
+//              [--hot-repeat 20]
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/query_service.h"
@@ -33,24 +33,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Least speedup of a median cache hit over a median cold miss that
+/// justifies the cache.
+constexpr double kMinHitOverMiss = 10.0;
+
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-// Same fixed integer workload as perf_sweep: Mops/s calibrates host speed.
-double CalibrationScore() {
-  constexpr std::uint64_t kIters = 40'000'000;
-  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kIters; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x += i;
-  }
-  const auto t1 = Clock::now();
-  const double jitter = static_cast<double>(x & 1) * 1e-9;
-  return static_cast<double>(kIters) / Seconds(t0, t1) / 1e6 + jitter;
 }
 
 struct PhaseResult {
@@ -115,24 +103,6 @@ std::vector<std::string> MakeWorkload(std::size_t count, int packets) {
   return lines;
 }
 
-double JsonNumber(const std::string& text, const std::string& key) {
-  const auto pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return -1.0;
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return -1.0;
-  auto begin = text.find_first_not_of(" \t\n", colon + 1);
-  if (begin == std::string::npos) return -1.0;
-  auto end = text.find_first_of(",\n}", begin);
-  if (end == std::string::npos) end = text.size();
-  const auto last = text.find_last_not_of(" \t", end - 1);
-  try {
-    return wsnlink::util::ParseDouble(text.substr(begin, last - begin + 1),
-                                      key);
-  } catch (const std::invalid_argument&) {
-    return -1.0;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,19 +113,12 @@ int main(int argc, char** argv) {
     const int packets = static_cast<int>(args.GetSize("--packets", 120));
     const int hot_repeat =
         static_cast<int>(args.GetSize("--hot-repeat", 20));
-    const auto threads = static_cast<unsigned>(args.GetSize("--threads", 0));
-    const double tolerance = args.GetDouble("--tolerance", 0.4);
-    const double min_ratio = args.GetDouble("--min-ratio", 10.0);
     const std::string out_path = args.GetString("--out", "");
-    const std::string check_path = args.GetString("--check", "");
 
     const std::vector<std::string> workload = MakeWorkload(requests, packets);
 
-    serve::ServiceOptions options;
-    options.threads = threads;
-    serve::QueryService service(options);
+    serve::QueryService service{serve::ServiceOptions()};
 
-    const double calib_mops = CalibrationScore();
     std::printf("perf_serve: %zu what_if requests x %d packets\n",
                 workload.size(), packets);
 
@@ -175,26 +138,36 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    const double ratio = hot.throughput_rps / cold.throughput_rps;
-    const double normalized_hot = hot.throughput_rps / calib_mops;
+    // Medians, not throughputs: one host stall (about 100 ms was seen) that
+    // lands in the hot phase, which is tens of milliseconds long, cuts its
+    // throughput several-fold but leaves its median latency alone.
+    const double ratio = cold.p50_us / hot.p50_us;
 
-    std::printf("  calib          %12.1f Mops/s\n", calib_mops);
     std::printf("  cold miss      %12.1f req/s  p50 %.0f us  p99 %.0f us\n",
                 cold.throughput_rps, cold.p50_us, cold.p99_us);
     std::printf("  cache hit      %12.1f req/s  p50 %.1f us  p99 %.1f us\n",
                 hot.throughput_rps, hot.p50_us, hot.p99_us);
     std::printf("  hit/miss ratio %12.1fx\n", ratio);
 
+    if (ratio < kMinHitOverMiss) {
+      std::fprintf(stderr, "perf_serve: hit/miss ratio %.1fx is under the"
+                   " %.1fx floor\n",
+                   ratio, kMinHitOverMiss);
+      return 1;
+    }
+
     if (!out_path.empty()) {
       std::ofstream out(out_path);
       out << "{\n";
-      out << "  \"schema\": \"wsnlink-bench-serve-v1\",\n";
+      out << "  \"schema\": \"wsnlink-bench-v1\",\n";
       out << "  \"workload\": {\n";
       out << "    \"requests\": " << workload.size() << ",\n";
       out << "    \"packets_per_request\": " << packets << ",\n";
-      out << "    \"hot_repeat\": " << hot_repeat << ",\n";
-      out << "    \"threads\": " << threads << "\n";
+      out << "    \"hot_repeat\": " << hot_repeat << "\n";
       out << "  },\n";
+      out << "  \"host_cores\": " << std::thread::hardware_concurrency()
+          << ",\n";
+      out << "  \"threads\": 1,\n";
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.1f", cold.throughput_rps);
       out << "  \"cold_miss_rps\": " << buf << ",\n";
@@ -209,46 +182,9 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf), "%.1f", hot.p99_us);
       out << "  \"cache_hit_p99_us\": " << buf << ",\n";
       std::snprintf(buf, sizeof(buf), "%.1f", ratio);
-      out << "  \"hit_over_miss\": " << buf << ",\n";
-      std::snprintf(buf, sizeof(buf), "%.1f", calib_mops);
-      out << "  \"calibration_mops\": " << buf << ",\n";
-      std::snprintf(buf, sizeof(buf), "%.2f", normalized_hot);
-      out << "  \"cache_hit_rps_per_calib_mop\": " << buf << "\n";
+      out << "  \"hit_over_miss\": " << buf << "\n";
       out << "}\n";
       std::printf("wrote %s\n", out_path.c_str());
-    }
-
-    if (!check_path.empty()) {
-      std::ifstream in(check_path);
-      if (!in) {
-        std::fprintf(stderr, "perf_serve: cannot read %s\n",
-                     check_path.c_str());
-        return 2;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      const std::string baseline = buffer.str();
-      const double base_norm =
-          JsonNumber(baseline, "cache_hit_rps_per_calib_mop");
-      if (base_norm <= 0.0) {
-        std::fprintf(stderr, "perf_serve: no baseline metric in %s\n",
-                     check_path.c_str());
-        return 2;
-      }
-      if (ratio < min_ratio) {
-        std::fprintf(stderr, "perf_serve: hit/miss ratio %.1fx is under the"
-                     " %.1fx floor\n",
-                     ratio, min_ratio);
-        return 1;
-      }
-      if (normalized_hot < base_norm * (1.0 - tolerance)) {
-        std::fprintf(stderr, "perf_serve: normalized hit throughput %.2f"
-                     " regressed vs baseline %.2f (tolerance %.0f%%)\n",
-                     normalized_hot, base_norm, tolerance * 100.0);
-        return 1;
-      }
-      std::printf("check ok: %.2f vs baseline %.2f, ratio %.1fx >= %.1fx\n",
-                  normalized_hot, base_norm, ratio, min_ratio);
     }
     return 0;
   } catch (const std::exception& e) {

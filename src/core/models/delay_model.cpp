@@ -18,17 +18,6 @@ double DelayModel::Utilization(double service_ms, double pkt_interval_ms) {
   return service_ms / pkt_interval_ms;
 }
 
-bool DelayModel::Stable(const ServiceTimeInputs& in,
-                        double pkt_interval_ms) const {
-  return Utilization(in, pkt_interval_ms) < 1.0;
-}
-
-double DelayModel::QueueWaitMs(const ServiceTimeInputs& in,
-                               double pkt_interval_ms,
-                               int queue_capacity) const {
-  return QueueWaitMs(service_.MeanMs(in), pkt_interval_ms, queue_capacity);
-}
-
 double DelayModel::QueueWaitMs(double service_ms, double pkt_interval_ms,
                                int queue_capacity) {
   if (queue_capacity < 1) {
@@ -44,12 +33,6 @@ double DelayModel::QueueWaitMs(double service_ms, double pkt_interval_ms,
     return wait < cap ? wait : cap;
   }
   return static_cast<double>(queue_capacity) * service_ms;
-}
-
-double DelayModel::TotalDelayMs(const ServiceTimeInputs& in,
-                                double pkt_interval_ms,
-                                int queue_capacity) const {
-  return TotalDelayMs(service_.MeanMs(in), pkt_interval_ms, queue_capacity);
 }
 
 double DelayModel::TotalDelayMs(double service_ms, double pkt_interval_ms,
@@ -68,7 +51,7 @@ int DelayModel::MaxStableTries(int payload_bytes, double snr_db,
     in.snr_db = snr_db;
     in.max_tries = n;
     in.retry_delay_ms = retry_delay_ms;
-    if (Stable(in, pkt_interval_ms)) best = n;
+    if (Utilization(in, pkt_interval_ms) < 1.0) best = n;
   }
   return best;
 }

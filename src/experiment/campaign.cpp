@@ -116,9 +116,7 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   sweep.base_seed = options.base_seed;
   sweep.packet_count = options.packet_count;
   sweep.threads = options.threads;
-  sweep.chunk = options.chunk;
   sweep.collect_counters = options.collect_counters;
-  sweep.capture_traces = options.capture_traces;
   sweep.progress = options.progress;
   sweep.skip = skip;
   if (options.max_configs > 0) {

@@ -25,19 +25,15 @@ struct CampaignOptions {
   /// subsampling for quick passes. Must be >= 1.
   std::size_t stride = 1;
   std::uint64_t base_seed = 2013;  // the paper's measurement year
-  /// Parallelism cap and chunking, forwarded to the sweep executor (see
-  /// SweepOptions::threads / SweepOptions::chunk; the campaign runs on the
-  /// shared pool, never on its own threads).
+  /// Parallelism cap, forwarded to the sweep executor (see
+  /// SweepOptions::threads; the campaign runs on the shared pool, never on
+  /// its own threads).
   unsigned threads = 0;
-  std::size_t chunk = 0;
   /// If non-empty, the per-config summary CSV is written here.
   std::string summary_csv_path;
   /// Collect per-layer counters per point and roll them up into
   /// CampaignResult::counters.
   bool collect_counters = true;
-  /// Capture each run's event trace into its SweepPoint (expensive at
-  /// campaign scale; meant for debugging small subsampled campaigns).
-  bool capture_traces = false;
   /// Progress callback forwarded to the sweep (may be empty).
   std::function<void(std::size_t, std::size_t)> progress;
 

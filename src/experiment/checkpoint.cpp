@@ -90,6 +90,41 @@ CheckpointRow ParseRowRecord(std::string_view record, const std::string& path) {
   return row;
 }
 
+/// Verifies and strips the trailing "end <checksum>" line of a version 1
+/// file's contents: returns the checksummed body, throws CheckpointError
+/// naming `path` on truncation, append damage, a malformed checksum line or
+/// a checksum mismatch.
+std::string_view VerifyChecksummedBody(std::string_view contents,
+                                       const std::string& path) {
+  // The `end <checksum>` line must be the final line; anything after it
+  // (or a missing/short final line) means truncation or append damage.
+  if (contents.empty() || contents.back() != '\n') {
+    throw CheckpointError("checkpoint: truncated file " + path);
+  }
+  const std::size_t end_line_start = contents.rfind('\n', contents.size() - 2);
+  const std::size_t body_size =
+      end_line_start == std::string_view::npos ? 0 : end_line_start + 1;
+  const std::string_view end_line =
+      contents.substr(body_size, contents.size() - body_size - 1);
+  if (end_line.substr(0, 4) != "end ") {
+    throw CheckpointError("checkpoint: missing end line in " + path +
+                          " (truncated write?)");
+  }
+  const std::string_view hex = end_line.substr(4);
+  std::uint64_t stored{};
+  const auto [hex_ptr, hex_ec] =
+      std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
+  if (hex_ec != std::errc() || hex_ptr != hex.data() + hex.size()) {
+    throw CheckpointError("checkpoint: malformed checksum in " + path);
+  }
+  const std::string_view body = contents.substr(0, body_size);
+  if (CheckpointChecksum(body) != stored) {
+    throw CheckpointError("checkpoint: checksum mismatch in " + path +
+                          " (corrupt or tampered file)");
+  }
+  return body;
+}
+
 /// A version 1 file: one checksum over the whole file, so any damage
 /// rejects it.
 Checkpoint ReadVersion1(std::string_view contents, const std::string& path) {
@@ -152,37 +187,6 @@ std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept {
     hash *= 0x100000001B3ULL;  // FNV prime
   }
   return hash;
-}
-
-std::string_view VerifyChecksummedBody(std::string_view contents,
-                                       const std::string& path) {
-  // The `end <checksum>` line must be the final line; anything after it
-  // (or a missing/short final line) means truncation or append damage.
-  if (contents.empty() || contents.back() != '\n') {
-    throw CheckpointError("checkpoint: truncated file " + path);
-  }
-  const std::size_t end_line_start = contents.rfind('\n', contents.size() - 2);
-  const std::size_t body_size =
-      end_line_start == std::string_view::npos ? 0 : end_line_start + 1;
-  const std::string_view end_line =
-      contents.substr(body_size, contents.size() - body_size - 1);
-  if (end_line.substr(0, 4) != "end ") {
-    throw CheckpointError("checkpoint: missing end line in " + path +
-                          " (truncated write?)");
-  }
-  const std::string_view hex = end_line.substr(4);
-  std::uint64_t stored{};
-  const auto [hex_ptr, hex_ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
-  if (hex_ec != std::errc() || hex_ptr != hex.data() + hex.size()) {
-    throw CheckpointError("checkpoint: malformed checksum in " + path);
-  }
-  const std::string_view body = contents.substr(0, body_size);
-  if (CheckpointChecksum(body) != stored) {
-    throw CheckpointError("checkpoint: checksum mismatch in " + path +
-                          " (corrupt or tampered file)");
-  }
-  return body;
 }
 
 void AppendHeaderRecord(std::string* out, const CheckpointMeta& meta) {

@@ -127,15 +127,7 @@ void WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint);
 /// Damaged version 2 row records are dropped and counted instead.
 [[nodiscard]] Checkpoint ReadCheckpoint(const std::string& path);
 
-/// FNV-1a 64-bit over `bytes`: the record checksum of both file formats,
-/// and the content-address hash of the serve result cache.
+/// FNV-1a 64-bit over `bytes`: the record checksum of both file formats.
 [[nodiscard]] std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept;
-
-/// Verifies and strips the trailing "end <checksum>" line of a version 1
-/// file's contents (checkpoint or serve cache): returns the checksummed
-/// body on success, throws CheckpointError naming `path` on truncation,
-/// append damage, a malformed checksum line or a checksum mismatch.
-[[nodiscard]] std::string_view VerifyChecksummedBody(std::string_view contents,
-                                                     const std::string& path);
 
 }  // namespace wsnlink::experiment

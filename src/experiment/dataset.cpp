@@ -211,14 +211,6 @@ void WriteSummaryCsvRows(const std::string& path,
   check("flush");
 }
 
-void WriteSummaryCsv(const std::string& path,
-                     const std::vector<SweepPoint>& points) {
-  std::vector<std::string> rows;
-  rows.reserve(points.size());
-  for (const auto& point : points) rows.push_back(SerializeSummaryRow(point));
-  WriteSummaryCsvRows(path, rows);
-}
-
 std::vector<SweepPoint> ReadSummaryCsv(const std::string& path) {
   const auto data = util::ReadCsv(path);
   const auto distance = data.NumericColumn("distance_m");

@@ -33,8 +33,8 @@ void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log);
 /// Column headers of the per-config summary schema.
 [[nodiscard]] std::vector<std::string> SummaryCsvHeaders();
 
-/// One summary row, serialized exactly as WriteSummaryCsv emits it (escaped
-/// cells joined by ',', no trailing newline). The campaign checkpoint
+/// One summary row, serialized exactly as the summary CSV holds it
+/// (escaped cells joined by ',', no trailing newline). The campaign checkpoint
 /// stores these strings verbatim, which is what makes a resumed run's CSV
 /// byte-identical to an uninterrupted one: no parse/re-format round trip.
 [[nodiscard]] std::string SerializeSummaryRow(const SweepPoint& point);
@@ -44,18 +44,14 @@ void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log);
 /// std::runtime_error on a malformed row.
 [[nodiscard]] SweepPoint ParseSummaryRow(const std::string& row);
 
-/// Writes a summary CSV from pre-serialized rows (the checkpoint/resume
-/// path). WriteSummaryCsv delegates here, so both paths emit identical
-/// bytes for identical points.
+/// Writes a summary CSV from serialized rows (SerializeSummaryRow), in the
+/// given order.
 void WriteSummaryCsvRows(const std::string& path,
                          const std::vector<std::string>& rows);
 
-/// Writes a sweep's summary rows.
-void WriteSummaryCsv(const std::string& path,
-                     const std::vector<SweepPoint>& points);
-
-/// Reads a summary CSV back into sweep points (inverse of WriteSummaryCsv;
-/// only the columns the fitters need are reconstructed).
+/// Reads a summary CSV back into sweep points (inverse of
+/// WriteSummaryCsvRows; only the columns the fitters need are
+/// reconstructed).
 [[nodiscard]] std::vector<SweepPoint> ReadSummaryCsv(const std::string& path);
 
 }  // namespace wsnlink::experiment

@@ -97,7 +97,7 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
       // captured traces identical across thread counts.
       std::optional<trace::Tracer> tracer;
       if (options.capture_traces) {
-        sim_options.tracer = &tracer.emplace(options.trace_capacity);
+        sim_options.tracer = &tracer.emplace();
       }
       // Every growable resource comes from the worker's recycled scratch;
       // results do not depend on what the scratch ran before.

@@ -65,8 +65,6 @@ struct SweepOptions {
   /// Capture each run's event trace into SweepPoint::events. Off by
   /// default: a trace is ~100 bytes/event and campaign sweeps are large.
   bool capture_traces = false;
-  /// Ring capacity per run when capture_traces is set.
-  std::size_t trace_capacity = trace::Tracer::kDefaultCapacity;
   /// Optional progress callback (invoked from worker threads with the
   /// number of completed runs; must be thread-safe). May be empty.
   std::function<void(std::size_t done, std::size_t total)> progress;

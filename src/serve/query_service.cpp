@@ -46,7 +46,7 @@ core::opt::ConfigSpace ServingSpace(double distance_m,
 
 QueryService::QueryService(ServiceOptions options)
     : options_(std::move(options)),
-      cache_(options_.version_tag, options_.cache_max_entries) {
+      cache_(std::string(kServeVersionTag), options_.cache_max_entries) {
   if (options_.persist_every == 0) options_.persist_every = 1;
   if (!options_.cache_path.empty()) {
     const CacheLoadReport report = cache_.Load(options_.cache_path);
@@ -268,7 +268,7 @@ std::string QueryService::Answer(const std::string& line) {
     return StatsResponse();
   }
 
-  const std::string key = CanonicalKey(request, options_.version_tag);
+  const std::string key = CanonicalKey(request);
   {
     const std::string cached = cache_.Lookup(key);
     if (!cached.empty()) {

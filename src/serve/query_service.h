@@ -39,9 +39,6 @@ struct ServiceOptions {
   /// cheap. The cadence is store-count based, never timer based: the
   /// daemon contains no wall clock.
   std::size_t persist_every = 1;
-  /// Cache/compatibility tag (see protocol.h kServeVersionTag). Override
-  /// in tests to exercise the invalidation rule.
-  std::string version_tag = std::string(kServeVersionTag);
   /// Entry cap for the result cache (0 = unbounded). When full, the
   /// oldest-inserted entry is evicted first — deterministic FIFO, so two
   /// daemons fed the same request sequence hold the same entries (see

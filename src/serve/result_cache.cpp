@@ -1,12 +1,8 @@
 #include "serve/result_cache.h"
 
 #include <cstddef>
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
-#include <vector>
-
-#include "experiment/checkpoint.h"
 
 namespace wsnlink::serve {
 
@@ -15,14 +11,6 @@ namespace {
 constexpr std::string_view kVersion1Header = "wsnlink-servecache 1\n";
 /// What a version 2 header record starts with, before the tag.
 constexpr std::string_view kHeaderPrefix = "wsnlink-servecache 2 version_tag ";
-
-std::string HashHex(std::string_view bytes) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(
-                    experiment::CheckpointChecksum(bytes)));
-  return buf;
-}
 
 void AppendHeaderRecord(std::string* out, std::string_view version_tag) {
   const std::size_t start = out->size();
@@ -55,123 +43,6 @@ bool SplitEntryRecord(std::string_view body, std::string_view* key,
   *key = body.substr(0, sp);
   *payload = body.substr(sp + 1);
   return true;
-}
-
-// --- version 1 -------------------------------------------------------------
-
-std::vector<std::string_view> SplitLines(std::string_view text) {
-  std::vector<std::string_view> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      lines.push_back(text.substr(pos));
-      break;
-    }
-    lines.push_back(text.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  return lines;
-}
-
-/// Parses one version 1 `entry <keyhash> <payloadsum> <key> <payload>`
-/// line and verifies both checksums. Returns false on any damage.
-bool ParseVersion1EntryLine(std::string_view line, std::string* key,
-                            std::string* payload) {
-  constexpr std::string_view kPrefix = "entry ";
-  if (line.substr(0, kPrefix.size()) != kPrefix) return false;
-  std::string_view rest = line.substr(kPrefix.size());
-  const std::size_t sp1 = rest.find(' ');
-  if (sp1 == std::string_view::npos) return false;
-  const std::size_t sp2 = rest.find(' ', sp1 + 1);
-  if (sp2 == std::string_view::npos) return false;
-  const std::size_t sp3 = rest.find(' ', sp2 + 1);
-  if (sp3 == std::string_view::npos) return false;
-  const std::string_view key_hash = rest.substr(0, sp1);
-  const std::string_view payload_sum = rest.substr(sp1 + 1, sp2 - sp1 - 1);
-  const std::string_view key_text = rest.substr(sp2 + 1, sp3 - sp2 - 1);
-  const std::string_view payload_text = rest.substr(sp3 + 1);
-  if (key_text.empty() || payload_text.empty()) return false;
-  if (HashHex(key_text) != key_hash) return false;
-  if (HashHex(payload_text) != payload_sum) return false;
-  *key = std::string(key_text);
-  *payload = std::string(payload_text);
-  return true;
-}
-
-/// Loads a version 1 file into `loaded` under its own rules: a file whose
-/// whole-file checksum verifies is parsed strictly; one that fails it
-/// drops to per-entry salvage.
-void LoadVersion1(std::string_view contents, const std::string& path,
-                  const std::string& version_tag,
-                  std::map<std::string, std::string>* loaded,
-                  CacheLoadReport* report) {
-  std::string_view body;
-  bool strict = true;
-  try {
-    body = experiment::VerifyChecksummedBody(contents, path);
-  } catch (const experiment::CheckpointError&) {
-    // Whole-file checksum failed: salvage every entry line that verifies
-    // on its own. A flipped byte costs one entry, not the cache.
-    body = contents;
-    strict = false;
-    report->salvaged = true;
-  }
-
-  const auto lines = SplitLines(body);
-  // The version_tag line must be intact even in salvage mode — without a
-  // trustworthy tag the entries cannot be attributed to a code version, so
-  // the only safe answer is a cold start.
-  constexpr std::string_view kTagPrefix = "version_tag ";
-  if (lines.size() < 2 ||
-      lines[1].substr(0, kTagPrefix.size()) != kTagPrefix) {
-    report->corrupt_dropped = lines.size();
-    return;
-  }
-  if (lines[1].substr(kTagPrefix.size()) != version_tag) {
-    // Different code version: every persisted answer is suspect. Discard.
-    report->invalidated = true;
-    return;
-  }
-
-  std::size_t dropped = 0;
-  std::size_t declared = 0;
-  bool have_declared = false;
-  for (std::size_t i = 2; i < lines.size(); ++i) {
-    const std::string_view line = lines[i];
-    if (line.empty()) continue;
-    // The checksum trailer reaches this loop in salvage mode only; it is
-    // not a damaged entry.
-    if (line.substr(0, 4) == "end ") continue;
-    constexpr std::string_view kEntries = "entries ";
-    if (line.substr(0, kEntries.size()) == kEntries && !have_declared) {
-      have_declared = true;
-      // Advisory in salvage mode; strict mode re-checks below.
-      for (const char ch : line.substr(kEntries.size())) {
-        if (ch < '0' || ch > '9') {
-          have_declared = false;
-          break;
-        }
-        declared = declared * 10 + static_cast<std::size_t>(ch - '0');
-      }
-      continue;
-    }
-    std::string key;
-    std::string payload;
-    if (ParseVersion1EntryLine(line, &key, &payload)) {
-      loaded->emplace(std::move(key), std::move(payload));
-    } else {
-      ++dropped;
-    }
-  }
-  if (strict &&
-      (!have_declared || declared != loaded->size() || dropped != 0)) {
-    // A verified file must parse perfectly; anything else is a format bug
-    // or in-memory damage. Degrade to what did parse and report the rest.
-    dropped += declared > loaded->size() ? declared - loaded->size() : 0;
-    report->salvaged = true;
-  }
-  report->corrupt_dropped = dropped;
 }
 
 }  // namespace
@@ -292,7 +163,9 @@ CacheLoadReport ResultCache::Load(const std::string& path) {
     report.missing = true;
   } else if (std::string_view(*contents).substr(0, kVersion1Header.size()) ==
              kVersion1Header) {
-    LoadVersion1(*contents, path, version_tag_, &loaded, &report);
+    // Every version 1 file was written under the tag wsnlink-serve-v1,
+    // which kServeVersionTag has since replaced: discard it unread.
+    report.invalidated = true;
   } else {
     const experiment::JournalScan scan = experiment::ScanJournal(*contents);
     if (scan.header.substr(0, kHeaderPrefix.size()) != kHeaderPrefix) {

@@ -6,11 +6,8 @@
 // repeat traffic degenerates to lookups, and a restarted daemon warms from
 // disk instead of recomputing months of answers.
 //
-// Addressing: the entry address is the FNV-1a 64-bit hash of the canonical
-// key (experiment::CheckpointChecksum — the same hash the checkpoint format
-// uses). The full key string is stored alongside and is what lookups
-// compare, so even a hash collision can only cause a miss, never a wrong
-// answer.
+// Addressing: entries are stored and looked up by the full canonical key
+// string, so no two requests can share an answer.
 //
 // Persistence is the append-only journal campaign checkpoints use
 // (experiment/journal.h, format version 2), so the cache also shares the
@@ -36,18 +33,9 @@
 // the whole file (the invalidation rule: old answers may be wrong under
 // new code).
 //
-// Version 1 files, written before the journal, still warm-start under
-// their own rules:
-//
-//   wsnlink-servecache 1
-//   version_tag <tag>
-//   entries <N>
-//   entry <key-fnv1a-hex16> <payload-fnv1a-hex16> <key> <payload>   (N lines)
-//   end <fnv1a64-hex of every preceding byte>
-//
-// A file whose trailing checksum verifies is parsed strictly; one that
-// fails it drops to per-entry salvage, keeping every entry line whose own
-// key hash and payload checksum verify.
+// A version 1 file (first line `wsnlink-servecache 1`, written before the
+// journal under the tag wsnlink-serve-v1) is reported invalidated without
+// being parsed.
 //
 // Bounding: an optional entry cap turns the cache into a FIFO — when a
 // Store would exceed the cap, the oldest-inserted entries are evicted
@@ -79,12 +67,12 @@ struct CacheLoadReport {
   std::size_t loaded = 0;
   /// Entry records dropped as damaged (bad checksum, torn, or malformed).
   std::size_t corrupt_dropped = 0;
-  /// True when the file carried a different version tag and was discarded.
+  /// True when the file carried a different version tag, or was a
+  /// version 1 file, and was discarded.
   bool invalidated = false;
   /// True when no file existed (a cold start, not an error).
   bool missing = false;
-  /// True when damaged records were dropped (for a version 1 file: when
-  /// the whole-file checksum failed and salvage mode ran).
+  /// True when damaged records were dropped.
   bool salvaged = false;
   /// Intact entries evicted at load time because the file held more than
   /// the cache's entry cap (kept: the last `max_entries` in key order).

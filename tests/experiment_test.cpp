@@ -193,7 +193,9 @@ TEST(Dataset, SummaryRoundTrip) {
 
   const auto path =
       (std::filesystem::temp_directory_path() / "wsn_summary.csv").string();
-  WriteSummaryCsv(path, points);
+  std::vector<std::string> rows;
+  for (const auto& point : points) rows.push_back(SerializeSummaryRow(point));
+  WriteSummaryCsvRows(path, rows);
   const auto loaded = ReadSummaryCsv(path);
   ASSERT_EQ(loaded.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -374,8 +376,10 @@ TEST(FaultInjection, SummaryCsvWriteFailureThrowsWithPath) {
   const auto points = RunSweep(SmallConfigSet(), sweep);
   const std::string path =
       (std::filesystem::temp_directory_path() / "wsn_enospc.csv").string();
+  std::vector<std::string> rows;
+  for (const auto& point : points) rows.push_back(SerializeSummaryRow(point));
   try {
-    WriteSummaryCsv(path, points);
+    WriteSummaryCsvRows(path, rows);
     FAIL() << "silently truncated summary CSV";
   } catch (const std::runtime_error& e) {
     // The error must name the file so a campaign log points at the bad

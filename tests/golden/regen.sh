@@ -22,7 +22,8 @@
 #
 # checkpoint_v1.ckpt and servecache_v1.cache are not regenerated here:
 # they are frozen files in the version 1 formats, which current writers no
-# longer produce, and they exist to prove those files still load. They
+# longer produce. The checkpoint proves version 1 checkpoints still
+# resume; the cache proves a version 1 cache is discarded unread. They
 # were written before the journal format with
 #   run_campaign --stride 4000 --packets 20 --seed 77 --threads 1 \
 #     --checkpoint checkpoint_v1.ckpt --checkpoint-every 2 --max-configs 5

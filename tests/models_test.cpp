@@ -369,11 +369,9 @@ TEST(DelayModel, TableIIUtilization) {
 
   in.snr_db = 10.0;
   EXPECT_NEAR(delay.Utilization(in, 30.0), 1.236, 0.08);
-  EXPECT_FALSE(delay.Stable(in, 30.0));
 
   in.snr_db = 20.0;
   EXPECT_NEAR(delay.Utilization(in, 30.0), 0.713, 0.04);
-  EXPECT_TRUE(delay.Stable(in, 30.0));
 
   in.snr_db = 30.0;
   EXPECT_NEAR(delay.Utilization(in, 30.0), 0.617, 0.03);
@@ -387,8 +385,10 @@ TEST(DelayModel, QueueWaitExplodesTowardsSaturation) {
   in.max_tries = 3;
   const double t_service = delay.Service().MeanMs(in);
 
-  const double relaxed = delay.QueueWaitMs(in, t_service * 2.0, 30);
-  const double tight = delay.QueueWaitMs(in, t_service * 1.02, 30);
+  const double relaxed =
+      DelayModel::QueueWaitMs(t_service, t_service * 2.0, 30);
+  const double tight =
+      DelayModel::QueueWaitMs(t_service, t_service * 1.02, 30);
   EXPECT_GT(tight, 5.0 * relaxed);
 }
 
@@ -399,9 +399,10 @@ TEST(DelayModel, SaturatedDelayScalesWithQueueCapacity) {
   in.snr_db = 10.0;
   in.max_tries = 8;
   // rho > 1 at T_pkt = 10 ms.
-  ASSERT_FALSE(delay.Stable(in, 10.0));
-  const double q1 = delay.TotalDelayMs(in, 10.0, 1);
-  const double q30 = delay.TotalDelayMs(in, 10.0, 30);
+  ASSERT_GE(delay.Utilization(in, 10.0), 1.0);
+  const double t_service = delay.Service().MeanMs(in);
+  const double q1 = DelayModel::TotalDelayMs(t_service, 10.0, 1);
+  const double q30 = DelayModel::TotalDelayMs(t_service, 10.0, 30);
   // Fig. 15: Qmax=30 delays are orders of magnitude above Qmax=1.
   EXPECT_GT(q30, 10.0 * q1);
 }
@@ -462,8 +463,8 @@ TEST(ModelSet, PredictionFieldsConsistent) {
       want.energy_uj_per_bit = models.Energy().MicrojoulesPerBit(
           config.payload_bytes, snr, config.pa_level);
       want.max_goodput_kbps = models.Goodput().MaxGoodputKbps(in);
-      want.total_delay_ms =
-          models.Delay().TotalDelayMs(in, t_pkt, config.queue_capacity);
+      want.total_delay_ms = DelayModel::TotalDelayMs(
+          want.service_time_ms, t_pkt, config.queue_capacity);
       want.plr_radio =
           models.Plr().RadioLoss(config.payload_bytes, snr, config.max_tries);
       want.plr_queue = QueueLossEstimate(want.utilization);

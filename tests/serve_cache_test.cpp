@@ -10,9 +10,10 @@
 //  * torn writes: the cache persists through the same instrumented
 //    journal writer as campaign checkpoints ("checkpoint.write" fault
 //    site), so an injected failure leaves every earlier record loadable;
-//  * invalidation: a version-tag mismatch discards the file wholesale;
+//  * invalidation: a version-tag mismatch discards the file wholesale, and
+//    a version 1 file is discarded unread;
 //  * warm start: a restarted QueryService answers from disk with the
-//    exact bytes the cold computation produced, from version 1 files too.
+//    exact bytes the cold computation produced.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -641,41 +642,31 @@ TEST(ServeCache, PersistEveryOneAppendsOneRecordPerMiss) {
   std::remove(path.c_str());
 }
 
-TEST(ServeCache, Version1CacheWarmStartsByteIdentical) {
+TEST(ServeCache, Version1FileIsDiscarded) {
   // tests/golden/servecache_v1.cache: frozen, written by the version 1
-  // writer from the first four requests of serve_trace.txt.
+  // writer under the tag wsnlink-serve-v1, which kServeVersionTag replaced.
   const std::string path = TempPath("version1");
   std::filesystem::copy_file(
       std::string(WSNLINK_GOLDEN_DIR) + "/servecache_v1.cache", path,
       std::filesystem::copy_options::overwrite_existing);
-  std::vector<std::string> lines;
-  std::ifstream trace(std::string(WSNLINK_GOLDEN_DIR) + "/serve_trace.txt");
-  for (std::string line; lines.size() < 4 && std::getline(trace, line);) {
-    if (!line.empty() && line[0] != '#') lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 4u);
+  ResultCache cache{std::string(serve::kServeVersionTag)};
+  const CacheLoadReport report = cache.Load(path);
+  EXPECT_TRUE(report.invalidated);
+  EXPECT_EQ(report.loaded, 0u);
+  EXPECT_EQ(report.corrupt_dropped, 0u);
 
-  ServiceOptions cold_options;
-  QueryService cold(cold_options);
   ServiceOptions options;
   options.cache_path = path;
-  // The tag the frozen file was written under; later tags discard it.
-  options.version_tag = "wsnlink-serve-v1";
   {
     QueryService warm(options);
-    EXPECT_EQ(warm.Stats().warm_loaded, 4u);
+    EXPECT_EQ(warm.Stats().warm_loaded, 0u);
     EXPECT_EQ(warm.Stats().corrupt_dropped, 0u);
-    for (const std::string& line : lines) {
-      EXPECT_EQ(warm.Answer(line), cold.Answer(line));
-    }
-    EXPECT_EQ(warm.Stats().cache_hits, 4u);
-    EXPECT_EQ(warm.Stats().computed_what_if, 0u);
     // A miss persists, and the write is version 2.
     (void)warm.Answer(kWhatIfLine);
   }
   EXPECT_EQ(ReadFile(path).rfind("wsnlink-servecache 2 ", 0), 0u);
-  ResultCache reloaded(options.version_tag);
-  EXPECT_EQ(reloaded.Load(path).loaded, 5u);
+  ResultCache reloaded{std::string(serve::kServeVersionTag)};
+  EXPECT_EQ(reloaded.Load(path).loaded, 1u);
   std::remove(path.c_str());
 }
 

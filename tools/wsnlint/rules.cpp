@@ -172,11 +172,12 @@ void CheckNakedNew(const FileContext& ctx, std::vector<Finding>* out) {
 void CheckHotAlloc(const FileContext& ctx, std::vector<Finding>* out) {
   // Opt-in: a comment containing the `wsnlint:hot-path` marker declares the
   // file part of the per-config inner loop, where the zero-alloc sweep
-  // invariant holds (perf_sweep --check measures it dynamically; this rule
-  // makes it visible at review time). In marked files, tokens that
-  // unconditionally hit the heap allocator are findings. Placement new
-  // (`new (addr) T`) constructs into caller-owned storage (sim::EventFn's
-  // inline buffer) and stays exempt, as do preprocessor lines.
+  // invariant holds (every perf_sweep run measures it and exits 1 above 2
+  // allocations per config; this rule makes it visible at review time).
+  // In marked files, tokens that unconditionally hit the heap allocator
+  // are findings. Placement new (`new (addr) T`) constructs into
+  // caller-owned storage (sim::EventFn's inline buffer) and stays exempt,
+  // as do preprocessor lines.
   bool marked = false;
   for (const Comment& comment : ctx.scan.comments) {
     if (comment.text.find("wsnlint:hot-path") != std::string::npos) {
