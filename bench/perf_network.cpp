@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -100,10 +101,11 @@ void WriteJson(const std::string& path, const std::vector<Rung>& rungs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace wsnlink;
 
-  util::Args args(argc, argv, {});
+  const util::Args args(argc, argv,
+                        {"--nodes", "--packets", "--repeat", "--out"}, {});
   const auto node_list = ParseIntList(args.GetString("--nodes", "64,256,1024"),
                                       "--nodes");
   const int packets = args.GetPositiveInt("--packets", 15);
@@ -147,4 +149,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "perf_network: %s\n", e.what());
+  return 2;
 }

@@ -108,7 +108,8 @@ std::vector<std::string> MakeWorkload(std::size_t count, int packets) {
 int main(int argc, char** argv) {
   using namespace wsnlink;
   try {
-    const util::Args args(argc, argv);
+    const util::Args args(
+        argc, argv, {"--requests", "--packets", "--hot-repeat", "--out"}, {});
     const std::size_t requests = args.GetSize("--requests", 48);
     const int packets = static_cast<int>(args.GetSize("--packets", 120));
     const int hot_repeat =

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <new>
 #include <string>
@@ -102,10 +103,12 @@ void WriteJson(const std::string& path, const BenchResult& r,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace wsnlink;
 
-  util::Args args(argc, argv);
+  const util::Args args(
+      argc, argv, {"--stride", "--packets", "--threads", "--repeat", "--out"},
+      {});
   const auto stride = args.GetSize("--stride", 10);
   const auto packets = static_cast<int>(args.GetSize("--packets", 60));
   const auto threads = static_cast<unsigned>(args.GetSize("--threads", 0));
@@ -177,4 +180,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "perf_sweep: %s\n", e.what());
+  return 2;
 }

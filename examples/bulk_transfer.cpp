@@ -58,7 +58,7 @@ TransferOutcome Transfer(const core::StackConfig& config,
 int main(int argc, char** argv) try {
   using namespace wsnlink;
 
-  const util::Args args(argc, argv, {"--help"});
+  const util::Args args(argc, argv, {"--seed", "--packets"}, {"--help"});
   if (args.Has("--help")) {
     std::cout << "usage: bulk_transfer [--seed N] [--packets N]\n";
     return 0;

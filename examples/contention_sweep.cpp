@@ -44,7 +44,10 @@ std::vector<int> ParseNodeList(const std::string& list) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const util::Args args(argc, argv, {"--help", "--no-shared-medium"});
+  const util::Args args(argc, argv,
+                        {"--nodes", "--packets", "--seed", "--distance",
+                         "--spacing", "--interferer-duty", "--mac", "--csv"},
+                        {"--help", "--no-shared-medium"});
   if (args.Has("--help")) {
     std::cout
         << "usage: contention_sweep [--nodes N1,N2,...] [--packets N]\n"

@@ -22,7 +22,11 @@ namespace {
 
 int Run(int argc, char** argv) {
   using wsnlink::util::Args;
-  const Args args(argc, argv, {"--lpl", "--no-interference", "--no-shadowing"});
+  const Args args(argc, argv,
+                  {"--distance", "--pa", "--tries", "--retry", "--queue",
+                   "--interval", "--payload", "--packets", "--seed",
+                   "--wakeup", "--nodes", "--confidence", "--per-scale"},
+                  {"--lpl", "--no-interference", "--no-shadowing"});
 
   wsnlink::validate::CrossValidationOptions options;
   auto& config = options.sim.config;

@@ -13,7 +13,8 @@
 namespace wsnlink::examples {
 
 /// Overlays `--seed N` and `--packets N` (validated, >= 1) onto `options`.
-/// Absent flags leave the caller's defaults untouched.
+/// Absent flags leave the caller's defaults untouched. Callers list both
+/// flags among the value flags they pass to util::Args.
 inline void ApplySimFlags(const util::Args& args,
                           node::SimulationOptions& options) {
   options.seed = static_cast<std::uint64_t>(

@@ -22,7 +22,9 @@
 int main(int argc, char** argv) try {
   using namespace wsnlink;
 
-  util::Args args(argc, argv, {"--help"});
+  const util::Args args(argc, argv,
+                        {"--seed", "--packets", "--trace-out", "--trace-csv"},
+                        {"--help"});
   if (args.Has("--help")) {
     std::cout
         << "usage: quickstart [--seed N] [--packets N]\n"

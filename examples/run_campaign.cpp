@@ -44,7 +44,11 @@ int main(int argc, char** argv) {
   experiment::CampaignOptions options;
   std::size_t abort_after = 0;
   try {
-    const util::Args args(argc, argv, {"--resume"});
+    const util::Args args(argc, argv,
+                          {"--stride", "--packets", "--out", "--threads",
+                           "--seed", "--checkpoint", "--checkpoint-every",
+                           "--max-configs", "--abort-after"},
+                          {"--resume"});
     options.stride = args.GetSize("--stride", 97);
     if (options.stride < 1) {
       throw std::invalid_argument("--stride must be >= 1");

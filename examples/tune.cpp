@@ -68,7 +68,10 @@ int main(int argc, char** argv) {
   bool verify = false;
 
   try {
-    const util::Args args(argc, argv, {"--verify"});
+    const util::Args args(argc, argv,
+                          {"--distance", "--interval", "--objective",
+                           "--loss-target", "--energy-budget"},
+                          {"--verify"});
     distance = args.GetDouble("--distance", distance);
     interval = args.GetDouble("--interval", interval);
     objective = args.GetString("--objective", objective);

@@ -1,7 +1,8 @@
 // what_if_payload — offline payload tuning from a recorded attempt trace.
 //
-// Reads a per-attempt CSV (as written by experiment::WriteAttemptLogCsv or
-// converted from the paper's public dataset) and answers: on the channel
+// Reads a per-attempt CSV (a trace from outside the repository, such as
+// the paper's public dataset converted to the columns of
+// experiment::ReadAttemptLogCsv) and answers: on the channel
 // this trace recorded, what PER / radio loss / saturated goodput would each
 // candidate payload have achieved, and which payload is goodput-optimal?
 //

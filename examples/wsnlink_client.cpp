@@ -163,7 +163,10 @@ double Percentile(std::vector<double> values, double p) {
 int main(int argc, char** argv) {
   using namespace wsnlink;
   try {
-    const util::Args args(argc, argv, {"--stats", "--inprocess"});
+    const util::Args args(argc, argv,
+                          {"--host", "--port", "--trace", "--out", "--repeat",
+                           "--clients", "--cache", "--threads"},
+                          {"--stats", "--inprocess"});
     const std::string host = args.GetString("--host", "127.0.0.1");
     const auto port = static_cast<std::uint16_t>(args.GetSize("--port", 4710));
     const std::string trace_path = args.GetString("--trace", "");

@@ -40,7 +40,11 @@ void HandleSignal(int) {
 int main(int argc, char** argv) {
   using namespace wsnlink;
   try {
-    const util::Args args(argc, argv);
+    const util::Args args(argc, argv,
+                          {"--threads", "--cache", "--persist-every",
+                           "--cache-max-entries", "--port", "--max-inflight",
+                           "--abort-after"},
+                          {});
     serve::ServiceOptions service_options;
     service_options.threads =
         static_cast<unsigned>(args.GetSize("--threads", 0));

@@ -35,10 +35,8 @@ std::vector<ContentionPoint> RunContentionSweep(
   }
 
   std::vector<ContentionPoint> points(options.node_counts.size());
-  // Chunk size 1: a rung is a whole network run, orders of magnitude
-  // heavier than the dispatch cursor it amortises.
   util::ThreadPool::Shared().ParallelFor(
-      points.size(), 1, options.threads, [&](std::size_t i) {
+      points.size(), options.threads, [&](std::size_t i) {
         node::SimulationOptions base;
         base.config = options.config;
         base.mac = options.mac;

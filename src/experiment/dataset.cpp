@@ -1,5 +1,6 @@
 #include "experiment/dataset.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -18,14 +19,13 @@ namespace {
 
 std::string Fmt(double v) { return util::FormatDouble(v, 6); }
 
-double CellToDouble(const std::string& cell) {
-  // util::ParseDouble is the one sanctioned numeric parser (wsnlint bans
-  // raw parsing outside src/util); rewrap its error so callers keep
-  // seeing the historical ParseSummaryRow runtime_error.
+/// Parses a floating-point cell with the tree's one number grammar
+/// (util::ParseCanonicalDouble: finite values only), naming the column.
+double CellToDouble(const std::string& cell, const std::string& column) {
   try {
-    return util::ParseDouble(cell, "summary cell");
+    return util::ParseDouble(cell, "dataset column " + column);
   } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("ParseSummaryRow: ") + e.what());
+    throw std::runtime_error(e.what());
   }
 }
 
@@ -46,51 +46,83 @@ T ToInteger(double value, std::string_view column) {
   return static_cast<T>(value);
 }
 
-}  // namespace
-
-std::vector<std::string> AttemptCsvHeaders() {
-  return {"packet_id", "attempt", "payload_bytes", "at_us",
-          "rssi_dbm",  "snr_db",  "data_received", "acked"};
-}
-
-void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log) {
-  util::CsvWriter writer(path, AttemptCsvHeaders());
-  for (const auto& a : log.Attempts()) {
-    writer.WriteRow({
-        std::to_string(a.packet_id),
-        std::to_string(a.attempt),
-        std::to_string(a.payload_bytes),
-        std::to_string(a.at),
-        Fmt(a.rssi_dbm),
-        Fmt(a.snr_db),
-        a.data_received ? "1" : "0",
-        a.acked ? "1" : "0",
-    });
+/// A whole column converted to T. Each column is checked whole before the
+/// next is read, so an error names the first bad column.
+template <typename T>
+std::vector<T> IntegerColumn(const util::CsvData& data,
+                             const std::string& name) {
+  std::vector<T> values;
+  for (const double value : data.NumericColumn(name)) {
+    values.push_back(ToInteger<T>(value, name));
   }
-  writer.Close();
+  return values;
 }
+
+/// Decodes one summary row's cells (positional per SummaryCsvHeaders()).
+/// ParseSummaryRow and ReadSummaryCsv both decode through here.
+SweepPoint DecodeSummaryCells(const std::vector<std::string>& cells,
+                              const std::vector<std::string>& headers) {
+  if (cells.size() != headers.size()) {
+    throw std::runtime_error("summary row: expected " +
+                             std::to_string(headers.size()) + " cells, got " +
+                             std::to_string(cells.size()));
+  }
+  const auto cell = [&cells, &headers](std::size_t i) {
+    return CellToDouble(cells[i], headers[i]);
+  };
+  const auto cell_int = [&cell, &headers](std::size_t i) {
+    return ToInteger<int>(cell(i), headers[i]);
+  };
+  SweepPoint p;
+  p.config.distance_m = cell(0);
+  p.config.pa_level = cell_int(1);
+  p.config.max_tries = cell_int(2);
+  p.config.retry_delay_ms = cell(3);
+  p.config.queue_capacity = cell_int(4);
+  p.config.pkt_interval_ms = cell(5);
+  p.config.payload_bytes = cell_int(6);
+  p.mean_snr_db = cell(7);
+  p.measured.per = cell(8);
+  p.measured.mean_tries_acked = cell(9);
+  p.measured.goodput_kbps = cell(10);
+  p.measured.energy_uj_per_bit = cell(11);
+  p.measured.mean_delay_ms = cell(12);
+  p.measured.mean_service_ms = cell(13);
+  p.measured.plr_queue = cell(14);
+  p.measured.plr_radio = cell(15);
+  p.measured.plr_total = cell(16);
+  p.measured.utilization = cell(17);
+  p.measured.generated = cell_int(18);
+  p.measured.delivered_unique = ToInteger<std::uint64_t>(cell(19), headers[19]);
+  p.measured.delay_p50_ms = cell(20);
+  p.measured.p99_delay_ms = cell(21);
+  p.measured.delay_max_ms = cell(22);
+  return p;
+}
+
+}  // namespace
 
 std::vector<link::AttemptRecord> ReadAttemptLogCsv(const std::string& path) {
   const auto data = util::ReadCsv(path);
-  const auto packet_id = data.NumericColumn("packet_id");
-  const auto attempt = data.NumericColumn("attempt");
-  const auto payload = data.NumericColumn("payload_bytes");
-  const auto at = data.NumericColumn("at_us");
+  const auto packet_id = IntegerColumn<std::uint64_t>(data, "packet_id");
+  const auto attempt = IntegerColumn<int>(data, "attempt");
+  const auto payload = IntegerColumn<int>(data, "payload_bytes");
+  const auto at = IntegerColumn<sim::Time>(data, "at_us");
   const auto rssi = data.NumericColumn("rssi_dbm");
   const auto snr = data.NumericColumn("snr_db");
-  const auto received = data.NumericColumn("data_received");
-  const auto acked = data.NumericColumn("acked");
+  const auto received = IntegerColumn<bool>(data, "data_received");
+  const auto acked = IntegerColumn<bool>(data, "acked");
 
   std::vector<link::AttemptRecord> records(data.rows.size());
   for (std::size_t i = 0; i < data.rows.size(); ++i) {
-    records[i].packet_id = ToInteger<std::uint64_t>(packet_id[i], "packet_id");
-    records[i].attempt = ToInteger<int>(attempt[i], "attempt");
-    records[i].payload_bytes = ToInteger<int>(payload[i], "payload_bytes");
-    records[i].at = ToInteger<sim::Time>(at[i], "at_us");
+    records[i].packet_id = packet_id[i];
+    records[i].attempt = attempt[i];
+    records[i].payload_bytes = payload[i];
+    records[i].at = at[i];
     records[i].rssi_dbm = rssi[i];
     records[i].snr_db = snr[i];
-    records[i].data_received = ToInteger<bool>(received[i], "data_received");
-    records[i].acked = ToInteger<bool>(acked[i], "acked");
+    records[i].data_received = received[i];
+    records[i].acked = acked[i];
   }
   return records;
 }
@@ -141,42 +173,7 @@ std::string SerializeSummaryRow(const SweepPoint& point) {
 }
 
 SweepPoint ParseSummaryRow(const std::string& row) {
-  const auto cells = util::ParseCsvLine(row);
-  const auto headers = SummaryCsvHeaders();
-  if (cells.size() != headers.size()) {
-    throw std::runtime_error("ParseSummaryRow: expected " +
-                             std::to_string(headers.size()) + " cells, got " +
-                             std::to_string(cells.size()));
-  }
-  const auto cell_int = [&cells, &headers](std::size_t i) {
-    return ToInteger<int>(CellToDouble(cells[i]), headers[i]);
-  };
-  SweepPoint p;
-  p.config.distance_m = CellToDouble(cells[0]);
-  p.config.pa_level = cell_int(1);
-  p.config.max_tries = cell_int(2);
-  p.config.retry_delay_ms = CellToDouble(cells[3]);
-  p.config.queue_capacity = cell_int(4);
-  p.config.pkt_interval_ms = CellToDouble(cells[5]);
-  p.config.payload_bytes = cell_int(6);
-  p.mean_snr_db = CellToDouble(cells[7]);
-  p.measured.per = CellToDouble(cells[8]);
-  p.measured.mean_tries_acked = CellToDouble(cells[9]);
-  p.measured.goodput_kbps = CellToDouble(cells[10]);
-  p.measured.energy_uj_per_bit = CellToDouble(cells[11]);
-  p.measured.mean_delay_ms = CellToDouble(cells[12]);
-  p.measured.mean_service_ms = CellToDouble(cells[13]);
-  p.measured.plr_queue = CellToDouble(cells[14]);
-  p.measured.plr_radio = CellToDouble(cells[15]);
-  p.measured.plr_total = CellToDouble(cells[16]);
-  p.measured.utilization = CellToDouble(cells[17]);
-  p.measured.generated = cell_int(18);
-  p.measured.delivered_unique =
-      ToInteger<std::uint64_t>(CellToDouble(cells[19]), headers[19]);
-  p.measured.delay_p50_ms = CellToDouble(cells[20]);
-  p.measured.p99_delay_ms = CellToDouble(cells[21]);
-  p.measured.delay_max_ms = CellToDouble(cells[22]);
-  return p;
+  return DecodeSummaryCells(util::ParseCsvLine(row), SummaryCsvHeaders());
 }
 
 void WriteSummaryCsvRows(const std::string& path,
@@ -213,57 +210,24 @@ void WriteSummaryCsvRows(const std::string& path,
 
 std::vector<SweepPoint> ReadSummaryCsv(const std::string& path) {
   const auto data = util::ReadCsv(path);
-  const auto distance = data.NumericColumn("distance_m");
-  const auto pa = data.NumericColumn("pa_level");
-  const auto tries = data.NumericColumn("max_tries");
-  const auto retry = data.NumericColumn("retry_delay_ms");
-  const auto qcap = data.NumericColumn("queue_cap");
-  const auto interval = data.NumericColumn("pkt_interval_ms");
-  const auto payload = data.NumericColumn("payload_bytes");
-  const auto snr = data.NumericColumn("mean_snr_db");
-  const auto per = data.NumericColumn("per");
-  const auto mean_tries = data.NumericColumn("mean_tries_acked");
-  const auto goodput = data.NumericColumn("goodput_kbps");
-  const auto energy = data.NumericColumn("energy_uj_per_bit");
-  const auto delay = data.NumericColumn("mean_delay_ms");
-  const auto service = data.NumericColumn("mean_service_ms");
-  const auto plr_queue = data.NumericColumn("plr_queue");
-  const auto plr_radio = data.NumericColumn("plr_radio");
-  const auto plr_total = data.NumericColumn("plr_total");
-  const auto util_col = data.NumericColumn("utilization");
-  const auto generated = data.NumericColumn("generated");
-  const auto delivered = data.NumericColumn("delivered");
-  const auto delay_p50 = data.NumericColumn("delay_p50_ms");
-  const auto delay_p99 = data.NumericColumn("delay_p99_ms");
-  const auto delay_max = data.NumericColumn("delay_max_ms");
-
-  std::vector<SweepPoint> points(data.rows.size());
-  for (std::size_t i = 0; i < data.rows.size(); ++i) {
-    auto& p = points[i];
-    p.config.distance_m = distance[i];
-    p.config.pa_level = ToInteger<int>(pa[i], "pa_level");
-    p.config.max_tries = ToInteger<int>(tries[i], "max_tries");
-    p.config.retry_delay_ms = retry[i];
-    p.config.queue_capacity = ToInteger<int>(qcap[i], "queue_cap");
-    p.config.pkt_interval_ms = interval[i];
-    p.config.payload_bytes = ToInteger<int>(payload[i], "payload_bytes");
-    p.mean_snr_db = snr[i];
-    p.measured.per = per[i];
-    p.measured.mean_tries_acked = mean_tries[i];
-    p.measured.goodput_kbps = goodput[i];
-    p.measured.energy_uj_per_bit = energy[i];
-    p.measured.mean_delay_ms = delay[i];
-    p.measured.mean_service_ms = service[i];
-    p.measured.plr_queue = plr_queue[i];
-    p.measured.plr_radio = plr_radio[i];
-    p.measured.plr_total = plr_total[i];
-    p.measured.utilization = util_col[i];
-    p.measured.generated = ToInteger<int>(generated[i], "generated");
-    p.measured.delivered_unique =
-        ToInteger<std::uint64_t>(delivered[i], "delivered");
-    p.measured.delay_p50_ms = delay_p50[i];
-    p.measured.p99_delay_ms = delay_p99[i];
-    p.measured.delay_max_ms = delay_max[i];
+  const auto headers = SummaryCsvHeaders();
+  if (data.headers != headers) {
+    const auto [want, got] = std::mismatch(headers.begin(), headers.end(),
+                                           data.headers.begin(),
+                                           data.headers.end());
+    const auto name = [](const auto it, const auto end) {
+      return it == end ? std::string("no column") : "'" + *it + "'";
+    };
+    throw std::runtime_error(
+        "ReadSummaryCsv: " + path + ": column " +
+        std::to_string(want - headers.begin() + 1) + " is " +
+        name(got, data.headers.end()) + ", expected " +
+        name(want, headers.end()));
+  }
+  std::vector<SweepPoint> points;
+  points.reserve(data.rows.size());
+  for (const auto& row : data.rows) {
+    points.push_back(DecodeSummaryCells(row, headers));
   }
   return points;
 }

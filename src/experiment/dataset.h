@@ -3,12 +3,13 @@
 // Two CSV schemas:
 //  * per-attempt: one row per transmission attempt (packet, attempt index,
 //    payload, time, RSSI/SNR, outcome), the trace the offline what-if
-//    replay consumes;
+//    replay consumes; it is read, never written;
 //  * per-config:  one summary row per configuration with the measured
 //    metric vector, which is what the analysis/fitting stages consume.
 //
-// The readers reject an integer column whose cell is not a finite integral
-// value in the field's range, naming the column.
+// The readers parse numbers with util::ParseCanonicalDouble, so NaN and
+// infinite cells are rejected, and they reject an integer column whose cell
+// is not an integral value in the field's range, naming the column.
 #pragma once
 
 #include <string>
@@ -19,14 +20,10 @@
 
 namespace wsnlink::experiment {
 
-/// Column headers of the per-attempt schema (the trace the what-if
-/// analysis in metrics/what_if.h consumes offline).
-[[nodiscard]] std::vector<std::string> AttemptCsvHeaders();
-
-/// Writes one run's attempt log.
-void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log);
-
-/// Reads an attempt log back (inverse of WriteAttemptLogCsv).
+/// Reads a per-attempt trace (the input of the what-if analysis in
+/// metrics/what_if.h) with the columns packet_id, attempt, payload_bytes,
+/// at_us, rssi_dbm, snr_db, data_received and acked, in any order. No
+/// binary writes this schema: traces come from outside the repository.
 [[nodiscard]] std::vector<link::AttemptRecord> ReadAttemptLogCsv(
     const std::string& path);
 
@@ -41,7 +38,7 @@ void WriteAttemptLogCsv(const std::string& path, const link::PacketLog& log);
 
 /// Inverse of SerializeSummaryRow (columns are positional per
 /// SummaryCsvHeaders; only the summary columns are reconstructed). Throws
-/// std::runtime_error on a malformed row.
+/// std::runtime_error on a malformed row, naming the first bad column.
 [[nodiscard]] SweepPoint ParseSummaryRow(const std::string& row);
 
 /// Writes a summary CSV from serialized rows (SerializeSummaryRow), in the
@@ -50,8 +47,9 @@ void WriteSummaryCsvRows(const std::string& path,
                          const std::vector<std::string>& rows);
 
 /// Reads a summary CSV back into sweep points (inverse of
-/// WriteSummaryCsvRows; only the columns the fitters need are
-/// reconstructed).
+/// WriteSummaryCsvRows). The header must equal SummaryCsvHeaders() (the
+/// error names the first column that differs), and every row is decoded
+/// exactly as ParseSummaryRow decodes it.
 [[nodiscard]] std::vector<SweepPoint> ReadSummaryCsv(const std::string& path);
 
 }  // namespace wsnlink::experiment

@@ -1,8 +1,6 @@
 #include "experiment/sweep.h"
 
-#include <algorithm>
 #include <atomic>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -18,33 +16,7 @@ std::uint64_t SweepSeed(std::uint64_t base_seed, std::size_t index) noexcept {
   return util::SplitMix64(sm);
 }
 
-std::size_t SweepChunkSize(const SweepOptions& options,
-                           std::size_t total) noexcept {
-  if (options.chunk != 0) return options.chunk;
-  const unsigned pool_width = util::ThreadPool::Shared().WorkerCount() + 1;
-  const unsigned width =
-      options.threads == 0 ? pool_width : std::min(options.threads, pool_width);
-  // ~16 grabs per active worker amortises the cursor; cap so progress
-  // callbacks and stealing stay responsive on big sweeps.
-  const std::size_t chunk = total / (static_cast<std::size_t>(width) * 16);
-  return std::clamp<std::size_t>(chunk, 1, 64);
-}
-
 namespace {
-
-node::SimulationOptions MakeOptions(const core::StackConfig& config,
-                                    const SweepOptions& sweep,
-                                    std::size_t index) {
-  node::SimulationOptions options;
-  options.config = config;
-  options.seed = SweepSeed(sweep.base_seed, index);
-  options.packet_count = sweep.packet_count;
-  options.analytic_ber = sweep.analytic_ber;
-  options.disable_temporal_shadowing = sweep.disable_temporal_shadowing;
-  options.disable_interference = sweep.disable_interference;
-  options.collect_counters = sweep.collect_counters;
-  return options;
-}
 
 /// Per-worker recycled simulation state. Pool workers persist across
 /// sweeps, so after the first few runs warm the capacities up, a worker's
@@ -54,13 +26,6 @@ node::LinkRunScratch& WorkerScratch() {
   // wsnstatic:allow(lp-isolation): thread_local scratch is per-worker by construction; no state crosses worker threads
   thread_local node::LinkRunScratch scratch;
   return scratch;
-}
-
-/// Runs `fn(i)` for every i in [0, total) over the shared pool.
-void SweepParallelFor(std::size_t total, const SweepOptions& options,
-                      const std::function<void(std::size_t)>& fn) {
-  util::ThreadPool::Shared().ParallelFor(total, SweepChunkSize(options, total),
-                                         options.threads, fn);
 }
 
 }  // namespace
@@ -73,7 +38,7 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
   }
 
   std::atomic<std::size_t> done{0};
-  SweepParallelFor(configs.size(), options, [&](std::size_t i) {
+  const auto run_one = [&](std::size_t i) {
     if (!options.skip.empty() && options.skip[i]) {
       // Resumed-from-checkpoint index: the caller fills the point; the
       // sweep only keeps the slot aligned and the progress count honest.
@@ -91,14 +56,11 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
       if (util::FaultInjector::Global().Armed()) {
         util::FaultInjector::Global().MaybeThrow("sweep.worker");
       }
-      auto sim_options = MakeOptions(configs[i], options, i);
-      // Trace capture allocates by design (the event log escapes). Per-run
-      // tracer: runs never share observability state, which is what keeps
-      // captured traces identical across thread counts.
-      std::optional<trace::Tracer> tracer;
-      if (options.capture_traces) {
-        sim_options.tracer = &tracer.emplace();
-      }
+      node::SimulationOptions sim_options;
+      sim_options.config = configs[i];
+      sim_options.seed = SweepSeed(options.base_seed, i);
+      sim_options.packet_count = options.packet_count;
+      sim_options.collect_counters = options.collect_counters;
       // Every growable resource comes from the worker's recycled scratch;
       // results do not depend on what the scratch ran before.
       node::LinkRunScratch& scratch = WorkerScratch();
@@ -108,7 +70,6 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
           result, configs[i].pkt_interval_ms, scratch.delay_buf);
       points[i].mean_snr_db = result.mean_snr_db;
       points[i].counters = std::move(result.counters);
-      if (tracer) points[i].events = tracer->Events();
       // Hand the log's heap blocks back for the next run.
       result.log.ExtractStorage(scratch.packet_buf, scratch.attempt_buf);
     } catch (const std::exception& e) {
@@ -126,23 +87,10 @@ std::vector<SweepPoint> RunSweep(const std::vector<core::StackConfig>& configs,
     if (options.progress) {
       options.progress(done.fetch_add(1) + 1, configs.size());
     }
-  });
+  };
+  util::ThreadPool::Shared().ParallelFor(configs.size(), options.threads,
+                                         run_one);
   return points;
-}
-
-std::vector<node::SimulationResult> RunSweepRaw(
-    const std::vector<core::StackConfig>& configs,
-    const SweepOptions& options) {
-  std::vector<node::SimulationResult> results(configs.size());
-  std::atomic<std::size_t> done{0};
-  SweepParallelFor(configs.size(), options, [&](std::size_t i) {
-    const auto sim_options = MakeOptions(configs[i], options, i);
-    results[i] = node::RunLinkSimulation(sim_options, WorkerScratch());
-    if (options.progress) {
-      options.progress(done.fetch_add(1) + 1, configs.size());
-    }
-  });
-  return results;
 }
 
 }  // namespace wsnlink::experiment

@@ -49,6 +49,8 @@ struct PacketRecord {
   double rssi_dbm = 0.0;
   double snr_db = 0.0;
   int lqi = 0;
+
+  friend bool operator==(const PacketRecord&, const PacketRecord&) = default;
 };
 
 /// One radio transmission attempt (for PER-vs-SNR analysis, Fig. 6).
@@ -63,6 +65,8 @@ struct AttemptRecord {
   bool data_received = false;
   /// ACK made it back (the attempt counts as acknowledged).
   bool acked = false;
+
+  friend bool operator==(const AttemptRecord&, const AttemptRecord&) = default;
 };
 
 /// Append-only logs for one simulation run.

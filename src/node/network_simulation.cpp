@@ -119,71 +119,79 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
         "RunNetworkSimulation: sim_threads must be 1 (runs are sequential)");
   }
 
-  sim::Simulator simulator;
-  // Lane-structured event keys: same-time events tie-break by (node,
-  // per-node sequence) instead of global scheduling order, which fixes the
-  // contention output bytes (sim/simulator.h). Oversized topologies
-  // (beyond the 16-bit lane space) keep the single-lane keys.
-  const bool laned = options.nodes.size() <= sim::Simulator::kMaxLanes;
-  if (laned) {
-    simulator.ConfigureLanes(static_cast<std::uint32_t>(options.nodes.size()));
-  }
-
-  // The medium only exists when two or more senders can actually contend:
-  // a single node with a medium would pay the bookkeeping, drive the MAC
-  // one event per ladder step and gain nothing — and N=1 must stay
-  // bit-identical to the single-link simulation.
-  std::optional<channel::Medium> medium;
-  if (options.shared_medium && options.nodes.size() > 1) {
-    medium.emplace(options.capture_margin_db);
-  }
-
-  const util::Rng root(options.base.seed);
-  std::vector<NodeScratch> scratches(options.nodes.size());
-  std::vector<std::unique_ptr<NodeStack>> stacks;
-  stacks.reserve(options.nodes.size());
-  for (std::size_t i = 0; i < options.nodes.size(); ++i) {
-    // Node 0 keeps the single-link lineage; later nodes branch off it, so
-    // growing the topology never disturbs the streams of existing nodes.
-    const util::Rng node_root =
-        i == 0 ? root : root.Derive("node-" + std::to_string(i));
-    stacks.push_back(std::make_unique<NodeStack>(
-        simulator, ResolveNodeOptions(options.base, options.nodes[i]),
-        node_root, medium ? &*medium : nullptr, static_cast<int>(i),
-        scratches[i]));
-  }
-
-  // Observability: the kernel's counters are run-scoped (one simulator
-  // serves every node); each stack attaches its own registry and stamps
-  // its node id into the shared tracer's events.
-  trace::CounterRegistry run_registry;
-  trace::TraceContext run_ctx;
-  run_ctx.tracer = options.base.tracer;
-  run_ctx.counters = options.base.collect_counters ? &run_registry : nullptr;
-  if (run_ctx.Active()) simulator.AttachTrace(run_ctx);
-  for (auto& stack : stacks) {
-    stack->AttachTrace(options.base.tracer, options.base.collect_counters);
-  }
-
-  for (std::size_t i = 0; i < stacks.size(); ++i) {
-    if (laned) simulator.SetCurrentLane(static_cast<std::uint32_t>(i));
-    stacks[i]->Start();
-  }
-  simulator.Run();
-
+  // The result's long-lived storage is allocated outside the run's: the
+  // per-node vector before the run, the counter roll-ups after the run's
+  // storage is freed. A caller that keeps results (a contention ladder)
+  // then holds nothing above the freed run memory, so the allocator can
+  // return it to the system instead of the next large run touching fresh
+  // pages beside it.
   NetworkResult result;
-  result.end_time = simulator.Now();
-  result.events_executed = simulator.EventsExecuted();
-  result.nodes.reserve(stacks.size());
-  for (auto& stack : stacks) {
-    result.nodes.push_back(
-        stack->Harvest(result.end_time, result.events_executed));
-  }
-  if (medium) {
-    result.medium = medium->Stats();
-    result.medium_active = true;
-  }
+  result.nodes.reserve(options.nodes.size());
+  trace::CounterRegistry run_registry;
+  {
+    sim::Simulator simulator;
+    // Lane-structured event keys: same-time events tie-break by (node,
+    // per-node sequence) instead of global scheduling order, which fixes the
+    // contention output bytes (sim/simulator.h). Oversized topologies
+    // (beyond the 16-bit lane space) keep the single-lane keys.
+    const bool laned = options.nodes.size() <= sim::Simulator::kMaxLanes;
+    if (laned) {
+      simulator.ConfigureLanes(
+          static_cast<std::uint32_t>(options.nodes.size()));
+    }
 
+    // The medium only exists when two or more senders can actually contend:
+    // a single node with a medium would pay the bookkeeping, drive the MAC
+    // one event per ladder step and gain nothing — and N=1 must stay
+    // bit-identical to the single-link simulation.
+    std::optional<channel::Medium> medium;
+    if (options.shared_medium && options.nodes.size() > 1) {
+      medium.emplace(options.capture_margin_db);
+    }
+
+    const util::Rng root(options.base.seed);
+    std::vector<NodeScratch> scratches(options.nodes.size());
+    std::vector<std::unique_ptr<NodeStack>> stacks;
+    stacks.reserve(options.nodes.size());
+    for (std::size_t i = 0; i < options.nodes.size(); ++i) {
+      // Node 0 keeps the single-link lineage; later nodes branch off it, so
+      // growing the topology never disturbs the streams of existing nodes.
+      const util::Rng node_root =
+          i == 0 ? root : root.Derive("node-" + std::to_string(i));
+      stacks.push_back(std::make_unique<NodeStack>(
+          simulator, ResolveNodeOptions(options.base, options.nodes[i]),
+          node_root, medium ? &*medium : nullptr, static_cast<int>(i),
+          scratches[i]));
+    }
+
+    // Observability: the kernel's counters are run-scoped (one simulator
+    // serves every node); each stack attaches its own registry and stamps
+    // its node id into the shared tracer's events.
+    trace::TraceContext run_ctx;
+    run_ctx.tracer = options.base.tracer;
+    run_ctx.counters = options.base.collect_counters ? &run_registry : nullptr;
+    if (run_ctx.Active()) simulator.AttachTrace(run_ctx);
+    for (auto& stack : stacks) {
+      stack->AttachTrace(options.base.tracer, options.base.collect_counters);
+    }
+
+    for (std::size_t i = 0; i < stacks.size(); ++i) {
+      if (laned) simulator.SetCurrentLane(static_cast<std::uint32_t>(i));
+      stacks[i]->Start();
+    }
+    simulator.Run();
+
+    result.end_time = simulator.Now();
+    result.events_executed = simulator.EventsExecuted();
+    for (auto& stack : stacks) {
+      result.nodes.push_back(
+          stack->Harvest(result.end_time, result.events_executed));
+    }
+    if (medium) {
+      result.medium = medium->Stats();
+      result.medium_active = true;
+    }
+  }
   if (options.base.collect_counters) {
     result.run_counters = run_registry.Snapshot();
   }

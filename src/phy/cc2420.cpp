@@ -50,8 +50,4 @@ double EnergyPerBitMicrojoule(int level) {
   return TxPowerMilliwatts(level) * 1e3 / kDataRateBps;
 }
 
-double RxEnergyPerBitMicrojoule() noexcept {
-  return kSupplyVolts * kRxCurrentMa * 1e3 / kDataRateBps;
-}
-
 }  // namespace wsnlink::phy

@@ -51,7 +51,4 @@ struct PaLevel {
 /// energy accounting in extended studies.
 inline constexpr double kRxCurrentMa = 18.8;
 
-/// Receive-mode energy per bit-time, microjoules.
-[[nodiscard]] double RxEnergyPerBitMicrojoule() noexcept;
-
 }  // namespace wsnlink::phy

@@ -42,7 +42,7 @@ inline constexpr std::size_t kMaxRequestBytes = 8192;
 /// physics or the serving config space change in any observable way: a
 /// persisted cache with a different tag is discarded wholesale at warm
 /// start (invalidation rule, see docs/SERVING.md).
-inline constexpr std::string_view kServeVersionTag = "wsnlink-serve-v2";
+inline constexpr std::string_view kServeVersionTag = "wsnlink-serve-v3";
 
 /// Malformed or out-of-contract request. The message is safe to echo to
 /// the client (single line, no control characters).

@@ -1,6 +1,7 @@
 #include "serve/query_service.h"
 
 #include <exception>
+#include <limits>
 #include <set>
 #include <string_view>
 
@@ -69,6 +70,13 @@ std::string QueryService::ComputeWhatIf(const Request& request) const {
   sim.seed = request.seed;
   sim.packet_count = request.packets;
   const metrics::LinkMetrics m = metrics::MeasureConfig(sim);
+  // A link that delivered nothing has no energy per delivered bit, no
+  // received SNR and no delay: those fields render as null (FormatDouble's
+  // non-finite case), as optimize renders an infinite energy, not as 0.
+  const auto per_delivery = [&m](double value) {
+    return m.delivered_unique == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                   : value;
+  };
 
   std::string out = "{\"status\":\"ok\",\"verb\":\"what_if\",";
   FieldInt(&out, "generated", static_cast<std::uint64_t>(m.generated));
@@ -89,19 +97,19 @@ std::string QueryService::ComputeWhatIf(const Request& request) const {
   out += ',';
   Field(&out, "goodput_kbps", m.goodput_kbps);
   out += ',';
-  Field(&out, "energy_uj_per_bit", m.energy_uj_per_bit);
+  Field(&out, "energy_uj_per_bit", per_delivery(m.energy_uj_per_bit));
   out += ',';
-  Field(&out, "mean_delay_ms", m.mean_delay_ms);
+  Field(&out, "mean_delay_ms", per_delivery(m.mean_delay_ms));
   out += ',';
-  Field(&out, "delay_p50_ms", m.delay_p50_ms);
+  Field(&out, "delay_p50_ms", per_delivery(m.delay_p50_ms));
   out += ',';
-  Field(&out, "delay_p99_ms", m.p99_delay_ms);
+  Field(&out, "delay_p99_ms", per_delivery(m.p99_delay_ms));
   out += ',';
-  Field(&out, "delay_max_ms", m.delay_max_ms);
+  Field(&out, "delay_max_ms", per_delivery(m.delay_max_ms));
   out += ',';
   Field(&out, "utilization", m.utilization);
   out += ',';
-  Field(&out, "mean_snr_db", m.mean_snr_db);
+  Field(&out, "mean_snr_db", per_delivery(m.mean_snr_db));
   out += ',';
   Field(&out, "duration_s", m.duration_s);
   out += '}';
@@ -315,7 +323,7 @@ std::vector<std::string> QueryService::AnswerBatch(
     (seen.insert(lines[i]).second ? firsts : repeats).push_back(i);
   }
   util::ThreadPool::Shared().ParallelFor(
-      firsts.size(), /*chunk=*/1, options_.threads, [&](std::size_t k) {
+      firsts.size(), options_.threads, [&](std::size_t k) {
         responses[firsts[k]] = Answer(lines[firsts[k]]);
       });
   for (const std::size_t i : repeats) responses[i] = Answer(lines[i]);

@@ -4,12 +4,13 @@
 // look its canonical key up in the content-addressed ResultCache, compute
 // on a miss (what_if runs the link simulator under the request's seed
 // contract; optimize runs the Sec. VIII epsilon-constraint search over the
-// serving config space), store, reply. Batches fan out over the process-
-// wide work-stealing pool (util::ThreadPool::Shared()) — the same executor
-// the sweep engine uses — with results landing in per-index slots, so a
-// batch's response vector is a pure function of its request vector:
-// bit-identical across thread counts and across cold/warm cache states
-// (cached payloads are the verbatim bytes the cold computation produced).
+// serving config space), store, reply. A batch's distinct lines fan out
+// over the process-wide pool (util::ThreadPool::Shared()) — the same
+// executor the sweep engine uses — with results landing in per-index
+// slots, so a batch's response vector is a pure function of its request
+// vector: bit-identical across thread counts and across cold/warm cache
+// states (cached payloads are the verbatim bytes the cold computation
+// produced).
 //
 // The TCP layer (server.h) is a thin framing shim over this class; tests,
 // the bench harness and the in-process client mode all drive it directly.

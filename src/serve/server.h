@@ -3,8 +3,9 @@
 // The server is deliberately thin — it frames newline-delimited request
 // lines out of per-connection byte streams (protocol.h
 // ExtractCompleteLines), hands each poll cycle's harvest to
-// QueryService::AnswerBatch (where the shared work-stealing pool does the
-// actual computing), and writes the replies back in arrival order. All
+// QueryService::AnswerBatch (where the process-wide pool does the actual
+// computing; at one thread the batch runs inline on the poll thread), and
+// writes the replies back in arrival order. All
 // protocol/compute smarts live below it, which is why the test battery can
 // drive QueryService in-process and trust that the socket path adds nothing
 // but framing.

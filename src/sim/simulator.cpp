@@ -121,15 +121,6 @@ bool Simulator::Step() {
   return true;
 }
 
-std::size_t Simulator::RunUntil(Time until) {
-  std::size_t count = 0;
-  while (!heap_.empty() && heap_[0].at <= until) {
-    if (Step()) ++count;
-  }
-  if (now_ < until) now_ = until;
-  return count;
-}
-
 std::size_t Simulator::Run() {
   std::size_t count = 0;
   while (Step()) ++count;

@@ -51,19 +51,11 @@ class Simulator {
   /// Schedules `fn` at an absolute time. Requires at >= Now().
   void ScheduleAt(Time at, EventFn fn);
 
-  /// Runs events until the queue empties or the clock would pass `until`.
-  /// Events scheduled exactly at `until` are executed. Returns the number of
-  /// events executed.
-  std::size_t RunUntil(Time until);
-
   /// Runs until the queue is empty. Returns the number of events executed.
   std::size_t Run();
 
   /// Executes at most one event; returns false if the queue is empty.
   bool Step();
-
-  /// Number of events currently queued.
-  [[nodiscard]] std::size_t QueueSize() const noexcept { return heap_.size(); }
 
   /// Total number of events executed so far.
   [[nodiscard]] std::uint64_t EventsExecuted() const noexcept { return executed_; }

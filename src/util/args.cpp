@@ -8,16 +8,24 @@
 namespace wsnlink::util {
 
 Args::Args(int argc, const char* const* argv,
+           const std::vector<std::string>& value_flags,
            const std::vector<std::string>& switches) {
+  const auto listed = [](const std::vector<std::string>& list,
+                         const std::string& arg) {
+    return std::find(list.begin(), list.end(), arg) != list.end();
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       positional_.push_back(arg);
       continue;
     }
-    if (std::find(switches.begin(), switches.end(), arg) != switches.end()) {
+    if (listed(switches, arg)) {
       switches_given_.push_back(arg);
       continue;
+    }
+    if (!listed(value_flags, arg)) {
+      throw std::invalid_argument("unknown flag " + arg);
     }
     if (i + 1 >= argc) {
       throw std::invalid_argument("missing value for " + arg);

@@ -1,9 +1,9 @@
 // Minimal command-line flag parser for the example/tool binaries.
 //
 // Supports `--flag value` options (string/double/int/size_t), boolean
-// switches (`--verify`), and positional arguments. Unknown flags produce an
-// error with the usage line, matching what the tools previously hand-rolled
-// four times over.
+// switches (`--verify`), and positional arguments. Each binary lists the
+// value flags and switches it reads; any other `--` argument is an error,
+// so a mistyped or retired flag never runs a default measurement.
 #pragma once
 
 #include <cstddef>
@@ -18,11 +18,13 @@ namespace wsnlink::util {
 /// Parsed command line.
 class Args {
  public:
-  /// Parses argv. `switches` lists flags that take no value. Throws
-  /// std::invalid_argument on an unknown flag (not in `switches` and not
-  /// followed by a value) or a flag missing its value.
+  /// Parses argv. `value_flags` lists the flags that take a value,
+  /// `switches` the flags that take none. Throws std::invalid_argument,
+  /// naming the argument, on a `--` argument in neither list, a value flag
+  /// missing its value, or a repeated value flag.
   Args(int argc, const char* const* argv,
-       const std::vector<std::string>& switches = {});
+       const std::vector<std::string>& value_flags,
+       const std::vector<std::string>& switches);
 
   /// True if the boolean switch was given.
   [[nodiscard]] bool Has(const std::string& flag) const;

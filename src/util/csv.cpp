@@ -1,9 +1,9 @@
 #include "util/csv.h"
 
 #include <algorithm>
-#include <charconv>
 #include <stdexcept>
 
+#include "util/args.h"
 #include "util/fault_injection.h"
 
 namespace wsnlink::util {
@@ -173,10 +173,9 @@ std::vector<double> CsvData::NumericColumn(std::string_view name) const {
     if (col >= row.size()) throw std::runtime_error("CsvData: short row");
     const std::string& cell = row[col];
     double v{};
-    const auto [ptr, ec] =
-        std::from_chars(cell.data(), cell.data() + cell.size(), v);
-    if (ec != std::errc() || ptr != cell.data() + cell.size()) {
-      throw std::runtime_error("CsvData: non-numeric cell '" + cell + "'");
+    if (!ParseCanonicalDouble(cell, v)) {
+      throw std::runtime_error("CsvData: column " + std::string(name) +
+                               " holds '" + cell + "', not a finite number");
     }
     values.push_back(v);
   }

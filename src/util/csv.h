@@ -51,9 +51,9 @@ struct CsvData {
   std::vector<std::string> headers;
   std::vector<std::vector<std::string>> rows;
 
-  /// Column values parsed as doubles. Throws std::out_of_range if no
-  /// header is `name`, std::runtime_error on a short row or non-numeric
-  /// cell.
+  /// Column values parsed with ParseCanonicalDouble (util/args.h). Throws
+  /// std::out_of_range if no header is `name`, std::runtime_error on a
+  /// short row or a cell that is not a finite number.
   [[nodiscard]] std::vector<double> NumericColumn(std::string_view name) const;
 };
 

@@ -24,9 +24,6 @@ class RunningStats {
  public:
   void Add(double x) noexcept;
 
-  /// Merges another accumulator (parallel-reduction friendly).
-  void Merge(const RunningStats& other) noexcept;
-
   [[nodiscard]] std::size_t Count() const noexcept { return n_; }
   [[nodiscard]] bool Empty() const noexcept { return n_ == 0; }
 

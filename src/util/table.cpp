@@ -74,33 +74,6 @@ std::string TextTable::ToString() const {
   return out;
 }
 
-std::string TextTable::ToCsv() const {
-  const auto quote = [](const std::string& cell) {
-    if (cell.find(',') == std::string::npos &&
-        cell.find('"') == std::string::npos) {
-      return cell;
-    }
-    std::string quoted = "\"";
-    for (const char ch : cell) {
-      if (ch == '"') quoted += '"';
-      quoted += ch;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  std::string out;
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) out += ',';
-      out += quote(cells[c]);
-    }
-    out += '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
 std::ostream& operator<<(std::ostream& os, const TextTable& t) {
   return os << t.ToString();
 }

@@ -28,13 +28,8 @@ class TextTable {
   TextTable& Add(long value);
   TextTable& Add(unsigned long value);
 
-  [[nodiscard]] std::size_t RowCount() const noexcept { return rows_.size(); }
-
   /// Renders with a header underline and two-space column gaps.
   [[nodiscard]] std::string ToString() const;
-
-  /// Renders as CSV (comma-separated; cells containing commas are quoted).
-  [[nodiscard]] std::string ToCsv() const;
 
   friend std::ostream& operator<<(std::ostream& os, const TextTable& t);
 

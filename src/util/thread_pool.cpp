@@ -11,10 +11,9 @@ namespace wsnlink::util {
 
 ThreadPool::ThreadPool(unsigned workers) {
   const unsigned count = std::max(1u, workers);
-  queues_.resize(count);
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -33,40 +32,12 @@ ThreadPool& ThreadPool::Shared() {
   return pool;
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queues_[next_queue_].tasks.push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-  }
-  cv_.notify_one();
-}
-
-bool ThreadPool::PopOrSteal(unsigned self, std::function<void()>& task) {
-  // Own queue first, newest-first: chunks submitted together run
-  // back-to-back on the same worker. Then sweep the other queues
-  // oldest-first (classic steal direction).
-  if (!queues_[self].tasks.empty()) {
-    task = std::move(queues_[self].tasks.back());
-    queues_[self].tasks.pop_back();
-    return true;
-  }
-  for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
-    Queue& victim = queues_[(self + offset) % queues_.size()];
-    if (!victim.tasks.empty()) {
-      task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(unsigned self) {
+void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    std::function<void()> task;
-    if (PopOrSteal(self, task)) {
+    if (!tasks_.empty()) {
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
       lock.unlock();
       task();
       lock.lock();
@@ -77,71 +48,59 @@ void ThreadPool::WorkerLoop(unsigned self) {
   }
 }
 
-void ThreadPool::ParallelFor(std::size_t total, std::size_t chunk,
-                             unsigned max_parallel,
+void ThreadPool::ParallelFor(std::size_t total, unsigned max_parallel,
                              const std::function<void(std::size_t)>& fn) {
   if (total == 0) return;
-  if (chunk == 0) chunk = 1;
-  const unsigned width = max_parallel == 0 ? WorkerCount() + 1 : max_parallel;
-  const std::size_t chunks = (total + chunk - 1) / chunk;
-  const unsigned helpers = static_cast<unsigned>(std::min<std::size_t>(
-      width > 1 ? width - 1 : 0, std::min<std::size_t>(chunks, WorkerCount())));
-
-  if (helpers == 0 || total <= chunk) {
+  const std::size_t width =
+      max_parallel == 0 ? workers_.size() + 1 : max_parallel;
+  const std::size_t helpers =
+      std::min({width - 1, total - 1, workers_.size()});
+  if (helpers == 0) {
     for (std::size_t i = 0; i < total; ++i) fn(i);
     return;
   }
 
-  // Shared drain state: helpers and the caller grab chunk indices from the
-  // cursor until exhausted. Completion is tracked per *chunk*, not per
-  // helper task: the caller returns as soon as every chunk has run, even if
-  // some helper tasks never got scheduled (they wake up later, find the
-  // cursor exhausted, and exit without touching `fn`). That property makes
-  // nested ParallelFor calls deadlock-free — a caller that drains every
-  // chunk itself never waits on the pool.
+  // Shared drain state: helpers and the caller take indices from the
+  // cursor until it passes `total`. Completion is tracked per index, not
+  // per helper: the caller returns as soon as every index has run, even if
+  // some helpers never got scheduled (they wake up later, find the cursor
+  // exhausted, and exit without touching `fn`). That property makes nested
+  // ParallelFor calls deadlock-free — a caller that drains every index
+  // itself never waits on the pool.
   //
-  // A throw from `fn` ends only its own chunk and is kept if its index is
-  // the lowest that threw so far; the chunk still counts as done, so the
-  // caller's wait ends and it rethrows once no participant can call `fn`
-  // again. Chunks above the lowest failed chunk cannot hold a lower
-  // throwing index and are skipped; every other chunk runs, so the caller
-  // sees the exception a sequential loop would raise, whatever the width.
+  // A throw from `fn` is kept if its index is the lowest that threw so
+  // far; the index still counts as done, so the caller's wait ends and it
+  // rethrows once no participant can call `fn` again. Indices above the
+  // lowest failure cannot hold a lower throwing index and are skipped;
+  // every other index runs, so the caller sees the exception a sequential
+  // loop would raise, whatever the width.
   struct Drain {
     std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> done_chunks{0};
-    std::atomic<std::size_t> failed_chunk{
-        std::numeric_limits<std::size_t>::max()};
+    std::atomic<std::size_t> done{0};
+    std::atomic<std::size_t> failed{std::numeric_limits<std::size_t>::max()};
     std::mutex done_mutex;
     std::condition_variable done_cv;
     std::mutex error_mutex;
     std::exception_ptr error;  // guarded by error_mutex
-    std::size_t error_index = 0;  // guarded by error_mutex
   };
   auto drain = std::make_shared<Drain>();
 
-  auto run_chunks = [drain, total, chunk, chunks, &fn] {
-    for (std::size_t c = drain->cursor.fetch_add(1); c < chunks;
-         c = drain->cursor.fetch_add(1)) {
-      if (c < drain->failed_chunk.load(std::memory_order_relaxed)) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(begin + chunk, total);
-        for (std::size_t i = begin; i < end; ++i) {
-          try {
-            fn(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(drain->error_mutex);
-            if (!drain->error || i < drain->error_index) {
-              drain->error = std::current_exception();
-              drain->error_index = i;
-              drain->failed_chunk.store(c, std::memory_order_relaxed);
-            }
-            break;
+  auto run = [drain, total, &fn] {
+    for (std::size_t i = drain->cursor.fetch_add(1); i < total;
+         i = drain->cursor.fetch_add(1)) {
+      if (i < drain->failed.load(std::memory_order_relaxed)) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(drain->error_mutex);
+          if (i < drain->failed.load(std::memory_order_relaxed)) {
+            drain->error = std::current_exception();
+            drain->failed.store(i, std::memory_order_relaxed);
           }
         }
       }
-      if (drain->done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          chunks) {
-        // Last chunk done: wake the caller. The lock pairs the notify with
+      if (drain->done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
+        // Last index done: wake the caller. The lock pairs the notify with
         // the caller's wait so the wakeup cannot be lost.
         std::lock_guard<std::mutex> lock(drain->done_mutex);
         drain->done_cv.notify_one();
@@ -149,14 +108,18 @@ void ThreadPool::ParallelFor(std::size_t total, std::size_t chunk,
     }
   };
 
-  for (unsigned h = 0; h < helpers; ++h) Submit(run_chunks);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.insert(tasks_.end(), helpers, run);
+  }
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
 
-  run_chunks();
+  run();
 
   {
     std::unique_lock<std::mutex> lock(drain->done_mutex);
-    drain->done_cv.wait(lock, [&drain, chunks] {
-      return drain->done_chunks.load(std::memory_order_acquire) == chunks;
+    drain->done_cv.wait(lock, [&drain, total] {
+      return drain->done.load(std::memory_order_acquire) == total;
     });
   }
   // Moved out so the exception is released on this thread, not by a

@@ -1,29 +1,27 @@
-// Shared work-stealing thread pool for the sweep/campaign executors.
+// Shared thread pool for the sweep, contention and serve executors.
 //
-// The previous executors spawned a fresh std::thread fleet for every sweep;
-// a campaign that runs thousands of small sweeps paid thread creation and
-// teardown each time, and nested drivers (adaptive tuning loops)
-// multiplied it. This pool is created once per process
-// (ThreadPool::Shared()), keeps one worker per hardware thread parked on a
-// condition variable, and hands out work in batched index chunks.
+// The pool is created once per process (ThreadPool::Shared()) and keeps N
+// workers parked on one condition variable, so a campaign that runs
+// thousands of small sweeps never pays thread creation per sweep.
 //
 // Design:
-//  - each worker owns a deque; submitted tasks are distributed round-robin,
-//    a worker pops its own deque LIFO and steals FIFO from the others when
-//    empty, so bursts submitted together stay cache-warm on one worker
-//    while idle workers still drain the backlog;
-//  - ParallelFor is the executor entry point: the *calling* thread
-//    participates in the loop, which both saves a context switch for small
-//    totals and makes nested ParallelFor calls deadlock-free by
-//    construction (the caller can always make progress on its own);
+//  - one mutex-guarded queue of helper tasks; every worker pops from its
+//    front;
+//  - ParallelFor is the only entry point: it queues up to
+//    max_parallel - 1 helpers, the *calling* thread participates, and
+//    every participant takes one index at a time from a shared atomic
+//    cursor. The call returns once every index has run, whether or not
+//    its helpers were ever scheduled, so a caller that drains the cursor
+//    alone never waits on the pool: nested and concurrent calls cannot
+//    deadlock;
 //  - determinism: ParallelFor imposes no ordering — callers must make
 //    `fn(i)` independent of execution order (the sweep drivers derive
 //    per-index seeds and write results into per-index slots, which is what
-//    keeps sweeps bit-identical under any worker count or chunking).
+//    keeps sweeps bit-identical under any worker count).
 //
 // All cross-thread state is guarded by mutexes/atomics; the pool is
-// TSan-clean (exercised by tests/determinism_test.cpp and the perf
-// invariance suite under -DWSNLINK_SANITIZE=thread).
+// TSan-clean (exercised by the Sweep and Determinism suites under
+// -DWSNLINK_SANITIZE=thread).
 #pragma once
 
 #include <condition_variable>
@@ -36,7 +34,7 @@
 
 namespace wsnlink::util {
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool with one shared task queue.
 class ThreadPool {
  public:
   /// Creates `workers` parked worker threads (at least 1).
@@ -46,47 +44,34 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// The process-wide pool used by the sweep/campaign executors. Created on
-  /// first use with one worker per hardware thread (minimum 2, so the
-  /// stealing path is exercised even on single-core hosts).
+  /// The process-wide pool used by the sweep, contention and serve
+  /// executors. Created on first use with one worker per hardware thread
+  /// (minimum 2).
   static ThreadPool& Shared();
-
-  [[nodiscard]] unsigned WorkerCount() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Enqueues one task. Tasks must not throw.
-  void Submit(std::function<void()> task);
 
   /// Runs `fn(i)` for every i in [0, total) with bounded parallelism.
   ///
-  /// Work is handed out in contiguous `chunk`-sized index ranges through a
-  /// shared cursor. At most `max_parallel` threads are active (the caller
-  /// plus up to max_parallel-1 pool workers); 0 means "pool width". The
-  /// call returns when every index has been processed. `fn` is invoked
+  /// At most `max_parallel` threads call `fn` (the caller plus up to
+  /// max_parallel-1 pool workers); 0 means the pool's width plus the
+  /// caller. Each takes the next unrun index from a shared cursor. The call
+  /// returns when every index has been processed. `fn` is invoked
   /// concurrently and must be thread-safe; results must not depend on
   /// execution order.
   ///
   /// If `fn` throws, the call rethrows the exception of the lowest index
   /// that threw — the one a sequential loop would raise — after every
-  /// started chunk has finished; indices above it may be left unrun.
-  void ParallelFor(std::size_t total, std::size_t chunk, unsigned max_parallel,
+  /// started index has finished; indices above it may be left unrun.
+  void ParallelFor(std::size_t total, unsigned max_parallel,
                    const std::function<void(std::size_t)>& fn);
 
  private:
-  struct Queue {
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(unsigned self);
-  bool PopOrSteal(unsigned self, std::function<void()>& task);
+  void WorkerLoop();
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::vector<Queue> queues_;
+  std::deque<std::function<void()>> tasks_;  // guarded by mutex_
   std::vector<std::thread> workers_;
-  unsigned next_queue_ = 0;
-  bool stopping_ = false;
+  bool stopping_ = false;  // guarded by mutex_
 };
 
 }  // namespace wsnlink::util

@@ -7,14 +7,17 @@ namespace wsnlink::util {
 namespace {
 
 Args Parse(std::vector<const char*> argv,
+           const std::vector<std::string>& value_flags,
            const std::vector<std::string>& switches = {}) {
   argv.insert(argv.begin(), "tool");
-  return Args(static_cast<int>(argv.size()), argv.data(), switches);
+  return Args(static_cast<int>(argv.size()), argv.data(), value_flags,
+              switches);
 }
 
 TEST(Args, FlagsAndPositionals) {
   const auto args =
-      Parse({"--out", "file.csv", "input.csv", "--stride", "31"});
+      Parse({"--out", "file.csv", "input.csv", "--stride", "31"},
+            {"--out", "--stride"});
   EXPECT_EQ(args.GetString("--out", ""), "file.csv");
   EXPECT_EQ(args.GetSize("--stride", 1), 31u);
   ASSERT_EQ(args.Positional().size(), 1u);
@@ -22,7 +25,7 @@ TEST(Args, FlagsAndPositionals) {
 }
 
 TEST(Args, DefaultsWhenAbsent) {
-  const auto args = Parse({});
+  const auto args = Parse({}, {"--objective", "--distance", "--packets"});
   EXPECT_EQ(args.GetString("--objective", "energy"), "energy");
   EXPECT_DOUBLE_EQ(args.GetDouble("--distance", 20.0), 20.0);
   EXPECT_EQ(args.GetInt("--packets", 300), 300);
@@ -30,27 +33,45 @@ TEST(Args, DefaultsWhenAbsent) {
 }
 
 TEST(Args, Switches) {
-  const auto args = Parse({"--verify", "--distance", "25"}, {"--verify"});
+  const auto args =
+      Parse({"--verify", "--distance", "25"}, {"--distance"}, {"--verify"});
   EXPECT_TRUE(args.Has("--verify"));
   EXPECT_FALSE(args.Has("--quiet"));
   EXPECT_DOUBLE_EQ(args.GetDouble("--distance", 0.0), 25.0);
 }
 
 TEST(Args, MissingValueThrows) {
-  EXPECT_THROW(Parse({"--out"}), std::invalid_argument);
+  EXPECT_THROW(Parse({"--out"}, {"--out"}), std::invalid_argument);
+}
+
+TEST(Args, UnknownFlagThrowsNamingIt) {
+  // A flag the binary does not read is an error, with or without a value,
+  // so a mistyped or retired flag never runs a default measurement.
+  try {
+    (void)Parse({"--out", "f.csv", "--check", "BENCH_sweep.json"}, {"--out"});
+    ADD_FAILURE() << "--check was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--check"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Parse({"--help"}, {"--out"}, {"--verify"}),
+               std::invalid_argument);
+  // Listing a flag as a switch does not make it a value flag.
+  const auto args = Parse({"--verify", "x"}, {"--out"}, {"--verify"});
+  EXPECT_FALSE(args.Get("--verify").has_value());
 }
 
 TEST(Args, BadNumericValueThrows) {
-  const auto args = Parse({"--distance", "12abc"});
+  const auto args = Parse({"--distance", "12abc"}, {"--distance"});
   EXPECT_THROW((void)args.GetDouble("--distance", 0.0),
                std::invalid_argument);
-  const auto args2 = Parse({"--packets", "1.5"});
+  const auto args2 = Parse({"--packets", "1.5"}, {"--packets"});
   EXPECT_THROW((void)args2.GetInt("--packets", 0), std::invalid_argument);
 }
 
 TEST(Args, SwitchBeforeValueFlagNotConfused) {
   // A switch must not swallow the next token.
-  const auto args = Parse({"--verify", "positional"}, {"--verify"});
+  const auto args = Parse({"--verify", "positional"}, {}, {"--verify"});
   EXPECT_TRUE(args.Has("--verify"));
   ASSERT_EQ(args.Positional().size(), 1u);
 }
@@ -113,12 +134,12 @@ TEST(Args, GetDoubleUsesCanonicalGrammar) {
   // ParseDouble rejected; both now share ParseCanonicalDouble.
   for (const char* bad : {"inf", "nan", "0x1p3", " 1.5", "+2", "1e999"}) {
     const char* argv[] = {"tool", "--x", bad};
-    const Args args(3, argv);
+    const Args args(3, argv, {"--x"}, {});
     EXPECT_THROW((void)args.GetDouble("--x", 0.0), std::invalid_argument)
         << "accepted '" << bad << "'";
   }
   const char* argv[] = {"tool", "--x", "-2.5e1"};
-  const Args args(3, argv);
+  const Args args(3, argv, {"--x"}, {});
   EXPECT_DOUBLE_EQ(args.GetDouble("--x", 0.0), -25.0);
 }
 

@@ -3,9 +3,11 @@
 // The sweep driver promises results deterministic in (base_seed, config
 // order) regardless of worker count. This pins that promise bit-exactly:
 // a single-threaded sweep and an 8-worker sweep over the same configs must
-// produce identical metric vectors, identical counter snapshots and —
-// with capture_traces on — identical per-run event streams. A campaign
-// run through the same paths must serialize to a byte-identical CSV.
+// produce identical metric vectors and identical counter snapshots, and a
+// campaign run through the same paths must serialize to a byte-identical
+// CSV. The only state a sweep worker carries from one run to the next is
+// its LinkRunScratch, so a run on a reused scratch must match a run on a
+// fresh one event for event, packet for packet and attempt for attempt.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,11 +20,11 @@
 #include "core/opt/config_space.h"
 #include "experiment/campaign.h"
 #include "experiment/sweep.h"
-#include "metrics/latency.h"
 #include "metrics/link_metrics.h"
 #include "node/link_simulation.h"
 #include "node/run_scratch.h"
 #include "serve/query_service.h"
+#include "trace/trace.h"
 
 namespace wsnlink {
 namespace {
@@ -43,7 +45,6 @@ experiment::SweepOptions BaseOptions(unsigned threads) {
   options.base_seed = 99;
   options.packet_count = 120;
   options.threads = threads;
-  options.capture_traces = true;
   return options;
 }
 
@@ -87,45 +88,8 @@ TEST(Determinism, SweepIdenticalAcrossThreadCounts) {
     ASSERT_EQ(serial[i].counters.size(), parallel[i].counters.size())
         << "config " << i;
     EXPECT_TRUE(serial[i].counters == parallel[i].counters) << "config " << i;
-
-    // Event streams: bit-identical traces (timestamps, ids, args, values).
-    ASSERT_EQ(serial[i].events.size(), parallel[i].events.size())
-        << "config " << i;
-    EXPECT_TRUE(serial[i].events == parallel[i].events) << "config " << i;
-    EXPECT_FALSE(serial[i].events.empty()) << "config " << i;
+    EXPECT_FALSE(serial[i].counters.empty()) << "config " << i;
   }
-}
-
-TEST(Determinism, LatencyProfileIdenticalAcrossThreadCounts) {
-  // The validation harness byte-compares latency histograms; pin the whole
-  // per-packet sojourn-time record, not just the summary quantiles.
-  const auto configs = TestConfigs();
-  const auto serial = RunSweepRaw(configs, BaseOptions(1));
-  const auto parallel = RunSweepRaw(configs, BaseOptions(8));
-  ASSERT_EQ(serial.size(), parallel.size());
-
-  bool any_delivered = false;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    const auto profile1 = metrics::CollectLatencies(serial[i]);
-    const auto profile8 = metrics::CollectLatencies(parallel[i]);
-    EXPECT_EQ(profile1.Serialize(), profile8.Serialize()) << "config " << i;
-    EXPECT_TRUE(profile1.queue_depths_at_arrival ==
-                profile8.queue_depths_at_arrival)
-        << "config " << i;
-    if (!profile1.Empty()) {
-      any_delivered = true;
-      const auto hist1 = profile1.ToHistogram(0.0, 500.0, 32);
-      const auto hist8 = profile8.ToHistogram(0.0, 500.0, 32);
-      ASSERT_EQ(hist1.BinCount(), hist8.BinCount()) << "config " << i;
-      for (std::size_t bin = 0; bin < hist1.BinCount(); ++bin) {
-        EXPECT_EQ(hist1.Count(bin), hist8.Count(bin))
-            << "config " << i << " bin " << bin;
-      }
-      EXPECT_EQ(hist1.Underflow(), hist8.Underflow()) << "config " << i;
-      EXPECT_EQ(hist1.Overflow(), hist8.Overflow()) << "config " << i;
-    }
-  }
-  EXPECT_TRUE(any_delivered);
 }
 
 TEST(Determinism, RepeatedSweepIsIdentical) {
@@ -135,7 +99,7 @@ TEST(Determinism, RepeatedSweepIsIdentical) {
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     ExpectMetricsIdentical(first[i].measured, second[i].measured, i);
-    EXPECT_TRUE(first[i].events == second[i].events) << "config " << i;
+    EXPECT_TRUE(first[i].counters == second[i].counters) << "config " << i;
   }
 }
 
@@ -203,9 +167,29 @@ node::SimulationOptions LplScratchRunOptions() {
   return options;
 }
 
-void ExpectResultsIdentical(const node::SimulationResult& a,
-                            const node::SimulationResult& b,
-                            double pkt_interval_ms, const char* label) {
+/// One run and the event stream its tracer recorded.
+struct TracedRun {
+  node::SimulationResult result;
+  std::vector<trace::TraceEvent> events;
+};
+
+/// Runs `options` under a fresh tracer: on `scratch` when one is given,
+/// otherwise on a fresh scratch (RunLinkSimulation(options)).
+TracedRun RunTraced(node::SimulationOptions options,
+                    node::LinkRunScratch* scratch = nullptr) {
+  trace::Tracer tracer;
+  options.tracer = &tracer;
+  TracedRun run;
+  run.result = scratch != nullptr ? node::RunLinkSimulation(options, *scratch)
+                                  : node::RunLinkSimulation(options);
+  run.events = tracer.Events();
+  return run;
+}
+
+void ExpectRunsIdentical(const TracedRun& x, const TracedRun& y,
+                         double pkt_interval_ms, const char* label) {
+  const node::SimulationResult& a = x.result;
+  const node::SimulationResult& b = y.result;
   EXPECT_EQ(a.unique_delivered, b.unique_delivered) << label;
   EXPECT_EQ(a.duplicates, b.duplicates) << label;
   EXPECT_EQ(a.unique_payload_bytes, b.unique_payload_bytes) << label;
@@ -221,35 +205,40 @@ void ExpectResultsIdentical(const node::SimulationResult& a,
   const auto ma = metrics::ComputeMetrics(a, pkt_interval_ms);
   const auto mb = metrics::ComputeMetrics(b, pkt_interval_ms);
   ExpectMetricsIdentical(ma, mb, 0);
+  // Every packet, attempt and event (timestamps, ids, args, values).
+  EXPECT_TRUE(a.log.Packets() == b.log.Packets()) << label;
+  EXPECT_TRUE(a.log.Attempts() == b.log.Attempts()) << label;
+  EXPECT_FALSE(x.events.empty()) << label;
+  EXPECT_TRUE(x.events == y.events) << label;
 }
 
 TEST(Determinism, ScratchRunMatchesPlainRunColdAndWarm) {
   const auto options_a = ScratchRunOptions(0);
   const auto options_b = ScratchRunOptions(1234);
   const auto options_l = LplScratchRunOptions();
-  const auto plain_a = node::RunLinkSimulation(options_a);
-  const auto plain_b = node::RunLinkSimulation(options_b);
-  const auto plain_l = node::RunLinkSimulation(options_l);
+  const auto plain_a = RunTraced(options_a);
+  const auto plain_b = RunTraced(options_b);
+  const auto plain_l = RunTraced(options_l);
 
   node::LinkRunScratch scratch;
-  const auto cold_a = node::RunLinkSimulation(options_a, scratch);
-  ExpectResultsIdentical(plain_a, cold_a, options_a.config.pkt_interval_ms,
-                         "cold A");
+  const auto cold_a = RunTraced(options_a, &scratch);
+  ExpectRunsIdentical(plain_a, cold_a, options_a.config.pkt_interval_ms,
+                      "cold A");
   // Warm: the scratch just carried a different configuration or MAC;
   // nothing of the previous run may bleed into the next. LPL registers
   // mac.lpl_* counters that a CSMA run never revives.
-  const auto warm_l = node::RunLinkSimulation(options_l, scratch);
-  ExpectResultsIdentical(plain_l, warm_l, options_l.config.pkt_interval_ms,
-                         "warm LPL after A");
-  const auto warm_b = node::RunLinkSimulation(options_b, scratch);
-  ExpectResultsIdentical(plain_b, warm_b, options_b.config.pkt_interval_ms,
-                         "warm B");
-  const auto warm_l2 = node::RunLinkSimulation(options_l, scratch);
-  ExpectResultsIdentical(plain_l, warm_l2, options_l.config.pkt_interval_ms,
-                         "warm LPL after B");
-  const auto warm_a = node::RunLinkSimulation(options_a, scratch);
-  ExpectResultsIdentical(plain_a, warm_a, options_a.config.pkt_interval_ms,
-                         "warm A");
+  const auto warm_l = RunTraced(options_l, &scratch);
+  ExpectRunsIdentical(plain_l, warm_l, options_l.config.pkt_interval_ms,
+                      "warm LPL after A");
+  const auto warm_b = RunTraced(options_b, &scratch);
+  ExpectRunsIdentical(plain_b, warm_b, options_b.config.pkt_interval_ms,
+                      "warm B");
+  const auto warm_l2 = RunTraced(options_l, &scratch);
+  ExpectRunsIdentical(plain_l, warm_l2, options_l.config.pkt_interval_ms,
+                      "warm LPL after B");
+  const auto warm_a = RunTraced(options_a, &scratch);
+  ExpectRunsIdentical(plain_a, warm_a, options_a.config.pkt_interval_ms,
+                      "warm A");
 }
 
 TEST(Determinism, ScratchSurvivesARunThatThrows) {
@@ -260,56 +249,40 @@ TEST(Determinism, ScratchSurvivesARunThatThrows) {
   failing.lpl_wakeup_interval_ms = 5.0;
   const auto options_a = ScratchRunOptions(0);
   const auto options_b = ScratchRunOptions(1234);
-  const auto plain_a = node::RunLinkSimulation(options_a);
+  const auto plain_a = RunTraced(options_a);
 
   node::LinkRunScratch scratch;
   static_cast<void>(node::RunLinkSimulation(options_b, scratch));
   EXPECT_THROW(static_cast<void>(node::RunLinkSimulation(failing, scratch)),
                std::invalid_argument);
-  const auto after = node::RunLinkSimulation(options_a, scratch);
-  ExpectResultsIdentical(plain_a, after, options_a.config.pkt_interval_ms,
-                         "after a throw");
-}
-
-TEST(Determinism, SweepWithoutTracesIdenticalAcrossThreadCounts) {
-  // capture_traces=false routes workers through the thread-local scratch
-  // (zero-alloc) path; worker count still must not leak into results.
-  const auto configs = TestConfigs();
-  auto options1 = BaseOptions(1);
-  options1.capture_traces = false;
-  auto options8 = BaseOptions(8);
-  options8.capture_traces = false;
-
-  const auto serial = RunSweep(configs, options1);
-  const auto parallel = RunSweep(configs, options8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ExpectMetricsIdentical(serial[i].measured, parallel[i].measured, i);
-    ASSERT_EQ(serial[i].counters.size(), parallel[i].counters.size())
-        << "config " << i;
-    EXPECT_TRUE(serial[i].counters == parallel[i].counters) << "config " << i;
-    EXPECT_FALSE(serial[i].counters.empty()) << "config " << i;
-  }
+  const auto after = RunTraced(options_a, &scratch);
+  ExpectRunsIdentical(plain_a, after, options_a.config.pkt_interval_ms,
+                      "after a throw");
 }
 
 TEST(Determinism, SweepScratchPathMatchesTracedPathMetrics) {
-  // Traced and untraced configs run the same scratch body; the traced ones
-  // attach a per-run tracer. Metrics and every counter, the kernel's sim.*
-  // included, must not depend on whether a tracer watched.
+  // Sweep workers run each config on their recycled scratch with no
+  // tracer. A standalone traced run of config i under SweepSeed(base, i)
+  // must give the same metrics and every counter, the kernel's sim.*
+  // included.
   const auto configs = TestConfigs();
-  auto traced = BaseOptions(4);
-  auto untraced = BaseOptions(4);
-  untraced.capture_traces = false;
-
-  const auto with_traces = RunSweep(configs, traced);
-  const auto without_traces = RunSweep(configs, untraced);
-  ASSERT_EQ(with_traces.size(), without_traces.size());
-  for (std::size_t i = 0; i < with_traces.size(); ++i) {
-    ExpectMetricsIdentical(with_traces[i].measured, without_traces[i].measured,
-                           i);
-    EXPECT_FALSE(with_traces[i].counters.empty()) << "config " << i;
-    EXPECT_TRUE(with_traces[i].counters == without_traces[i].counters)
-        << "config " << i;
+  const auto options = BaseOptions(4);
+  const auto points = RunSweep(configs, options);
+  ASSERT_EQ(points.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    node::SimulationOptions single;
+    single.config = configs[i];
+    single.seed = experiment::SweepSeed(options.base_seed, i);
+    single.packet_count = options.packet_count;
+    trace::Tracer tracer;
+    single.tracer = &tracer;
+    const auto traced = node::RunLinkSimulation(single);
+    ExpectMetricsIdentical(
+        points[i].measured,
+        metrics::ComputeMetrics(traced, configs[i].pkt_interval_ms), i);
+    EXPECT_FALSE(points[i].counters.empty()) << "config " << i;
+    EXPECT_TRUE(points[i].counters == traced.counters) << "config " << i;
+    EXPECT_FALSE(tracer.Events().empty()) << "config " << i;
   }
 }
 

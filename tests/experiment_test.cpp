@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -82,54 +83,10 @@ TEST(Sweep, ProgressCallbackReachesTotal) {
   EXPECT_EQ(last.load(), points.size());
 }
 
-TEST(Sweep, RawVariantReturnsFullResults) {
-  SweepOptions options;
-  options.packet_count = 60;
-  const auto results = RunSweepRaw(SmallConfigSet(), options);
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& r : results) {
-    EXPECT_EQ(r.generated, 60);
-    EXPECT_EQ(r.log.Packets().size(), 60u);
-    EXPECT_FALSE(r.log.Attempts().empty());
-  }
-  // Raw and metric sweeps are seeded identically per index.
-  const auto points = RunSweep(SmallConfigSet(), options);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(points[i].measured.delivered_unique,
-              results[i].unique_delivered);
-  }
-}
-
 TEST(Sweep, SeedsDifferPerIndex) {
   EXPECT_NE(SweepSeed(1, 0), SweepSeed(1, 1));
   EXPECT_NE(SweepSeed(1, 0), SweepSeed(2, 0));
   EXPECT_EQ(SweepSeed(5, 3), SweepSeed(5, 3));
-}
-
-TEST(Sweep, RawSweepThrowsTheSameErrorAtAnyThreadCount) {
-  const auto space = core::opt::ConfigSpace::PaperTableI();
-  std::vector<core::StackConfig> configs;
-  for (std::size_t i = 0; configs.size() < 64; i += space.Size() / 64) {
-    configs.push_back(space.At(i));
-  }
-  configs[20].payload_bytes = 0;
-
-  std::vector<std::string> messages;
-  for (const unsigned threads : {1u, 8u, 0u}) {
-    SweepOptions options;
-    options.packet_count = 30;
-    options.threads = threads;
-    try {
-      (void)RunSweepRaw(configs, options);
-      ADD_FAILURE() << "threads=" << threads << ": no exception";
-    } catch (const std::invalid_argument& e) {
-      messages.push_back(e.what());
-    }
-  }
-  ASSERT_EQ(messages.size(), 3u);
-  EXPECT_FALSE(messages[0].empty());
-  EXPECT_EQ(messages[1], messages[0]);
-  EXPECT_EQ(messages[2], messages[0]);
 }
 
 TEST(Sweep, ParallelForRethrowsTheLowestIndexThrownOnWorkers) {
@@ -174,7 +131,7 @@ TEST(Sweep, ParallelForRethrowsTheLowestIndexThrownOnWorkers) {
 
   std::string caught;
   try {
-    pool.ParallelFor(64, 1, 0, fn);
+    pool.ParallelFor(64, 0, fn);
   } catch (const std::runtime_error& e) {
     caught = e.what();
   }
@@ -184,6 +141,30 @@ TEST(Sweep, ParallelForRethrowsTheLowestIndexThrownOnWorkers) {
             std::to_string(*std::min_element(thrown.begin(), thrown.end())));
   // Every started call finished before the exception reached the caller.
   EXPECT_EQ(in_flight, 0);
+}
+
+TEST(Sweep, NestedAndConcurrentParallelForRunEveryIndexOnce) {
+  // Two callers at once on a two-worker pool, each running a full-width
+  // ParallelFor whose every index runs another full-width ParallelFor:
+  // the pool has far fewer workers than callers waiting on it, so this
+  // finishes only because every caller drains its own cursor.
+  util::ThreadPool pool(2);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 16;
+  std::vector<std::atomic<int>> runs(2 * kOuter * kInner);
+  const auto sweep = [&](std::size_t caller) {
+    pool.ParallelFor(kOuter, 0, [&](std::size_t i) {
+      pool.ParallelFor(kInner, 0, [&](std::size_t j) {
+        runs[(caller * kOuter + i) * kInner + j].fetch_add(1);
+      });
+    });
+  };
+  std::thread other(sweep, 1);
+  sweep(0);
+  other.join();
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    EXPECT_EQ(runs[k].load(), 1) << "index " << k;
+  }
 }
 
 TEST(Dataset, SummaryRoundTrip) {
@@ -236,7 +217,10 @@ TEST(Dataset, ReadersRejectIntegerCellsTheFieldCannotHold) {
   // payload_bytes, at_us and the 0/1 flags data_received and acked.
   const std::vector<std::string> attempt_row = {"1",   "1",  "80", "1000",
                                                 "-80", "10", "1",  "1"};
-  const std::string attempt_header = join(AttemptCsvHeaders()) + "\n";
+  const std::vector<std::string> attempt_columns = {
+      "packet_id", "attempt", "payload_bytes", "at_us",
+      "rssi_dbm",  "snr_db",  "data_received", "acked"};
+  const std::string attempt_header = join(attempt_columns) + "\n";
   write_file(attempt_header + join(attempt_row) + "\n");
   ASSERT_EQ(ReadAttemptLogCsv(path).size(), 1u);
   for (const std::size_t col : {0, 1, 2, 3, 6, 7}) {
@@ -245,7 +229,7 @@ TEST(Dataset, ReadersRejectIntegerCellsTheFieldCannotHold) {
       row[col] = cell;
       write_file(attempt_header + join(row) + "\n");
       EXPECT_THROW((void)ReadAttemptLogCsv(path), std::runtime_error)
-          << AttemptCsvHeaders()[col] << " = " << cell;
+          << attempt_columns[col] << " = " << cell;
     }
   }
   // With several bad cells in one row, the error names the first.
@@ -280,6 +264,61 @@ TEST(Dataset, ReadersRejectIntegerCellsTheFieldCannotHold) {
       EXPECT_THROW((void)ReadSummaryCsv(path), std::runtime_error)
           << SummaryCsvHeaders()[col] << " = " << cell;
     }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Dataset, ReadersRejectNonFiniteCells) {
+  // Every reader parses numbers with ParseCanonicalDouble, so a NaN or an
+  // infinity in a floating-point column is an error, not a value that
+  // flows into the fits and tables.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "wsn_nonfinite.csv").string();
+  const auto write_file = [&path](const std::string& text) {
+    std::ofstream(path, std::ios::trunc) << text;
+  };
+  const std::string summary_header = [] {
+    std::string line;
+    for (const auto& name : SummaryCsvHeaders()) {
+      line += (line.empty() ? "" : ",") + name;
+    }
+    return line + "\n";
+  }();
+  const auto summary_row = util::ParseCsvLine(SerializeSummaryRow({}));
+  const std::size_t energy = 11;
+  ASSERT_EQ(SummaryCsvHeaders()[energy], "energy_uj_per_bit");
+  for (const std::string cell : {"nan", "inf", "-inf"}) {
+    auto cells = summary_row;
+    cells[energy] = cell;
+    std::string row;
+    for (const auto& c : cells) row += (row.empty() ? "" : ",") + c;
+    EXPECT_THROW((void)ParseSummaryRow(row), std::runtime_error) << cell;
+    write_file(summary_header + row + "\n");
+    EXPECT_THROW((void)ReadSummaryCsv(path), std::runtime_error) << cell;
+    write_file(
+        "packet_id,attempt,payload_bytes,at_us,rssi_dbm,snr_db,"
+        "data_received,acked\n1,1,80,1000,-80," +
+        cell + ",1,1\n");
+    EXPECT_THROW((void)ReadAttemptLogCsv(path), std::runtime_error) << cell;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Dataset, ReadSummaryCsvNamesTheFirstWrongHeader) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "wsn_header.csv").string();
+  auto headers = SummaryCsvHeaders();
+  headers[3] = "retry_ms";
+  std::string line;
+  for (const auto& name : headers) line += (line.empty() ? "" : ",") + name;
+  std::ofstream(path, std::ios::trunc) << line << "\n";
+  try {
+    (void)ReadSummaryCsv(path);
+    ADD_FAILURE() << "a renamed column was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'retry_delay_ms'"),
+              std::string::npos)
+        << e.what();
   }
   std::filesystem::remove(path);
 }

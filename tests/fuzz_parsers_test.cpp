@@ -16,6 +16,7 @@
 // All "random" inputs come from a fixed-seed Rng, so failures reproduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -172,37 +173,42 @@ TEST(CsvFuzz, TruncatedRowsSurfaceAsShortRowError) {
 // ---------------------------------------------------------------------------
 
 Args Parse(std::vector<std::string> argv,
+           const std::vector<std::string>& value_flags,
            const std::vector<std::string>& switches = {}) {
   std::vector<const char*> raw;
   raw.push_back("prog");
   for (const auto& a : argv) raw.push_back(a.c_str());
-  return Args(static_cast<int>(raw.size()), raw.data(), switches);
+  return Args(static_cast<int>(raw.size()), raw.data(), value_flags,
+              switches);
 }
 
 TEST(ArgsFuzz, FlagFollowedByFlagIsMissingValue) {
-  EXPECT_THROW(Parse({"--out", "--stride", "3"}), std::invalid_argument);
+  EXPECT_THROW(Parse({"--out", "--stride", "3"}, {"--out", "--stride"}),
+               std::invalid_argument);
 }
 
 TEST(ArgsFuzz, DuplicateFlagIsRejected) {
-  EXPECT_THROW(Parse({"--stride", "3", "--stride", "4"}),
+  EXPECT_THROW(Parse({"--stride", "3", "--stride", "4"}, {"--stride"}),
                std::invalid_argument);
 }
 
 TEST(ArgsFuzz, NegativeSizeIsRejectedNotWrapped) {
-  const auto args = Parse({"--count", "-3"});
+  const auto args = Parse({"--count", "-3"}, {"--count"});
   EXPECT_THROW((void)args.GetSize("--count", 0), std::invalid_argument);
 }
 
 TEST(ArgsFuzz, NegativeValuesAreNotMistakenForFlags) {
-  const auto args = Parse({"--offset", "-3.5"});
+  const auto args = Parse({"--offset", "-3.5"}, {"--offset"});
   EXPECT_DOUBLE_EQ(args.GetDouble("--offset", 0.0), -3.5);
 }
 
 TEST(ArgsFuzz, RandomArgvParsesOrThrowsTypedError) {
+  // --a and --c take values, --b is a switch; "--" and --d are unknown.
   Rng rng(7);
   static const std::vector<std::string> kTokens = {
       "--a",  "--b",   "--a",  "7",     "-1",   "3.5",
       "pos",  "--",    "x,y",  "--c",   "",     "12abc",
+      "--d",
   };
   for (int iter = 0; iter < 500; ++iter) {
     std::vector<std::string> argv;
@@ -211,8 +217,17 @@ TEST(ArgsFuzz, RandomArgvParsesOrThrowsTypedError) {
       argv.push_back(kTokens[static_cast<std::size_t>(rng.UniformInt(
           0, static_cast<std::int64_t>(kTokens.size()) - 1))]);
     }
+    // Every token that starts with "--" is either read as a flag or, after
+    // a value flag, rejected as a missing value; so a parse that succeeds
+    // saw no unknown flag.
+    const bool unknown = std::any_of(
+        argv.begin(), argv.end(), [](const std::string& token) {
+          return token.rfind("--", 0) == 0 && token != "--a" &&
+                 token != "--b" && token != "--c";
+        });
     try {
-      const auto args = Parse(argv, {"--b"});
+      const auto args = Parse(argv, {"--a", "--c"}, {"--b"});
+      EXPECT_FALSE(unknown) << "iteration " << iter;
       // Accessors on whatever parsed must also be total: value or typed
       // throw, never UB.
       for (const char* flag : {"--a", "--b", "--c"}) {

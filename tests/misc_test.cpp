@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "channel/ber.h"
 #include "experiment/dataset.h"
@@ -11,6 +12,7 @@
 #include "phy/timing.h"
 #include "util/histogram.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace wsnlink {
 namespace {
@@ -104,9 +106,21 @@ TEST(Dataset, AttemptLogCsvRoundTrip) {
   options.seed = 93;
   const auto result = node::RunLinkSimulation(options);
 
+  // No binary writes this schema (traces come from outside the
+  // repository), so the test writes the CSV text it reads.
   const auto path =
       (std::filesystem::temp_directory_path() / "wsn_attempts.csv").string();
-  experiment::WriteAttemptLogCsv(path, result.log);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "packet_id,attempt,payload_bytes,at_us,rssi_dbm,snr_db,"
+           "data_received,acked\n";
+    for (const auto& a : result.log.Attempts()) {
+      out << a.packet_id << ',' << a.attempt << ',' << a.payload_bytes << ','
+          << a.at << ',' << util::FormatDouble(a.rssi_dbm, 6) << ','
+          << util::FormatDouble(a.snr_db, 6) << ',' << a.data_received << ','
+          << a.acked << '\n';
+    }
+  }
   const auto loaded = experiment::ReadAttemptLogCsv(path);
   ASSERT_EQ(loaded.size(), result.log.Attempts().size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {

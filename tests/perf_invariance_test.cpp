@@ -1,11 +1,10 @@
 // Property suite locking down the sweep executor and the two drivers of
 // the MAC ladders.
 //
-// The performance work (shared pool, chunked dispatch, inline MAC driver)
-// is only admissible because it changes *nothing* observable. This file
-// pins that:
-//  * bit-identical metrics, counters and traces across worker counts
-//    {1, 4, 16} crossed with several chunk sizes;
+// The performance work (shared pool, recycled per-worker scratch, inline
+// MAC driver) is only admissible because it changes *nothing* observable.
+// This file pins that:
+//  * bit-identical metrics and counters across worker counts {1, 4, 16};
 //  * tracing only observes: traced and untraced runs agree on every
 //    packet, metric and counter, kernel event counts included;
 //  * the inline driver (no shared medium) and the event driver (a medium
@@ -23,6 +22,7 @@
 #include "channel/medium.h"
 #include "core/opt/config_space.h"
 #include "experiment/sweep.h"
+#include "metrics/link_metrics.h"
 #include "node/link_simulation.h"
 #include "node/node_stack.h"
 #include "sim/simulator.h"
@@ -66,6 +66,9 @@ void ExpectSamePoint(const experiment::SweepPoint& a,
 }
 
 TEST(PerfInvariance, ThreadAndChunkCrossProductIsBitIdentical) {
+  // Each participant takes one config at a time from the shared cursor, so
+  // the worker count decides which thread (and which recycled scratch) runs
+  // a config; it must not decide any result.
   const auto configs = SliceOfTableI(8);
   ASSERT_GE(configs.size(), 6u);
 
@@ -73,64 +76,19 @@ TEST(PerfInvariance, ThreadAndChunkCrossProductIsBitIdentical) {
   reference_options.base_seed = 20150629;
   reference_options.packet_count = 100;
   reference_options.threads = 1;
-  reference_options.chunk = 1;
-  reference_options.capture_traces = true;
   const auto reference = RunSweep(configs, reference_options);
 
-  const unsigned thread_counts[] = {1, 4, 16};
-  const std::size_t chunk_sizes[] = {0, 1, 3, 64};
-  for (const unsigned threads : thread_counts) {
-    for (const std::size_t chunk : chunk_sizes) {
-      auto options = reference_options;
-      options.threads = threads;
-      options.chunk = chunk;
-      const auto run = RunSweep(configs, options);
-      ASSERT_EQ(run.size(), reference.size())
-          << "threads=" << threads << " chunk=" << chunk;
-      for (std::size_t i = 0; i < run.size(); ++i) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " chunk=" + std::to_string(chunk));
-        ExpectSamePoint(reference[i], run[i], i);
-        EXPECT_TRUE(reference[i].counters == run[i].counters)
-            << "config " << i;
-        EXPECT_TRUE(reference[i].events == run[i].events) << "config " << i;
-      }
+  for (const unsigned threads : {1u, 4u, 16u}) {
+    auto options = reference_options;
+    options.threads = threads;
+    const auto run = RunSweep(configs, options);
+    ASSERT_EQ(run.size(), reference.size()) << "threads=" << threads;
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExpectSamePoint(reference[i], run[i], i);
+      EXPECT_TRUE(reference[i].counters == run[i].counters) << "config " << i;
     }
   }
-}
-
-TEST(PerfInvariance, EffectiveChunkSizeIsSaneAndBounded) {
-  experiment::SweepOptions options;
-  // Explicit chunk requests are honoured as-is.
-  options.chunk = 7;
-  EXPECT_EQ(experiment::SweepChunkSize(options, 1000), 7u);
-  // Auto chunking never returns 0 and never exceeds its cap.
-  options.chunk = 0;
-  for (const std::size_t total : {1u, 2u, 17u, 500u, 5000u, 100000u}) {
-    const auto chunk = experiment::SweepChunkSize(options, total);
-    EXPECT_GE(chunk, 1u) << "total " << total;
-    EXPECT_LE(chunk, 64u) << "total " << total;
-  }
-}
-
-bool SamePacket(const link::PacketRecord& a, const link::PacketRecord& b) {
-  return a.id == b.id && a.payload_bytes == b.payload_bytes &&
-         a.arrived_at == b.arrived_at &&
-         a.queue_depth_at_arrival == b.queue_depth_at_arrival &&
-         a.dropped_at_queue == b.dropped_at_queue &&
-         a.service_start == b.service_start &&
-         a.completed_at == b.completed_at && a.acked == b.acked &&
-         a.delivered == b.delivered && a.tries == b.tries &&
-         a.tx_energy_uj == b.tx_energy_uj && a.listen_time == b.listen_time &&
-         a.first_delivered_at == b.first_delivered_at &&
-         a.rssi_dbm == b.rssi_dbm && a.snr_db == b.snr_db && a.lqi == b.lqi;
-}
-
-bool SameAttempt(const link::AttemptRecord& a, const link::AttemptRecord& b) {
-  return a.packet_id == b.packet_id && a.attempt == b.attempt &&
-         a.payload_bytes == b.payload_bytes && a.at == b.at &&
-         a.rssi_dbm == b.rssi_dbm && a.snr_db == b.snr_db &&
-         a.data_received == b.data_received && a.acked == b.acked;
 }
 
 /// A Table I config run for 300 packets (seed SweepSeed(99, index)) with
@@ -173,21 +131,26 @@ std::string Describe(const TieCase& tie) {
 // attempt agrees, ties and all.
 TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
   const auto configs = SliceOfTableI(6);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    node::SimulationOptions options;
+    options.config = configs[i];
+    options.seed = experiment::SweepSeed(424242, i);
+    options.packet_count = 150;
+    const auto untraced = node::RunLinkSimulation(options);
+    trace::Tracer tracer;
+    options.tracer = &tracer;
+    const auto traced = node::RunLinkSimulation(options);
 
-  experiment::SweepOptions options;
-  options.base_seed = 424242;
-  options.packet_count = 150;
-  options.capture_traces = false;
-  const auto untraced = RunSweep(configs, options);
-
-  options.capture_traces = true;
-  const auto traced = RunSweep(configs, options);
-
-  ASSERT_EQ(untraced.size(), traced.size());
-  for (std::size_t i = 0; i < untraced.size(); ++i) {
-    ExpectSamePoint(untraced[i], traced[i], i);
-    EXPECT_TRUE(untraced[i].counters == traced[i].counters) << "config " << i;
-    EXPECT_FALSE(traced[i].events.empty()) << "config " << i;
+    const double interval = configs[i].pkt_interval_ms;
+    experiment::SweepPoint a;
+    a.measured = metrics::ComputeMetrics(untraced, interval);
+    a.mean_snr_db = untraced.mean_snr_db;
+    experiment::SweepPoint b;
+    b.measured = metrics::ComputeMetrics(traced, interval);
+    b.mean_snr_db = traced.mean_snr_db;
+    ExpectSamePoint(a, b, i);
+    EXPECT_TRUE(untraced.counters == traced.counters) << "config " << i;
+    EXPECT_FALSE(tracer.Events().empty()) << "config " << i;
   }
 
   for (const TieCase& tie : kTieCases) {
@@ -202,13 +165,13 @@ TEST(PerfInvariance, TracedAndUntracedPathsAgree) {
     const auto& b = traced_run.log.Packets();
     ASSERT_EQ(a.size(), b.size()) << what;
     for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_TRUE(SamePacket(a[k], b[k])) << what << ": packet " << k;
+      EXPECT_TRUE(a[k] == b[k]) << what << ": packet " << k;
     }
     const auto& x = plain.log.Attempts();
     const auto& y = traced_run.log.Attempts();
     ASSERT_EQ(x.size(), y.size()) << what;
     for (std::size_t k = 0; k < x.size(); ++k) {
-      EXPECT_TRUE(SameAttempt(x[k], y[k])) << what << ": attempt " << k;
+      EXPECT_TRUE(x[k] == y[k]) << what << ": attempt " << k;
     }
     EXPECT_EQ(plain.events_executed, traced_run.events_executed) << what;
     EXPECT_TRUE(plain.counters == traced_run.counters) << what;
@@ -260,7 +223,7 @@ TEST(PerfInvariance, InlineAndEventDriversAgreeUntilACompletionArrivalTie) {
     }
     EXPECT_GT(ties, 0u) << what << " no longer has a tie";
     std::size_t first = 0;
-    while (first < a.size() && SamePacket(a[first], b[first])) ++first;
+    while (first < a.size() && a[first] == b[first]) ++first;
     ASSERT_LT(first, a.size()) << what << ": the drivers no longer part ways";
     EXPECT_TRUE(ArrivesAtACompletion(a, first))
         << what << ": packet " << first
@@ -286,13 +249,33 @@ core::StackConfig GreyZoneConfig() {
   return config;
 }
 
-experiment::SweepOptions QuietChannelOptions() {
-  experiment::SweepOptions options;
-  options.base_seed = 31337;
+/// Config `index` of a quiet-channel run list (no temporal shadowing, no
+/// interference), seeded SweepSeed(31337, index) as a sweep seeds it.
+node::SimulationOptions QuietChannelOptions(const core::StackConfig& config,
+                                            std::size_t index) {
+  node::SimulationOptions options;
+  options.config = config;
+  options.seed = experiment::SweepSeed(31337, index);
   options.packet_count = 400;
   options.disable_temporal_shadowing = true;
   options.disable_interference = true;
   return options;
+}
+
+/// Measures every config on the quiet channel, as the sweep's per-config
+/// body does: one run, then ComputeMetrics.
+std::vector<experiment::SweepPoint> RunQuiet(
+    const std::vector<core::StackConfig>& configs) {
+  std::vector<experiment::SweepPoint> points(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const auto result =
+        node::RunLinkSimulation(QuietChannelOptions(configs[i], i));
+    points[i].config = configs[i];
+    points[i].measured =
+        metrics::ComputeMetrics(result, configs[i].pkt_interval_ms);
+    points[i].mean_snr_db = result.mean_snr_db;
+  }
+  return points;
 }
 
 TEST(PerfInvariance, PerNonIncreasingInSnr) {
@@ -305,7 +288,7 @@ TEST(PerfInvariance, PerNonIncreasingInSnr) {
     config.pa_level = pa;
     configs.push_back(config);
   }
-  const auto points = RunSweep(configs, QuietChannelOptions());
+  const auto points = RunQuiet(configs);
   ASSERT_EQ(points.size(), configs.size());
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_GT(points[i].mean_snr_db, points[i - 1].mean_snr_db)
@@ -326,10 +309,10 @@ TEST(PerfInvariance, EveryServedPacketUsesAtLeastOneTry) {
     config.pa_level = pa;
     configs.push_back(config);
   }
-  auto options = QuietChannelOptions();
-  options.packet_count = 200;
-  const auto results = RunSweepRaw(configs, options);
-  for (const auto& result : results) {
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    auto options = QuietChannelOptions(configs[i], i);
+    options.packet_count = 200;
+    const auto result = node::RunLinkSimulation(options);
     for (const auto& packet : result.log.Packets()) {
       if (packet.dropped_at_queue) continue;
       EXPECT_GE(packet.tries, 1) << "served packet with zero transmissions";
@@ -344,7 +327,7 @@ TEST(PerfInvariance, RadioLossNonIncreasingInMaxTries) {
     config.max_tries = tries;
     configs.push_back(config);
   }
-  const auto points = RunSweep(configs, QuietChannelOptions());
+  const auto points = RunQuiet(configs);
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_LE(points[i].measured.plr_radio,
               points[i - 1].measured.plr_radio + 0.03)
@@ -366,7 +349,7 @@ TEST(PerfInvariance, EnergyPerBitMinimisedAtInteriorPayload) {
     config.payload_bytes = payload;
     configs.push_back(config);
   }
-  const auto points = RunSweep(configs, QuietChannelOptions());
+  const auto points = RunQuiet(configs);
   std::size_t best = 0;
   for (std::size_t i = 1; i < points.size(); ++i) {
     if (points[i].measured.energy_uj_per_bit <

@@ -53,11 +53,6 @@ TEST(Cc2420, ValidationOfLevels) {
   EXPECT_THROW((void)LookupPaLevel(12), std::invalid_argument);
 }
 
-TEST(Cc2420, RxEnergyPositiveAndNearTx) {
-  EXPECT_GT(RxEnergyPerBitMicrojoule(), 0.2);
-  EXPECT_LT(RxEnergyPerBitMicrojoule(), 0.25);
-}
-
 // -------------------------------------------------------------- frame ----
 
 TEST(Frame, OverheadGeometry) {

@@ -248,6 +248,26 @@ TEST(ServeService, DeadLinkOptimizeRepliesAreJson) {
   }
 }
 
+TEST(ServeService, DeadLinkWhatIfRepliesNullNotZero) {
+  // Nothing is delivered at 10 km, so there is no energy per delivered
+  // bit, no received SNR and no delay: those six fields are null, as
+  // optimize renders an infinite energy, not a free link at 0 dB.
+  QueryService service(ServiceOptions{});
+  const std::string reply = service.Answer(
+      "{\"verb\":\"what_if\",\"distance_m\":10000,\"packets\":50}");
+  SCOPED_TRACE(reply);
+  ASSERT_EQ(reply.find("{\"status\":\"ok\""), 0u);
+  EXPECT_NE(reply.find("\"delivered\":0,"), std::string::npos);
+  for (const char* name :
+       {"energy_uj_per_bit", "mean_delay_ms", "delay_p50_ms", "delay_p99_ms",
+        "delay_max_ms", "mean_snr_db"}) {
+    EXPECT_NE(reply.find("\"" + std::string(name) + "\":null"),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_NE(reply.find("\"goodput_kbps\":0,"), std::string::npos);
+}
+
 TEST(ServeService, MalformedLineYieldsStructuredError) {
   QueryService service(ServiceOptions{});
   const std::string reply = service.Answer("garbage");

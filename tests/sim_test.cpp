@@ -79,26 +79,6 @@ TEST(Simulator, NestedSchedulingFromCallback) {
   EXPECT_EQ(fire_times, (std::vector<Time>{5, 12}));
 }
 
-TEST(Simulator, RunUntilStopsAtBoundaryInclusive) {
-  Simulator sim;
-  std::vector<int> fired;
-  sim.Schedule(10, [&] { fired.push_back(10); });
-  sim.Schedule(20, [&] { fired.push_back(20); });
-  sim.Schedule(30, [&] { fired.push_back(30); });
-  const auto count = sim.RunUntil(20);
-  EXPECT_EQ(count, 2u);
-  EXPECT_EQ(fired, (std::vector<int>{10, 20}));
-  EXPECT_EQ(sim.Now(), 20);
-  sim.Run();
-  EXPECT_EQ(fired.back(), 30);
-}
-
-TEST(Simulator, RunUntilAdvancesClockWhenQueueEmpty) {
-  Simulator sim;
-  sim.RunUntil(1000);
-  EXPECT_EQ(sim.Now(), 1000);
-}
-
 TEST(Simulator, StepExecutesExactlyOne) {
   Simulator sim;
   int count = 0;
@@ -123,8 +103,7 @@ TEST(Simulator, RejectsInvalidScheduling) {
 TEST(Simulator, ManyEventsCountTracked) {
   Simulator sim;
   for (int i = 0; i < 1000; ++i) sim.Schedule(i, [] {});
-  EXPECT_EQ(sim.QueueSize(), 1000u);
-  sim.Run();
+  EXPECT_EQ(sim.Run(), 1000u);
   EXPECT_EQ(sim.EventsExecuted(), 1000u);
 }
 

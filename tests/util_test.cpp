@@ -134,24 +134,6 @@ TEST(RunningStats, ThrowsOnEmpty) {
   EXPECT_THROW((void)s.Min(), std::logic_error);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats all;
-  RunningStats left;
-  RunningStats right;
-  Rng rng(31);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.Gaussian(0, 1);
-    all.Add(x);
-    (i % 2 == 0 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.Count(), all.Count());
-  EXPECT_NEAR(left.Mean(), all.Mean(), 1e-12);
-  EXPECT_NEAR(left.Variance(), all.Variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.Min(), all.Min());
-  EXPECT_DOUBLE_EQ(left.Max(), all.Max());
-}
-
 TEST(Quantile, InterpolatesBetweenOrderStatistics) {
   const std::vector<double> xs{1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.0), 1.0);
@@ -251,19 +233,12 @@ TEST(TextTable, AlignsAndRendersAllRows) {
   EXPECT_NE(s.find("long_header"), std::string::npos);
   EXPECT_NE(s.find("1.5"), std::string::npos);
   EXPECT_NE(s.find("22"), std::string::npos);
-  EXPECT_EQ(t.RowCount(), 2u);
 }
 
 TEST(TextTable, RejectsTooManyCells) {
   TextTable t({"only"});
   t.NewRow().Add("1");
   EXPECT_THROW(t.Add("2"), std::logic_error);
-}
-
-TEST(TextTable, CsvEscapesCommas) {
-  TextTable t({"h"});
-  t.NewRow().Add("a,b");
-  EXPECT_NE(t.ToCsv().find("\"a,b\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------- csv ----
