@@ -4,14 +4,14 @@
 // for its single-line reply, then prints a latency summary. Doubles as the
 // CI load generator: `--out` captures the replies byte-for-byte for golden
 // comparison, `--clients N` opens N concurrent connections replaying the
-// same trace (exercising the daemon's batching path), and `--inprocess`
+// same trace (their misses share the daemon's pool), and `--inprocess`
 // drives a QueryService directly with no socket (for hosts without
 // loopback).
 //
 // Usage:
 //   wsnlink_client [--host H] [--port N] [--trace FILE] [--out FILE]
 //                  [--repeat N] [--clients N] [--stats] [--inprocess]
-//                  [--cache FILE] [--threads N]
+//                  [--cache FILE]
 //
 // Timing lives here, not in the daemon: responses carry no timestamps (the
 // determinism contract), so latency is measured where it is experienced.
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv,
                           {"--host", "--port", "--trace", "--out", "--repeat",
-                           "--clients", "--cache", "--threads"},
+                           "--clients", "--cache"},
                           {"--stats", "--inprocess"});
     const std::string host = args.GetString("--host", "127.0.0.1");
     const auto port = static_cast<std::uint16_t>(args.GetSize("--port", 4710));
@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
     if (inprocess) {
       serve::ServiceOptions options;
       options.cache_path = args.GetString("--cache", "");
-      options.threads = static_cast<unsigned>(args.GetSize("--threads", 0));
       local = std::make_unique<QueryService>(options);
     }
 

@@ -12,11 +12,11 @@
 //
 //   --port          TCP port on 127.0.0.1 (default 4710; 0 = ephemeral)
 //   --cache         persistent result cache path (default: memory only)
-//   --threads       max concurrent computations per batch (0 = pool width)
-//   --max-inflight  request lines answered per cycle before busy-rejecting
+//   --threads       most misses computing at once (0 = pool width)
+//   --max-inflight  most distinct misses queued or computing before busy
 //   --persist-every persist cadence in new entries (default 1 = every one)
 //   --cache-max-entries  FIFO entry cap on the result cache (0 = unbounded)
-//   --abort-after   crash drill: _Exit(3) after answering N requests
+//   --abort-after   crash drill: _Exit(3) once N replies are queued
 #include <csignal>
 #include <cstdint>
 #include <cstdio>

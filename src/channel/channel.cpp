@@ -120,6 +120,30 @@ void Channel::BeginTransmission(double tx_power_dbm, sim::Time start,
 
 TransmissionOutcome Channel::Transmit(double tx_power_dbm, int frame_bytes,
                                       sim::Time now) {
+  return Resolve(tx_power_dbm, frame_bytes, now, /*with_lqi=*/true);
+}
+
+bool Channel::Received(double tx_power_dbm, int frame_bytes, sim::Time now) {
+  return Resolve(tx_power_dbm, frame_bytes, now, /*with_lqi=*/false).received;
+}
+
+void Channel::TransmitUnheard(double tx_power_dbm, int frame_bytes,
+                              sim::Time now) {
+  if (medium_ != nullptr || interferer_.Enabled()) {
+    (void)Received(tx_power_dbm, frame_bytes, now);
+    return;
+  }
+  // Resolve's draws in its order: shadowing (whose state later frames
+  // read), the noise floor, the LQI, and the one loss draw every path
+  // makes.
+  (void)shadowing_.Sample(now);
+  noise_.SkipSample(now);
+  lqi_rng_.SkipGaussian();
+  loss_rng_.NextDouble();
+}
+
+TransmissionOutcome Channel::Resolve(double tx_power_dbm, int frame_bytes,
+                                     sim::Time now, bool with_lqi) {
   if (frame_bytes <= 0) {
     throw std::invalid_argument("Channel::Transmit: frame_bytes must be > 0");
   }
@@ -128,7 +152,11 @@ TransmissionOutcome Channel::Transmit(double tx_power_dbm, int frame_bytes,
                  shadowing_.Sample(now);
   out.noise_dbm = noise_.SampleDbm(now);
   out.snr_db = out.rssi_dbm - out.noise_dbm;
-  out.lqi = SnrToLqi(out.snr_db, lqi_rng_);
+  if (with_lqi) {
+    out.lqi = SnrToLqi(out.snr_db, lqi_rng_);
+  } else {
+    lqi_rng_.SkipGaussian();
+  }
   if (out.rssi_dbm < config_.sensitivity_dbm ||
       out.snr_db < config_.preamble_snr_db) {
     out.received = false;

@@ -89,6 +89,18 @@ class Channel {
   TransmissionOutcome Transmit(double tx_power_dbm, int frame_bytes,
                                sim::Time now);
 
+  /// Transmit(...).received, for a caller that reads nothing else (an
+  /// ACK): the LQI's two draws are made but its value is not computed.
+  bool Received(double tx_power_dbm, int frame_bytes, sim::Time now);
+
+  /// A frame whose outcome nothing reads (an LPL copy the sleeping
+  /// receiver cannot hear). Every random stream and the medium's tallies
+  /// advance exactly as Transmit would advance them. Without a medium or
+  /// a synthetic interferer the reception decision draws nothing, so only
+  /// the shadowing state (which later frames read) is computed; otherwise
+  /// the SNR decides which collision legs run, and this is Received.
+  void TransmitUnheard(double tx_power_dbm, int frame_bytes, sim::Time now);
+
   /// Mean RSSI for this placement (path loss + spatial offset, no temporal
   /// variation) — what a long-term average measurement would converge to.
   /// With mobility enabled this is the value at the configured start
@@ -161,6 +173,10 @@ class Channel {
   util::Rng lqi_rng_;   // LQI measurement noise
   Medium* medium_ = nullptr;  // shared air (multi-node runs only)
   int node_id_ = 0;
+
+  /// Transmit's body; `with_lqi` false draws the LQI without computing it.
+  TransmissionOutcome Resolve(double tx_power_dbm, int frame_bytes,
+                              sim::Time now, bool with_lqi);
 
   /// Memoised path-loss RSSI (path loss + spatial offset) for the last
   /// (tx power, distance) pair. Transmit() recomputes the same log10 every

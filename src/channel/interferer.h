@@ -40,6 +40,10 @@ class InterfererProcess {
   /// Requires start <= end; both non-decreasing across calls.
   bool ActiveDuring(sim::Time start, sim::Time end);
 
+  /// False when the duty cycle is 0: no frame is ever on the air and no
+  /// query draws.
+  [[nodiscard]] bool Enabled() const noexcept { return enabled_; }
+
   [[nodiscard]] const InterfererParams& Params() const noexcept {
     return params_;
   }

@@ -54,6 +54,11 @@ bool NoiseFloorProcess::InterferenceActive(sim::Time now) {
   return now >= burst_start_ && now <= burst_end_;
 }
 
+void NoiseFloorProcess::SkipSample(sim::Time now) {
+  AdvanceBursts(now);
+  rng_.SkipGaussian();
+}
+
 double NoiseFloorProcess::SampleDbm(sim::Time now) {
   const bool bursting = InterferenceActive(now);
   const double quiet = rng_.Gaussian(params_.quiet_mean_dbm, params_.quiet_sigma_db);

@@ -44,6 +44,10 @@ class NoiseFloorProcess {
   /// clear-channel assessment). Advances the burst schedule like SampleDbm.
   bool InterferenceActive(sim::Time now);
 
+  /// Advances the process exactly as SampleDbm(now) does (burst schedule
+  /// and the quiet floor's two uniforms) without computing the sample.
+  void SkipSample(sim::Time now);
+
   [[nodiscard]] const NoiseParams& Params() const noexcept { return params_; }
 
  private:

@@ -37,13 +37,26 @@ double ShadowingProcess::Sample(sim::Time now) {
   if (now < last_time_) {
     throw std::logic_error("ShadowingProcess: time moved backwards");
   }
-  const double dt = static_cast<double>(now - last_time_);
-  const double tau = static_cast<double>(params_.coherence);
-  const double rho = std::exp(-dt / tau);
-  // AR(1) update preserving the stationary variance sigma^2.
-  const double innovation_sigma =
-      params_.sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho));
-  value_ = rho * value_ + rng_.Gaussian(0.0, innovation_sigma);
+  const sim::Duration dt = now - last_time_;
+  if (dt == 0) {
+    // A zero interval (an ACK, decided at its data frame's end) has
+    // rho = exp(0) = 1 and an innovation sigma of exactly 0, so the AR(1)
+    // step below is 1.0 * value_ + 0.0 whatever the variate. Only its two
+    // uniforms are drawn.
+    value_ = 1.0 * value_ + 0.0;
+    rng_.SkipGaussian();
+    return value_;
+  }
+  if (dt != memo_dt_) {
+    const double tau = static_cast<double>(params_.coherence);
+    memo_rho_ = std::exp(-static_cast<double>(dt) / tau);
+    // AR(1) update preserving the stationary variance sigma^2.
+    memo_innovation_sigma_ =
+        params_.sigma_db *
+        std::sqrt(std::max(0.0, 1.0 - memo_rho_ * memo_rho_));
+    memo_dt_ = dt;
+  }
+  value_ = memo_rho_ * value_ + rng_.Gaussian(0.0, memo_innovation_sigma_);
   last_time_ = now;
   return value_;
 }

@@ -31,7 +31,9 @@ struct ShadowingParams {
 /// Lazily-evaluated AR(1) shadowing process.
 ///
 /// Sample(t) may only be called with non-decreasing t (the simulator's
-/// clock); it advances the process state by the elapsed interval.
+/// clock); it advances the process state by the elapsed interval. Every
+/// sample after the first draws one Gaussian's two uniforms, whatever the
+/// interval, so the stream's position depends only on the sample count.
 class ShadowingProcess {
  public:
   ShadowingProcess(ShadowingParams params, util::Rng rng);
@@ -47,6 +49,12 @@ class ShadowingProcess {
   sim::Time last_time_ = 0;
   double value_ = 0.0;
   bool initialised_ = false;
+  /// The AR(1) coefficients of the last nonzero interval: consecutive
+  /// samples often share one (an LPL train's copies), and the memo returns
+  /// the identical doubles. 0 means none yet.
+  sim::Duration memo_dt_ = 0;
+  double memo_rho_ = 0.0;
+  double memo_innovation_sigma_ = 0.0;
 };
 
 }  // namespace wsnlink::channel

@@ -147,4 +147,9 @@ void JournalWriter::Compact(const std::string& path,
   size_ = contents.size();
 }
 
+void JournalWriter::Adopt(const std::string& path, std::uintmax_t size) {
+  path_ = path;
+  size_ = size;
+}
+
 }  // namespace wsnlink::experiment

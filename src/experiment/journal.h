@@ -18,11 +18,12 @@
 // its final length.
 //
 // JournalWriter makes records durable. It appends a batch to a file it
-// left itself and flushes it before returning (the data has reached the
-// OS; like the version-1 writer it never calls fsync). For any other file
-// it refuses, and the caller compacts instead: Compact atomically replaces
-// the file (tmp + rename) with a fresh header and every live record. Both
-// paths are instrumented at the "checkpoint.write" fault-injection site.
+// left itself, or adopted after a reader verified all of it, and flushes
+// it before returning (the data has reached the OS; like the version-1
+// writer it never calls fsync). For any other file it refuses, and the
+// caller compacts instead: Compact atomically replaces the file (tmp +
+// rename) with a fresh header and every live record. Both paths are
+// instrumented at the "checkpoint.write" fault-injection site.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +76,11 @@ class JournalWriter {
   /// record and then data records. Throws CheckpointError on failure; the
   /// previous file, if any, is left intact and the tmp file is removed.
   void Compact(const std::string& path, std::string_view contents);
+
+  /// Takes `path`, now `size` bytes long, as a file this writer left
+  /// intact, so TryAppend appends to it. For a reader that has just
+  /// verified every record of the file and kept them all.
+  void Adopt(const std::string& path, std::uintmax_t size);
 
  private:
   /// The file this writer last left intact (empty: none) and its size.

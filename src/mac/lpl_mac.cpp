@@ -112,6 +112,15 @@ sim::Duration LplMac::Advance(sim::Time t) {
       return Radiate(t, params_.pa_level);
     case Step::kCopyEnd: {
       const double tx_dbm = phy::OutputPowerDbm(params_.pa_level);
+      const bool train_goes_on =
+          t + kInterCopyGap + phy::AirTime(frame_bytes_) <= train_deadline_;
+      if (train_goes_on && !ReceiverAwake(t)) {
+        // The sleeping receiver cannot hear this copy and another follows,
+        // so nothing reads its outcome: only the channel's streams advance.
+        channel_.TransmitUnheard(tx_dbm, frame_bytes_, t);
+        step_ = Step::kCopy;
+        return kInterCopyGap;
+      }
       const auto outcome = channel_.Transmit(tx_dbm, frame_bytes_, t);
       if (outcome.received && ReceiverAwake(t)) {
         if (!receiver_latched_) {
@@ -130,7 +139,7 @@ sim::Duration LplMac::Advance(sim::Time t) {
         // ACK lost: keep the train going; the awake receiver will re-ack a
         // later copy.
       }
-      if (t + kInterCopyGap + phy::AirTime(frame_bytes_) <= train_deadline_) {
+      if (train_goes_on) {
         step_ = Step::kCopy;
         return kInterCopyGap;
       }

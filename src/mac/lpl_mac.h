@@ -17,6 +17,15 @@
 // more expensive than a single CSMA frame, while the receiver's radio is
 // asleep most of the time. The extension bench (ext_lpl_dutycycle) sweeps
 // the wakeup interval to expose the resulting energy/delay trade-off.
+//
+// Most copies of a train land while the receiver sleeps. Nothing reads
+// the outcome of such a copy unless it is the train's last (whose RSSI
+// and SNR the attempt report carries), so it goes through
+// Channel::TransmitUnheard: every random stream advances exactly as a
+// full Transmit would advance it, but without a medium or an interferer
+// only the shadowing state is computed. An ACK goes through
+// Channel::Received, which skips the LQI nobody reads. Every outcome
+// that is read keeps its bytes.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +82,10 @@ class LplMac final : public Mac {
     /// here.
     kTrainCca,
     kCopy,     ///< put one copy on the air
-    kCopyEnd,  ///< decode and ACK; a train that ends unacked finishes here
+    /// Decode and ACK (only the channel's streams move for a copy the
+    /// sleeping receiver cannot hear that is not the train's last); a
+    /// train that ends unacked finishes here.
+    kCopyEnd,
     kFinish,   ///< done, or the next train after the retry delay
   };
 

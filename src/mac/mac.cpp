@@ -118,7 +118,7 @@ void Mac::Deliver(sim::Time t, const channel::TransmissionOutcome& outcome) {
 }
 
 bool Mac::AckReceived(double tx_dbm, sim::Time t) {
-  const bool acked = channel_.Transmit(tx_dbm, phy::kAckFrameBytes, t).received;
+  const bool acked = channel_.Received(tx_dbm, phy::kAckFrameBytes, t);
   if (acked && counters_ != nullptr) counters_->Add(id_acks_received_);
   return acked;
 }

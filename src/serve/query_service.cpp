@@ -2,14 +2,12 @@
 
 #include <exception>
 #include <limits>
-#include <set>
 #include <string_view>
 
 #include "core/opt/epsilon_constraint.h"
 #include "experiment/checkpoint.h"
 #include "metrics/link_metrics.h"
 #include "node/link_simulation.h"
-#include "util/thread_pool.h"
 
 namespace wsnlink::serve {
 
@@ -263,27 +261,42 @@ void QueryService::CountBusyRejected(std::uint64_t count) {
   busy_rejected_.fetch_add(count, std::memory_order_relaxed);
 }
 
-std::string QueryService::Answer(const std::string& line) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Request request;
+std::optional<std::string> QueryService::AnswerWithoutCompute(
+    const std::string& line, Request* request, std::string* key) {
   try {
-    request = ParseRequest(line);
+    *request = ParseRequest(line);
   } catch (const ProtocolError& e) {
+    requests_.fetch_add(1, std::memory_order_relaxed);
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
     return ErrorResponse(e.what());
   }
-  if (request.verb == Verb::kStats) {
+  if (request->verb == Verb::kStats) {
+    requests_.fetch_add(1, std::memory_order_relaxed);
     return StatsResponse();
   }
+  *key = CanonicalKey(*request);
+  std::string cached = cache_.Lookup(*key);
+  if (cached.empty()) return std::nullopt;
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  return cached;
+}
 
-  const std::string key = CanonicalKey(request);
-  {
-    const std::string cached = cache_.Lookup(key);
-    if (!cached.empty()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return cached;
-    }
+std::optional<std::string> QueryService::AnswerFromCache(
+    const std::string& line) {
+  Request request;
+  std::string key;
+  return AnswerWithoutCompute(line, &request, &key);
+}
+
+std::string QueryService::Answer(const std::string& line) {
+  Request request;
+  std::string key;
+  if (std::optional<std::string> reply =
+          AnswerWithoutCompute(line, &request, &key)) {
+    return *std::move(reply);
   }
+  requests_.fetch_add(1, std::memory_order_relaxed);
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
 
   std::string payload;
@@ -302,32 +315,6 @@ std::string QueryService::Answer(const std::string& line) {
   }
   StoreAndMaybePersist(key, payload);
   return payload;
-}
-
-std::vector<std::string> QueryService::AnswerBatch(
-    const std::vector<std::string>& lines) {
-  std::vector<std::string> responses(lines.size());
-  if (lines.empty()) return responses;
-  if (lines.size() == 1) {
-    responses[0] = Answer(lines[0]);
-    return responses;
-  }
-  // Clients often send the same miss in one poll cycle. Answering each
-  // distinct line once in parallel and its repeats afterwards computes it
-  // once; the repeats count as cache hits, so requests, cache_hits and
-  // cache_misses still advance per line.
-  std::vector<std::size_t> firsts;
-  std::vector<std::size_t> repeats;
-  std::set<std::string_view> seen;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    (seen.insert(lines[i]).second ? firsts : repeats).push_back(i);
-  }
-  util::ThreadPool::Shared().ParallelFor(
-      firsts.size(), options_.threads, [&](std::size_t k) {
-        responses[firsts[k]] = Answer(lines[firsts[k]]);
-      });
-  for (const std::size_t i : repeats) responses[i] = Answer(lines[i]);
-  return responses;
 }
 
 ServiceStats QueryService::Stats() const {

@@ -4,23 +4,26 @@
 // look its canonical key up in the content-addressed ResultCache, compute
 // on a miss (what_if runs the link simulator under the request's seed
 // contract; optimize runs the Sec. VIII epsilon-constraint search over the
-// serving config space), store, reply. A batch's distinct lines fan out
-// over the process-wide pool (util::ThreadPool::Shared()) — the same
-// executor the sweep engine uses — with results landing in per-index
-// slots, so a batch's response vector is a pure function of its request
-// vector: bit-identical across thread counts and across cold/warm cache
-// states (cached payloads are the verbatim bytes the cold computation
-// produced).
+// serving config space), store, reply. Every reply is a pure function of
+// its line: bit-identical whichever thread computes it and whether the
+// cache was cold or warm (cached payloads are the verbatim bytes the cold
+// computation produced).
 //
-// The TCP layer (server.h) is a thin framing shim over this class; tests,
-// the bench harness and the in-process client mode all drive it directly.
+// The answer path has two entry points. AnswerFromCache answers whatever
+// needs no computation (parse errors, stats, cache hits) and reports a
+// miss by returning nullopt; the server's poll loop calls it for every
+// line. Answer answers anything, computing a miss; the server runs it for
+// each miss on the process-wide pool (util::ThreadPool::Shared()), and
+// tests, the bench harness and the in-process client call it directly.
+// Both are thread-safe. The TCP layer (server.h) adds framing, reply
+// order and the concurrency limits.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "core/models/model_set.h"
 #include "core/opt/config_space.h"
@@ -30,8 +33,8 @@
 namespace wsnlink::serve {
 
 struct ServiceOptions {
-  /// Upper bound on concurrent computations in a batch; 0 = the shared
-  /// pool's full width (same contract as SweepOptions::threads).
+  /// Most misses the server computes at once on the shared pool; 0 = the
+  /// pool's width. Answer itself ignores it.
   unsigned threads = 0;
   /// Persistent cache path; empty = in-memory only.
   std::string cache_path;
@@ -84,15 +87,14 @@ class QueryService {
   /// computing. Thread-safe.
   [[nodiscard]] std::string Answer(const std::string& line);
 
-  /// Answers a batch via the shared pool (at most options.threads active
-  /// workers). results[i] is Answer(lines[i]); the vector is bit-identical
-  /// for any thread count. Repeats of a line are answered after its first
-  /// copy, so a miss sent several times computes once.
-  [[nodiscard]] std::vector<std::string> AnswerBatch(
-      const std::vector<std::string>& lines);
+  /// Answer(line) when that computes nothing: a parse error, `stats` or a
+  /// cache hit, counted as Answer counts it. Returns nullopt on a miss and
+  /// counts nothing; Answer(line) then computes it. Thread-safe.
+  [[nodiscard]] std::optional<std::string> AnswerFromCache(
+      const std::string& line);
 
-  /// Records `count` requests rejected before parsing (the server's
-  /// max-inflight overflow path) so stats reflect them.
+  /// Records `count` misses the server rejected as busy (its max-inflight
+  /// cap) so stats reflect them.
   void CountBusyRejected(std::uint64_t count);
 
   [[nodiscard]] ServiceStats Stats() const;
@@ -107,6 +109,10 @@ class QueryService {
   }
 
  private:
+  /// AnswerFromCache's body; on a miss it leaves the parsed request and
+  /// its canonical key in `request` and `key` for Answer.
+  [[nodiscard]] std::optional<std::string> AnswerWithoutCompute(
+      const std::string& line, Request* request, std::string* key);
   [[nodiscard]] std::string ComputeWhatIf(const Request& request) const;
   [[nodiscard]] std::string ComputeOptimize(const Request& request) const;
   [[nodiscard]] std::string StatsResponse() const;

@@ -158,6 +158,12 @@ void ResultCache::Save(const std::string& path) {
 CacheLoadReport ResultCache::Load(const std::string& path) {
   CacheLoadReport report;
   std::map<std::string, std::string> loaded;
+  // Set when every record of the file verified under today's tag.
+  struct Intact {
+    std::size_t records = 0;
+    std::size_t bytes = 0;
+  };
+  std::optional<Intact> intact;
   const std::optional<std::string> contents = experiment::ReadJournalFile(path);
   if (!contents) {
     report.missing = true;
@@ -189,6 +195,9 @@ CacheLoadReport ResultCache::Load(const std::string& path) {
       }
       report.corrupt_dropped = dropped;
       report.salvaged = dropped > 0;
+      if (dropped == 0) {
+        intact = Intact{scan.records.size(), contents->size()};
+      }
     }
   }
 
@@ -204,11 +213,16 @@ CacheLoadReport ResultCache::Load(const std::string& path) {
   }
   unsaved_ = 0;
   evicted_from_file_ = 0;
-  // A fresh writer: the first Save after a Load compacts.
   journal_ = experiment::JournalWriter();
   file_records_ = 0;
   report.cap_evicted = EvictOverCapLocked();
   report.loaded = entries_.size();
+  // A file that holds exactly the loaded entries takes the next Save's
+  // appends; any other load compacts on the first Save.
+  if (intact && report.cap_evicted == 0) {
+    journal_.Adopt(path, intact->bytes);
+    file_records_ = intact->records;
+  }
   return report;
 }
 

@@ -21,9 +21,11 @@
 // Save as one flushed batch, so a persist costs one record per new entry
 // rather than a rewrite of the cache. It compacts instead, rewriting the
 // file atomically (tmp + rename) with the live entries in key order, on
-// the first Save of a ResultCache after construction or Load, after a
-// failed write, and once the entries the FIFO cap has evicted since the
-// last compaction exceed half of the file's records.
+// the first Save of a ResultCache after construction or after a Load that
+// was not intact (a damaged or invalidated file, or one the cap trimmed),
+// on the first Save to any other path, after a failed write, and once the
+// entries the FIFO cap has evicted since the last compaction exceed half
+// of the file's records. After an intact Load the first Save appends.
 //
 // Load verifies each record on its own and hashes each record's bytes
 // once: every entry whose record verifies is kept, damaged or torn records

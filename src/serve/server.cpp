@@ -7,12 +7,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "util/fault_injection.h"
+#include "util/thread_pool.h"
 
 namespace wsnlink::serve {
 
@@ -32,7 +35,12 @@ ssize_t SendSome(int fd, const char* data, std::size_t size) {
 #endif
 }
 
-/// The instrumented send both flush loops go through. An armed
+/// The shutdown flush gives peers at most kFlushRounds polls of
+/// kFlushPollMs each to take their replies: about a second in all.
+constexpr int kFlushRounds = 10;
+constexpr int kFlushPollMs = 100;
+
+/// The instrumented send every write goes through. An armed
 /// "serve.send" schedule degrades the selected operation into the failure
 /// modes a loaded kernel produces anyway: a short write (exactly one byte
 /// reaches the wire) when more than one byte was offered, a clean EINTR
@@ -96,39 +104,55 @@ Server::Server(QueryService& service, ServerOptions options)
   wake_read_fd_ = pipe_fds[0];
   wake_write_fd_ = pipe_fds[1];
   SetNonBlocking(wake_read_fd_);
+  // A full pipe already holds a wakeup, so a writer never needs to block.
+  SetNonBlocking(wake_write_fd_);
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
 }
 
 Server::~Server() {
   for (const Connection& conn : connections_) {
     if (conn.fd >= 0) ::close(conn.fd);
   }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+  for (const int fd : {listen_fd_, wake_read_fd_, wake_write_fd_,
+                       reserve_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
+}
+
+void Server::Wake() const {
+  const char byte = 'x';
+  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
 }
 
 void Server::Stop() {
   stop_.store(true, std::memory_order_release);
-  if (wake_write_fd_ >= 0) {
-    const char byte = 'x';
-    [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
-  }
+  if (wake_write_fd_ >= 0) Wake();
 }
 
 void Server::AcceptNew() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: try next cycle
+    if (fd < 0) {
+      if ((errno != EMFILE && errno != ENFILE) || reserve_fd_ < 0) return;
+      // Out of descriptors: the pending connection would keep the listen
+      // fd readable and poll() would spin. Spend the reserve to accept it
+      // and close it at once (its peer sees EOF), then take it back.
+      ::close(reserve_fd_);
+      const int shed = ::accept(listen_fd_, nullptr, nullptr);
+      if (shed >= 0) ::close(shed);
+      reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (shed < 0) return;
+      continue;
+    }
     SetNonBlocking(fd);
     Connection conn;
+    conn.id = next_connection_id_++;
     conn.fd = fd;
     connections_.push_back(std::move(conn));
   }
 }
 
-bool Server::ReadFrom(std::size_t index, std::vector<std::string>& lines,
-                      std::vector<std::size_t>& owners) {
-  Connection& conn = connections_[index];
+bool Server::ReadFrom(Connection& conn) {
   char buf[4096];
   while (!conn.eof) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
@@ -154,10 +178,9 @@ bool Server::ReadFrom(std::size_t index, std::vector<std::string>& lines,
     } else {
       conn.in.erase(0, nl + 1);
       conn.discarding = false;
-      conn.out +=
+      conn.slots.emplace_back(
           ErrorResponse("request line exceeds " +
-                        std::to_string(kMaxRequestBytes) + " bytes");
-      conn.out += '\n';
+                        std::to_string(kMaxRequestBytes) + " bytes"));
     }
   }
   if (!conn.discarding && conn.in.size() > kMaxRequestBytes &&
@@ -166,146 +189,197 @@ bool Server::ReadFrom(std::size_t index, std::vector<std::string>& lines,
     conn.in.clear();
   }
 
-  std::size_t harvested = 0;
-  for (std::string& line : ExtractCompleteLines(conn.in)) {
-    lines.push_back(std::move(line));
-    owners.push_back(index);
-    ++harvested;
+  for (const std::string& line : ExtractCompleteLines(conn.in)) {
+    const SlotRef slot{conn.id, conn.first_seq + conn.slots.size()};
+    conn.slots.emplace_back();
+    Route(slot, line);
   }
-  // A half-closed peer is kept until its last reply byte is on the wire.
-  if (conn.eof && harvested == 0 && conn.out.empty()) return false;
+  return true;
+}
+
+void Server::Route(SlotRef slot, const std::string& line) {
+  if (std::optional<std::string> reply = service_.AnswerFromCache(line)) {
+    Fill(slot, *std::move(reply));
+    return;
+  }
+  if (const auto it = misses_.find(line); it != misses_.end()) {
+    it->second.push_back(slot);
+    return;
+  }
+  if (misses_.size() >= options_.max_inflight) {
+    service_.CountBusyRejected(1);
+    Fill(slot, ErrorResponse("busy: max inflight exceeded"));
+    return;
+  }
+  misses_.emplace(line, std::vector<SlotRef>{slot});
+  queued_.push_back(line);
+}
+
+void Server::Fill(SlotRef slot, std::string reply) {
+  const auto it = std::lower_bound(
+      connections_.begin(), connections_.end(), slot.connection,
+      [](const Connection& conn, std::uint64_t id) { return conn.id < id; });
+  if (it == connections_.end() || it->id != slot.connection || it->fd < 0) {
+    return;
+  }
+  it->slots[slot.seq - it->first_seq] = std::move(reply);
+}
+
+void Server::StartMisses() {
+  if (queued_.empty()) return;
+  util::ThreadPool& pool = util::ThreadPool::Shared();
+  const unsigned threads = service_.Options().threads;
+  const std::size_t limit = threads != 0 ? threads : pool.Workers();
+  while (computing_ < limit && !queued_.empty()) {
+    ++computing_;
+    pool.Submit([this, line = std::move(queued_.front())]() mutable {
+      std::string reply = service_.Answer(line);
+      // The task's last touch of the server: Run may return, and the
+      // server go, as soon as this lock is released.
+      const std::lock_guard<std::mutex> lock(finished_mutex_);
+      finished_.push_back({std::move(line), std::move(reply)});
+      Wake();
+      finished_cv_.notify_one();
+    });
+    queued_.pop_front();
+  }
+}
+
+void Server::FinishMisses() {
+  std::vector<Finished> finished;
+  {
+    const std::lock_guard<std::mutex> lock(finished_mutex_);
+    finished.swap(finished_);
+  }
+  for (Finished& done : finished) {
+    --computing_;
+    auto node = misses_.extract(done.line);
+    const std::vector<SlotRef>& waiting = node.mapped();
+    Fill(waiting.front(), std::move(done.reply));
+    // Copies that waited are answered from the cache the miss just
+    // filled; a failed computation is not cached, so they make a new one.
+    for (std::size_t i = 1; i < waiting.size(); ++i) {
+      Route(waiting[i], done.line);
+    }
+  }
+}
+
+void Server::QueueReplies() {
+  for (Connection& conn : connections_) {
+    while (conn.fd >= 0 && !conn.slots.empty()) {
+      const std::optional<std::string>& reply = conn.slots.front();
+      if (!reply) break;
+      conn.out += *reply;
+      conn.out += '\n';
+      conn.slots.pop_front();
+      ++conn.first_seq;
+      ++answered_;
+    }
+  }
+}
+
+bool Server::WriteSome(Connection& conn) {
+  while (!conn.out.empty()) {
+    const ssize_t n = SendChunk(conn.fd, conn.out.data(), conn.out.size());
+    if (n > 0) {
+      conn.out.erase(0, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
   return true;
 }
 
 void Server::FlushAllBlocking() {
-  for (Connection& conn : connections_) {
-    while (conn.fd >= 0 && !conn.out.empty()) {
-      const ssize_t n = SendChunk(conn.fd, conn.out.data(), conn.out.size());
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          pollfd pfd{conn.fd, POLLOUT, 0};
-          if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) break;
-          continue;
-        }
-        break;
-      }
-      conn.out.erase(0, static_cast<std::size_t>(n));
+  std::vector<pollfd> pending;
+  for (int round = 0;; ++round) {
+    pending.clear();
+    for (Connection& conn : connections_) {
+      if (conn.fd < 0) continue;
+      if (!WriteSome(conn)) conn.out.clear();
+      if (!conn.out.empty()) pending.push_back({conn.fd, POLLOUT, 0});
     }
+    if (pending.empty() || round == kFlushRounds) return;
+    // The bounded wait: a peer that takes nothing for every round is left.
+    (void)::poll(pending.data(), pending.size(), kFlushPollMs);
   }
 }
 
 void Server::Run() {
   std::vector<pollfd> pfds;
-  std::vector<std::string> lines;
-  std::vector<std::size_t> owners;
 
   while (!stop_.load(std::memory_order_acquire)) {
     pfds.clear();
     pfds.push_back({listen_fd_, POLLIN, 0});
     pfds.push_back({wake_read_fd_, POLLIN, 0});
     for (const Connection& conn : connections_) {
-      short events = POLLIN;
+      // A half-closed peer has nothing more to read: polling it for input
+      // would spin while its misses compute.
+      short events = conn.eof ? 0 : POLLIN;
       if (!conn.out.empty()) events |= POLLOUT;
       pfds.push_back({conn.fd, events, 0});
     }
 
-    // No wall clock: block until traffic or a Stop() wakeup.
+    // No wall clock: block until traffic, a finished miss or Stop().
     const int ready = ::poll(pfds.data(), pfds.size(), -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
-      return;
+      break;
     }
     if (pfds[1].revents & POLLIN) {
-      char drain[16];
+      char drain[64];
       while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
       }
     }
+    FinishMisses();
     if (pfds[0].revents & POLLIN) AcceptNew();
 
-    // Harvest complete request lines from every readable connection.
-    lines.clear();
-    owners.clear();
-    std::vector<std::size_t> to_close;
-    for (std::size_t i = 0; i + 2 < pfds.size() && i < connections_.size();
-         ++i) {
-      const short revents = pfds[i + 2].revents;
-      if (revents & (POLLERR | POLLNVAL)) {
-        to_close.push_back(i);
-        continue;
-      }
-      if (revents & (POLLIN | POLLHUP)) {
-        if (!ReadFrom(i, lines, owners)) to_close.push_back(i);
-      }
-    }
-
-    // Answer this cycle's batch; overflow past max_inflight is rejected
-    // up front so a flood cannot queue unbounded compute.
-    if (!lines.empty()) {
-      std::vector<std::string> accepted;
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (i < options_.max_inflight) {
-          accepted.push_back(std::move(lines[i]));
-        }
-      }
-      const std::size_t rejected = lines.size() - accepted.size();
-      if (rejected > 0) service_.CountBusyRejected(rejected);
-
-      const std::vector<std::string> responses =
-          service_.AnswerBatch(accepted);
-      for (std::size_t i = 0; i < lines.size(); ++i) {
-        Connection& conn = connections_[owners[i]];
-        if (i < responses.size()) {
-          conn.out += responses[i];
-        } else {
-          conn.out += ErrorResponse("busy: max inflight exceeded");
-        }
-        conn.out += '\n';
-      }
-      answered_ += lines.size();
-    }
-
-    // Write what we can without blocking.
-    for (std::size_t i = 0; i < connections_.size(); ++i) {
+    // Give every complete request line a slot: answered now, or a miss.
+    // A half-closed peer is polled for nothing, so a hangup means it is
+    // gone for good.
+    for (std::size_t i = 0; i + 2 < pfds.size(); ++i) {
       Connection& conn = connections_[i];
-      while (!conn.out.empty()) {
-        const ssize_t n = SendChunk(conn.fd, conn.out.data(), conn.out.size());
-        if (n > 0) {
-          conn.out.erase(0, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        to_close.push_back(i);
-        break;
+      const short revents = pfds[i + 2].revents;
+      const bool broken = (revents & (POLLERR | POLLNVAL)) != 0 ||
+                          (conn.eof && (revents & POLLHUP) != 0);
+      if (broken || ((revents & (POLLIN | POLLHUP)) != 0 && !ReadFrom(conn))) {
+        ::close(conn.fd);
+        conn.fd = -1;
       }
     }
+    StartMisses();
+    QueueReplies();
+
+    // Write what we can without blocking. A half-closed peer goes once
+    // its last reply byte is on the wire.
+    for (Connection& conn : connections_) {
+      if (conn.fd >= 0 &&
+          (!WriteSome(conn) ||
+           (conn.eof && conn.slots.empty() && conn.out.empty()))) {
+        ::close(conn.fd);
+        conn.fd = -1;
+      }
+    }
+    std::erase_if(connections_,
+                  [](const Connection& conn) { return conn.fd < 0; });
 
     // Crash drill: answers are on the wire, now die without cleanup.
     if (options_.abort_after != 0 && answered_ >= options_.abort_after) {
       FlushAllBlocking();
       std::_Exit(3);
     }
-
-    if (!to_close.empty()) {
-      // Close marked connections (dedupe via the highest-index-first
-      // erase; indices were recorded against the same vector).
-      std::vector<Connection> kept;
-      kept.reserve(connections_.size());
-      for (std::size_t i = 0; i < connections_.size(); ++i) {
-        bool close_it = false;
-        for (const std::size_t idx : to_close) {
-          if (idx == i) close_it = true;
-        }
-        if (close_it) {
-          ::close(connections_[i].fd);
-        } else {
-          kept.push_back(std::move(connections_[i]));
-        }
-      }
-      connections_ = std::move(kept);
-    }
   }
+
+  // Pool tasks point into this server: wait for every miss handed over,
+  // and answer it. Misses never handed over stay unanswered.
+  {
+    std::unique_lock<std::mutex> lock(finished_mutex_);
+    finished_cv_.wait(lock, [this] { return finished_.size() == computing_; });
+  }
+  FinishMisses();
+  queued_.clear();
+  QueueReplies();
   FlushAllBlocking();
 }
 

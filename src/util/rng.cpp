@@ -95,6 +95,11 @@ double Rng::Gaussian(double mean, double sigma) noexcept {
   return mean + sigma * Gaussian();
 }
 
+void Rng::SkipGaussian() noexcept {
+  (*this)();
+  (*this)();
+}
+
 bool Rng::Bernoulli(double p) noexcept {
   if (p <= 0.0) {
     (*this)();  // keep draw count constant regardless of p

@@ -60,6 +60,11 @@ class Rng {
   /// Normal with the given mean and standard deviation (sigma >= 0).
   double Gaussian(double mean, double sigma) noexcept;
 
+  /// Advances the stream exactly as Gaussian() does (two uniforms) without
+  /// computing the variate: for a sample nothing reads, so later draws stay
+  /// aligned with a run that computed it.
+  void SkipGaussian() noexcept;
+
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool Bernoulli(double p) noexcept;
 

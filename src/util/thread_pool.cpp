@@ -48,6 +48,14 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ThreadPool::Submit(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(task));
+  }
+  cv_.notify_one();
+}
+
 void ThreadPool::ParallelFor(std::size_t total, unsigned max_parallel,
                              const std::function<void(std::size_t)>& fn) {
   if (total == 0) return;

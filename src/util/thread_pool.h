@@ -5,23 +5,23 @@
 // thousands of small sweeps never pays thread creation per sweep.
 //
 // Design:
-//  - one mutex-guarded queue of helper tasks; every worker pops from its
-//    front;
-//  - ParallelFor is the only entry point: it queues up to
-//    max_parallel - 1 helpers, the *calling* thread participates, and
-//    every participant takes one index at a time from a shared atomic
-//    cursor. The call returns once every index has run, whether or not
-//    its helpers were ever scheduled, so a caller that drains the cursor
-//    alone never waits on the pool: nested and concurrent calls cannot
-//    deadlock;
+//  - one mutex-guarded queue of tasks; every worker pops from its front;
+//  - Submit queues one fire-and-forget task (wsnlinkd's misses: the poll
+//    loop hands each one over and goes on serving);
+//  - ParallelFor queues up to max_parallel - 1 helpers, the *calling*
+//    thread participates, and every participant takes one index at a time
+//    from a shared atomic cursor. The call returns once every index has
+//    run, whether or not its helpers were ever scheduled, so a caller that
+//    drains the cursor alone never waits on the pool: nested and
+//    concurrent calls cannot deadlock;
 //  - determinism: ParallelFor imposes no ordering — callers must make
 //    `fn(i)` independent of execution order (the sweep drivers derive
 //    per-index seeds and write results into per-index slots, which is what
 //    keeps sweeps bit-identical under any worker count).
 //
 // All cross-thread state is guarded by mutexes/atomics; the pool is
-// TSan-clean (exercised by the Sweep and Determinism suites under
-// -DWSNLINK_SANITIZE=thread).
+// TSan-clean (exercised by the Sweep, Determinism and ServeServer suites
+// under -DWSNLINK_SANITIZE=thread).
 #pragma once
 
 #include <condition_variable>
@@ -48,6 +48,17 @@ class ThreadPool {
   /// executors. Created on first use with one worker per hardware thread
   /// (minimum 2).
   static ThreadPool& Shared();
+
+  /// Worker threads in the pool.
+  [[nodiscard]] unsigned Workers() const noexcept {
+    return static_cast<unsigned>(workers_.size());
+  }
+
+  /// Queues `task` to run once on a worker and returns at once; nothing
+  /// waits for it. The task must not throw (an escaping exception
+  /// terminates the process, as on a std::thread), and what it refers to
+  /// must outlive it.
+  void Submit(std::function<void()> task);
 
   /// Runs `fn(i)` for every i in [0, total) with bounded parallelism.
   ///

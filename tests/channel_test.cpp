@@ -1,6 +1,7 @@
 // Unit + statistical tests for the channel substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -112,6 +113,27 @@ TEST(Shadowing, ZeroSigmaIsConstantZeroProcess) {
   ShadowingProcess process(params, util::Rng(7));
   for (int i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(process.Sample(i * sim::kSecond), 0.0);
+  }
+}
+
+// The zero-interval shortcut and the coefficient memo return the doubles
+// the AR(1) formula gives, and keep the stream where the formula leaves it.
+TEST(Shadowing, ZeroAndRepeatedIntervalsMatchTheFormula) {
+  ShadowingParams params;
+  params.sigma_db = 2.8;
+  ShadowingProcess process(params, util::Rng(8));
+  util::Rng rng(8);
+  double value = rng.Gaussian(0.0, params.sigma_db);
+  EXPECT_EQ(process.Sample(1'000), value);
+  sim::Time now = 1'000;
+  for (const sim::Duration dt : {0, 3'616, 3'616, 0, 0, 3'616, 250'000, 0}) {
+    const double rho = std::exp(-static_cast<double>(dt) /
+                                static_cast<double>(params.coherence));
+    const double sigma =
+        params.sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho));
+    value = rho * value + rng.Gaussian(0.0, sigma);
+    now += dt;
+    EXPECT_EQ(process.Sample(now), value) << "at " << now;
   }
 }
 
@@ -338,6 +360,74 @@ TEST(Channel, SpatialShadowShiftsMeanRssi) {
   Channel shifted(config, util::Rng(19));
   Channel base(TestConfig(20.0), util::Rng(19));
   EXPECT_NEAR(shifted.MeanRssiDbm(0.0) - base.MeanRssiDbm(0.0), 5.0, 1e-12);
+}
+
+/// Channels that differ only in how some frames are resolved must agree on
+/// every outcome read afterwards: the shortcuts advance every stream (and
+/// the medium's tallies) exactly as Transmit does.
+void ExpectShortcutsKeepStreams(const ChannelConfig& config,
+                                bool with_medium) {
+  Medium medium_full;
+  Medium medium_short;
+  Channel full(config, util::Rng(31));
+  Channel shortcut(config, util::Rng(31));
+  if (with_medium) {
+    full.AttachMedium(&medium_full, 0);
+    shortcut.AttachMedium(&medium_short, 0);
+  }
+  for (int i = 0; i < 3'000; ++i) {
+    const sim::Time t = static_cast<sim::Time>(i + 1) * 3'616;
+    if (with_medium && i % 3 == 0) {
+      // Another node's frame overlapping this one's air.
+      medium_full.Begin(1, t - 2'000, t + 500, -60.0 - i % 40);
+      medium_short.Begin(1, t - 2'000, t + 500, -60.0 - i % 40);
+    }
+    const double tx_dbm = -25.0 + i % 26;
+    const auto reference = full.Transmit(tx_dbm, 70, t);
+    switch (i % 4) {
+      case 0: {
+        const auto out = shortcut.Transmit(tx_dbm, 70, t);
+        ASSERT_EQ(out.received, reference.received) << "frame " << i;
+        ASSERT_EQ(out.rssi_dbm, reference.rssi_dbm) << "frame " << i;
+        ASSERT_EQ(out.snr_db, reference.snr_db) << "frame " << i;
+        ASSERT_EQ(out.lqi, reference.lqi) << "frame " << i;
+        break;
+      }
+      case 1:
+        ASSERT_EQ(shortcut.Received(tx_dbm, 70, t), reference.received)
+            << "frame " << i;
+        break;
+      default:
+        shortcut.TransmitUnheard(tx_dbm, 70, t);
+        break;
+    }
+    // An ACK at the frame's end: zero shadowing interval.
+    ASSERT_EQ(shortcut.Received(tx_dbm, 11, t),
+              full.Transmit(tx_dbm, 11, t).received)
+        << "ack " << i;
+  }
+  EXPECT_EQ(medium_short.Stats().collisions, medium_full.Stats().collisions);
+  EXPECT_EQ(medium_short.Stats().captures, medium_full.Stats().captures);
+}
+
+TEST(Channel, ShortcutsKeepStreamsOnAPlainLink) {
+  ExpectShortcutsKeepStreams(TestConfig(30.0), false);
+}
+
+TEST(Channel, ShortcutsKeepStreamsWithAnInterferer) {
+  ChannelConfig config = TestConfig(30.0);
+  config.interferer.duty_cycle = 0.3;
+  ExpectShortcutsKeepStreams(config, false);
+}
+
+TEST(Channel, ShortcutsKeepStreamsWithMobility) {
+  ChannelConfig config = TestConfig(30.0);
+  config.mobility.speed_mps = 1.5;
+  ExpectShortcutsKeepStreams(config, false);
+}
+
+TEST(Channel, ShortcutsKeepStreamsOnASharedMedium) {
+  ExpectShortcutsKeepStreams(TestConfig(30.0), true);
 }
 
 // -------------------------------------------------------------- medium ----

@@ -24,6 +24,7 @@
 #include "node/link_simulation.h"
 #include "node/run_scratch.h"
 #include "serve/query_service.h"
+#include "serve_client.h"
 #include "trace/trace.h"
 
 namespace wsnlink {
@@ -287,9 +288,9 @@ TEST(Determinism, SweepScratchPathMatchesTracedPathMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuning service: the same determinism contract, one layer up. A batch's
-// response vector must be a pure function of its request vector — across
-// worker counts, across repeat runs, and across cold/cached states.
+// Tuning service: the same determinism contract, one layer up. The replies
+// to a pipelined request stream must be a pure function of the stream —
+// across worker counts, across repeat runs, and across cold/cached states.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> ServeQueryMix() {
@@ -305,7 +306,7 @@ std::vector<std::string> ServeQueryMix() {
         ",\"payload_bytes\":" + std::to_string(30 + 20 * (i % 3)) +
         ",\"packets\":60,\"seed\":" + std::to_string(1 + i / 4) + "}");
   }
-  lines.push_back(lines[2]);  // duplicate: hit-vs-compute race fodder
+  lines.push_back(lines[2]);  // duplicate: waits for the first copy's miss
   lines.push_back(
       "{\"verb\":\"optimize\",\"objective\":\"energy\",\"distance_m\":20,"
       "\"min_goodput_kbps\":2}");
@@ -320,18 +321,22 @@ TEST(Determinism, ServeBatchIdenticalAcrossThreadCounts) {
   serve::ServiceOptions serial_options;
   serial_options.threads = 1;
   serve::QueryService serial(serial_options);
-  const auto serial_replies = serial.AnswerBatch(lines);
+  const auto serial_replies =
+      serve_test::ServeOverOneConnection(serial, lines);
 
   serve::ServiceOptions parallel_options;
   parallel_options.threads = 8;
   serve::QueryService parallel(parallel_options);
-  const auto parallel_replies = parallel.AnswerBatch(lines);
+  const auto parallel_replies =
+      serve_test::ServeOverOneConnection(parallel, lines);
 
   ASSERT_EQ(serial_replies.size(), lines.size());
   ASSERT_EQ(parallel_replies.size(), lines.size());
+  serve::QueryService reference(serve::ServiceOptions{});
   for (std::size_t i = 0; i < lines.size(); ++i) {
     // Byte-identical, not just equivalent: responses are canonical.
     EXPECT_EQ(serial_replies[i], parallel_replies[i]) << "line " << i;
+    EXPECT_EQ(serial_replies[i], reference.Answer(lines[i])) << "line " << i;
   }
 }
 
@@ -342,11 +347,11 @@ TEST(Determinism, ServeCachedRunMatchesColdRunByteExact) {
   options.threads = 8;
   serve::QueryService service(options);
 
-  const auto cold = service.AnswerBatch(lines);
+  const auto cold = serve_test::ServeOverOneConnection(service, lines);
   const auto stats_after_cold = service.Stats();
   EXPECT_GT(stats_after_cold.cache_entries, 0u);
 
-  const auto cached = service.AnswerBatch(lines);
+  const auto cached = serve_test::ServeOverOneConnection(service, lines);
   const auto stats_after_cached = service.Stats();
   // The repeat run computed nothing new...
   EXPECT_EQ(stats_after_cached.computed_what_if,

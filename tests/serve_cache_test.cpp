@@ -305,18 +305,40 @@ TEST(ServeCache, SavesAppendToTheSameFileUntilACompaction) {
   cache.Save(path);
   EXPECT_EQ(ReadFile(path), expected);
 
-  // A reloaded cache compacts on its first Save: a new file, in key order.
+  // A reloaded intact cache goes on appending to the same file: its old
+  // bytes are a prefix of the new ones.
   ResultCache reloaded(kTag);
   EXPECT_EQ(reloaded.Load(path).loaded, 53u);
+  reloaded.Store(EntryKey(53), EntryPayload(53));
+  reloaded.Save(path);
+  EXPECT_EQ(Inode(path), inode);
+  expected += EntryRecord(EntryKey(53), EntryPayload(53));
+  EXPECT_EQ(ReadFile(path), expected);
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, ReloadedDamagedCacheCompactsOnItsFirstSave) {
+  const std::string path = TempPath("damagedreload");
+  SaveCacheWithEntries(4, path);
+  std::string contents = ReadFile(path);
+  contents[contents.find("\"value\":20") + 9] = 'z';  // damage entry 2
+  WriteFile(path, contents);
+  const ino_t inode = Inode(path);
+
+  // The first Save rewrites the file with the live entries in key order,
+  // exactly as a fresh cache holding them would.
+  ResultCache reloaded(kTag);
+  EXPECT_EQ(reloaded.Load(path).corrupt_dropped, 1u);
   reloaded.Save(path);
   EXPECT_NE(Inode(path), inode);
-  const std::string compacted = ReadFile(path);
-  ResultCache uncapped(kTag);
-  FillEntries(uncapped, 53);
-  uncapped.Save(TempPath("appends_ref"));
-  EXPECT_EQ(compacted, ReadFile(TempPath("appends_ref")));
+  ResultCache reference(kTag);
+  for (const int i : {0, 1, 3}) {
+    reference.Store(EntryKey(i), EntryPayload(i));
+  }
+  reference.Save(TempPath("damagedreload_ref"));
+  EXPECT_EQ(ReadFile(path), ReadFile(TempPath("damagedreload_ref")));
   std::remove(path.c_str());
-  std::remove(TempPath("appends_ref").c_str());
+  std::remove(TempPath("damagedreload_ref").c_str());
 }
 
 TEST(ServeCache, CapEvictionsCompactOnceTheyAreMostOfTheFile) {

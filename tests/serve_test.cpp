@@ -6,15 +6,17 @@
 // whole battery up by regex.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
+#include <dirent.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "serve/protocol.h"
 #include "serve/query_service.h"
 #include "serve/server.h"
+#include "serve_client.h"
 #include "util/fault_injection.h"
 
 namespace wsnlink {
@@ -35,6 +38,9 @@ using serve::ProtocolError;
 using serve::QueryService;
 using serve::Request;
 using serve::ServiceOptions;
+using serve_test::RunningServer;
+using serve_test::ServeOverOneConnection;
+using serve_test::TestClient;
 
 constexpr const char* kWhatIfLine =
     "{\"verb\":\"what_if\",\"distance_m\":20,\"pa_level\":31,"
@@ -181,15 +187,15 @@ TEST(ServeService, WhatIfAnswerIsOkAndCachedByteIdentical) {
   EXPECT_EQ(stats.computed_what_if, 1u);
 }
 
-// Several clients sending the same miss in one poll cycle arrive as one
-// batch: the line computes once and every copy gets the same bytes, with
-// the repeats counted as cache hits.
+// Identical lines pipelined on one connection compute once: the repeats
+// wait for the first copy's miss and are answered from the cache, so they
+// count as cache hits and every copy gets the same bytes.
 TEST(ServeService, BatchOfIdenticalWhatIfLinesComputesOnce) {
   ServiceOptions options;
   options.threads = 4;
   QueryService service(options);
-  const std::vector<std::string> lines(4, kWhatIfLine);
-  const auto replies = service.AnswerBatch(lines);
+  const auto replies = ServeOverOneConnection(
+      service, std::vector<std::string>(4, kWhatIfLine));
   ASSERT_EQ(replies.size(), 4u);
   EXPECT_NE(replies[0].find("\"status\":\"ok\""), std::string::npos)
       << replies[0];
@@ -200,6 +206,27 @@ TEST(ServeService, BatchOfIdenticalWhatIfLinesComputesOnce) {
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits, 3u);
+}
+
+TEST(ServeService, AnswerFromCacheAnswersOnlyWhatNeedsNoCompute) {
+  QueryService service(ServiceOptions{});
+  EXPECT_FALSE(service.AnswerFromCache(kWhatIfLine).has_value());
+  EXPECT_EQ(service.Stats().requests, 0u);  // a miss counts nothing
+
+  const std::string computed = service.Answer(kWhatIfLine);
+  EXPECT_EQ(service.AnswerFromCache(kWhatIfLine), computed);
+  const auto error = service.AnswerFromCache("not json");
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->find("{\"status\":\"error\""), 0u) << *error;
+  const auto stats_reply = service.AnswerFromCache("{\"verb\":\"stats\"}");
+  ASSERT_TRUE(stats_reply.has_value());
+  EXPECT_NE(stats_reply->find("\"verb\":\"stats\""), std::string::npos);
+
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.parse_errors, 1u);
 }
 
 TEST(ServeService, OptimizeAnswerMatchesDirectSolve) {
@@ -299,66 +326,20 @@ TEST(ServeService, ServingSpaceIsValidAndTableIShaped) {
 // Socket front end
 // ---------------------------------------------------------------------------
 
-/// Minimal blocking client for the end-to-end tests.
-class TestClient {
- public:
-  explicit TestClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("test client: socket failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = ::htons(port);
-    addr.sin_addr.s_addr = ::htonl(INADDR_LOOPBACK);
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd_);
-      throw std::runtime_error("test client: connect failed");
-    }
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+/// A what_if miss with the given seed (distinct seeds, distinct misses).
+std::string SmallMiss(int seed) {
+  return "{\"verb\":\"what_if\",\"distance_m\":20,\"payload_bytes\":30,"
+         "\"packets\":20,\"seed\":" +
+         std::to_string(seed) + "}";
+}
 
-  void Send(const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, 0);
-      ASSERT_GT(n, 0);
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::string ReadLine() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) throw std::runtime_error("test client: connection closed");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-struct RunningServer {
-  explicit RunningServer(QueryService& service, serve::ServerOptions options)
-      : server(service, options), thread([this] { server.Run(); }) {}
-  ~RunningServer() {
-    server.Stop();
-    thread.join();
-  }
-  serve::Server server;
-  std::thread thread;
-};
+/// An LPL what_if of one-second trains: about 15 ms of simulation per
+/// 1,000 packets in an optimised build.
+std::string SlowMiss(int packets) {
+  return "{\"verb\":\"what_if\",\"mac\":\"lpl\",\"lpl_wakeup_ms\":1000,"
+         "\"pkt_interval_ms\":2000,\"packets\":" +
+         std::to_string(packets) + ",\"seed\":11}";
+}
 
 TEST(ServeServer, AnswersMixedRequestsOverLoopback) {
   QueryService service(ServiceOptions{});
@@ -403,21 +384,23 @@ TEST(ServeServer, MaxInflightOverflowIsBusyRejectedNotDropped) {
   options.max_inflight = 2;
   RunningServer running(service, options);
 
+  // Distinct misses: hits, stats and parse errors are answered at once and
+  // never count against the cap.
   constexpr int kLines = 12;
   TestClient client(running.server.Port());
   std::string burst;
-  for (int i = 0; i < kLines; ++i) {
-    burst += "{\"verb\":\"stats\"}\n";
-  }
+  for (int i = 0; i < kLines; ++i) burst += SmallMiss(100 + i) + "\n";
   client.Send(burst);
 
   // Every line gets exactly one reply, whether answered or busy-rejected
-  // (how many land in one poll cycle is timing-dependent; totals are not).
+  // (how many are queued at once is timing-dependent; totals are not).
+  QueryService local(ServiceOptions{});
   int ok = 0;
   int busy = 0;
   for (int i = 0; i < kLines; ++i) {
     const std::string reply = client.ReadLine();
     if (reply.find("\"status\":\"ok\"") != std::string::npos) {
+      EXPECT_EQ(reply, local.Answer(SmallMiss(100 + i)));
       ++ok;
     } else {
       EXPECT_NE(reply.find("busy"), std::string::npos) << reply;
@@ -425,6 +408,7 @@ TEST(ServeServer, MaxInflightOverflowIsBusyRejectedNotDropped) {
     }
   }
   EXPECT_EQ(ok + busy, kLines);
+  EXPECT_GE(ok, 2);
   EXPECT_EQ(service.Stats().busy_rejected, static_cast<std::uint64_t>(busy));
 }
 
@@ -487,6 +471,243 @@ TEST(ServeServer, ConcurrentClientsAllGetTheirOwnAnswers) {
     for (const auto& reply : per_client) EXPECT_EQ(reply, expected);
   }
   EXPECT_EQ(service.Stats().computed_what_if, 1u);  // one compute, rest hits
+}
+
+// A long LPL miss on one connection must not delay hits on another: the
+// miss computes on the pool while the loop keeps answering.
+TEST(ServeServer, HitIsAnsweredWhileAMissComputes) {
+  QueryService service(ServiceOptions{});
+  const std::string hit = service.Answer(kWhatIfLine);
+  RunningServer running(service, serve::ServerOptions{});
+
+  TestClient a(running.server.Port());
+  a.Send(SlowMiss(10'000) + "\n");  // about 150 ms
+  // The miss is computing once it is counted.
+  while (service.Stats().cache_misses < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  TestClient b(running.server.Port());
+  for (int i = 0; i < 20; ++i) {
+    b.Send(std::string(kWhatIfLine) + "\n");
+    EXPECT_EQ(b.ReadLine(), hit);
+  }
+  EXPECT_FALSE(a.Readable(0)) << "the miss was answered before the hits";
+  const std::string reply = a.ReadLine();
+  EXPECT_EQ(reply.find("{\"status\":\"ok\",\"verb\":\"what_if\""), 0u) << reply;
+  EXPECT_EQ(service.Stats().cache_hits, 20u);
+}
+
+// Replies to pipelined lines leave in arrival order, whatever order they
+// are answered in, and each has the bytes Answer gives.
+TEST(ServeServer, PipelinedRepliesKeepArrivalOrder) {
+  QueryService service(ServiceOptions{});
+  (void)service.Answer(SmallMiss(1));
+  QueryService local(ServiceOptions{});
+
+  const std::vector<std::string> lines = {
+      std::string(kWhatIfLine), SmallMiss(1), kOptimizeLine,
+      "{\"verb\":\"stats\"}",   "malformed",  SmallMiss(1)};
+  const auto replies = ServeOverOneConnection(service, lines);
+  ASSERT_EQ(replies.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i == 3) {
+      EXPECT_EQ(replies[i].find("{\"status\":\"ok\",\"verb\":\"stats\""), 0u)
+          << replies[i];
+    } else {
+      EXPECT_EQ(replies[i], local.Answer(lines[i])) << "line " << i;
+    }
+  }
+}
+
+TEST(ServeServer, IdenticalMissesInFlightComputeOnce) {
+  ServiceOptions options;
+  options.threads = 0;
+  QueryService service(options);
+  RunningServer running(service, serve::ServerOptions{});
+
+  // A miss long enough (about 30 ms) for every copy to arrive while it
+  // computes.
+  const std::string miss = SlowMiss(2'000);
+  constexpr std::size_t kClients = 4;
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<TestClient>(running.server.Port()));
+  }
+  for (const auto& client : clients) client->Send(miss + "\n");
+  std::vector<std::string> replies;
+  for (const auto& client : clients) replies.push_back(client->ReadLine());
+
+  EXPECT_EQ(replies[0].find("{\"status\":\"ok\""), 0u) << replies[0];
+  for (const std::string& reply : replies) EXPECT_EQ(reply, replies[0]);
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.computed_what_if, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, kClients - 1);
+}
+
+// A peer that resets while its misses compute: their replies are dropped,
+// the answers are still cached, and the loop keeps serving.
+TEST(ServeServer, ClosingWithAMissInFlightIsSafe) {
+  QueryService service(ServiceOptions{});
+  RunningServer running(service, serve::ServerOptions{});
+  const std::string miss = SlowMiss(2'000);
+  {
+    TestClient leaver(running.server.Port());
+    leaver.Send(miss + "\n" + miss + "\n" + SmallMiss(8) + "\n");
+    while (service.Stats().cache_misses == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    leaver.Abort();
+  }
+  TestClient stayer(running.server.Port());
+  stayer.Send(miss + "\n");
+  QueryService local(ServiceOptions{});
+  EXPECT_EQ(stayer.ReadLine(), local.Answer(miss));
+  running.Stop();
+
+  const auto stats = service.Stats();
+  EXPECT_GE(stats.computed_what_if, 1u);
+  EXPECT_EQ(stats.cache_entries, stats.computed_what_if);
+}
+
+// Stop must return although a peer pipelined more replies than the socket
+// buffers hold and never reads: the shutdown flush waits a bounded time.
+TEST(ServeServer, StopReturnsWhileAPeerNeverReads) {
+  QueryService service(ServiceOptions{});
+  (void)service.Answer(kWhatIfLine);
+  RunningServer running(service, serve::ServerOptions{});
+
+  // About 5 MB of replies behind a 4 KB receive window.
+  constexpr std::uint64_t kRequests = 12'000;
+  TestClient silent(running.server.Port(), /*receive_buffer=*/4096);
+  std::string burst;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    burst += kWhatIfLine;
+    burst += '\n';
+  }
+  silent.Send(burst);
+  while (service.Stats().cache_hits < kRequests) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  running.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+/// Highest open descriptor of this process.
+int HighestOpenFd() {
+  int highest = 2;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return 64;
+  while (const dirent* entry = ::readdir(dir)) {
+    int fd = 0;
+    std::istringstream(entry->d_name) >> fd;
+    highest = std::max(highest, fd);
+  }
+  ::closedir(dir);
+  return highest;
+}
+
+/// User plus system CPU time of `pid` in milliseconds.
+long CpuMs(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  const std::string stat((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // After the parenthesised command come field 3 (state) onwards; utime
+  // and stime are fields 14 and 15, in clock ticks.
+  std::istringstream fields(stat.substr(stat.rfind(')') + 2));
+  std::string skipped;
+  for (int field = 3; field < 14; ++field) fields >> skipped;
+  long utime = 0;
+  long stime = 0;
+  fields >> utime >> stime;
+  return (utime + stime) * 1000 / ::sysconf(_SC_CLK_TCK);
+}
+
+/// Sends `stats` and reads its reply; false if the server closed the
+/// connection instead. Fails the test if neither happens within 5 s.
+bool AnsweredOrClosed(TestClient& client) {
+  try {
+    client.Send("{\"verb\":\"stats\"}\n");
+    if (!client.Readable(5000)) {
+      ADD_FAILURE() << "no reply and no close within 5 s";
+      return false;
+    }
+    return client.ReadLine().find("\"verb\":\"stats\"") != std::string::npos;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+// At the descriptor limit a pending connection is accepted and closed at
+// once, instead of leaving the listen socket readable for poll() to spin
+// on. The server runs in a child whose RLIMIT_NOFILE is a few descriptors
+// above what it holds.
+TEST(ServeServer, AcceptAtTheDescriptorLimitShedsInsteadOfSpinning) {
+  int port_pipe[2];
+  ASSERT_EQ(::pipe(port_pipe), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(port_pipe[0]);
+    QueryService service(ServiceOptions{});
+    serve::Server server(service, serve::ServerOptions{});
+    const std::uint16_t port = server.Port();
+    const bool sent = ::write(port_pipe[1], &port, sizeof(port)) ==
+                      static_cast<ssize_t>(sizeof(port));
+    ::close(port_pipe[1]);
+    rlimit limit{};
+    limit.rlim_cur = static_cast<rlim_t>(HighestOpenFd() + 1 + 3);
+    limit.rlim_max = limit.rlim_cur;
+    if (!sent || ::setrlimit(RLIMIT_NOFILE, &limit) != 0) std::_Exit(2);
+    server.Run();
+    std::_Exit(0);
+  }
+  ::close(port_pipe[1]);
+  std::uint16_t port = 0;
+  ASSERT_EQ(::read(port_pipe[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  ::close(port_pipe[0]);
+
+  // A few connections fit under the limit; the others must be closed by
+  // the server, not left hanging.
+  constexpr int kClients = 8;
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<TestClient>(port));
+  }
+  std::vector<TestClient*> served;
+  for (const auto& client : clients) {
+    if (AnsweredOrClosed(*client)) served.push_back(client.get());
+  }
+  EXPECT_GE(served.size(), 2u);
+  EXPECT_LT(served.size(), static_cast<std::size_t>(kClients));
+
+  // Idle at the limit: no spinning.
+  const long cpu_before = CpuMs(child);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(CpuMs(child) - cpu_before, 50);
+
+  // Freed descriptors serve new clients again.
+  if (served.size() >= 2) {
+    served[0]->Close();
+    served[1]->Close();
+  }
+  bool answered = false;
+  for (int attempt = 0; attempt < 50 && !answered; ++attempt) {
+    // Until the loop has seen the closes, a new client is still shed.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    TestClient fresh(port);
+    answered = AnsweredOrClosed(fresh);
+  }
+  EXPECT_TRUE(answered);
+
+  ::kill(child, SIGKILL);
+  int status = 0;
+  ::waitpid(child, &status, 0);
+  EXPECT_TRUE(WIFSIGNALED(status)) << "the server child exited: " << status;
 }
 
 // ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ TEST(Rng, GaussianMomentsRoughlyCorrect) {
   EXPECT_NEAR(stats.StdDev(), 2.0, 0.1);
 }
 
+TEST(Rng, SkipGaussianDrawsWhatGaussianDraws) {
+  Rng drawn(21);
+  Rng skipped(21);
+  (void)drawn.Gaussian();
+  skipped.SkipGaussian();
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(drawn(), skipped());
+}
+
 TEST(Rng, BernoulliFrequencyMatchesP) {
   Rng rng(17);
   int hits = 0;
