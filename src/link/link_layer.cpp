@@ -15,18 +15,8 @@ LinkLayer::LinkLayer(sim::Simulator& simulator, mac::Mac& mac,
   open_records_.reserve(static_cast<std::size_t>(queue_capacity) + 1);
   mac_.SetDeliveryCallback(
       [this](const mac::DeliveryInfo& info) { OnDelivery(info); });
-  mac_.SetAttemptCallback([this](const mac::AttemptInfo& info) {
-    AttemptRecord record;
-    record.packet_id = info.packet_id;
-    record.attempt = info.attempt;
-    record.payload_bytes = info.payload_bytes;
-    record.at = info.at;
-    record.rssi_dbm = info.rssi_dbm;
-    record.snr_db = info.snr_db;
-    record.data_received = info.data_received;
-    record.acked = info.acked;
-    log_.AddAttempt(record);
-  });
+  mac_.SetAttemptCallback(
+      [this](const AttemptRecord& record) { log_.AddAttempt(record); });
 }
 
 void LinkLayer::AttachTrace(const trace::TraceContext& ctx) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mac/mac.h"
 #include "sim/time.h"
 
 namespace wsnlink::link {
@@ -53,21 +54,9 @@ struct PacketRecord {
   friend bool operator==(const PacketRecord&, const PacketRecord&) = default;
 };
 
-/// One radio transmission attempt (for PER-vs-SNR analysis, Fig. 6).
-struct AttemptRecord {
-  std::uint64_t packet_id = 0;
-  int attempt = 0;  ///< 1-based attempt index within the packet
-  int payload_bytes = 0;
-  sim::Time at = 0;
-  double rssi_dbm = 0.0;
-  double snr_db = 0.0;
-  /// Data frame decoded by the receiver.
-  bool data_received = false;
-  /// ACK made it back (the attempt counts as acknowledged).
-  bool acked = false;
-
-  friend bool operator==(const AttemptRecord&, const AttemptRecord&) = default;
-};
+/// One radio transmission attempt (for PER-vs-SNR analysis, Fig. 6): the
+/// record the MAC reports, logged as is.
+using mac::AttemptRecord;
 
 /// Append-only logs for one simulation run.
 class PacketLog {

@@ -127,16 +127,16 @@ void Mac::ReportAttempt(sim::Time t,
                         const channel::TransmissionOutcome& outcome,
                         bool data_received, bool acked) const {
   if (on_attempt_) {
-    AttemptInfo info;
-    info.packet_id = result_.packet_id;
-    info.attempt = result_.tries;
-    info.payload_bytes = payload_bytes_;
-    info.at = t;
-    info.rssi_dbm = outcome.rssi_dbm;
-    info.snr_db = outcome.snr_db;
-    info.data_received = data_received;
-    info.acked = acked;
-    on_attempt_(info);
+    AttemptRecord record;
+    record.packet_id = result_.packet_id;
+    record.attempt = result_.tries;
+    record.payload_bytes = payload_bytes_;
+    record.at = t;
+    record.rssi_dbm = outcome.rssi_dbm;
+    record.snr_db = outcome.snr_db;
+    record.data_received = data_received;
+    record.acked = acked;
+    on_attempt_(record);
   }
 }
 

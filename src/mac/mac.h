@@ -66,19 +66,22 @@ struct DeliveryInfo {
   friend bool operator==(const DeliveryInfo&, const DeliveryInfo&) = default;
 };
 
-/// Outcome of one radio transmission attempt (observer hook for the
-/// attempt-level analysis behind Fig. 6's PER-vs-SNR study).
-struct AttemptInfo {
+/// Outcome of one radio transmission attempt, as the attempt callback
+/// reports it and link::PacketLog keeps it (the attempt-level analysis
+/// behind Fig. 6's PER-vs-SNR study).
+struct AttemptRecord {
   std::uint64_t packet_id = 0;
   int attempt = 0;  ///< 1-based within the packet
   int payload_bytes = 0;
   sim::Time at = 0;  ///< end of the frame on air
   double rssi_dbm = 0.0;
   double snr_db = 0.0;
+  /// Data frame decoded by the receiver.
   bool data_received = false;
+  /// ACK made it back (the attempt counts as acknowledged).
   bool acked = false;
 
-  friend bool operator==(const AttemptInfo&, const AttemptInfo&) = default;
+  friend bool operator==(const AttemptRecord&, const AttemptRecord&) = default;
 };
 
 /// Maximum number of congestion backoffs before a carrier-sense check gives
@@ -91,7 +94,7 @@ class Mac {
  public:
   using DoneCallback = std::function<void(const SendResult&)>;
   using DeliveryCallback = std::function<void(const DeliveryInfo&)>;
-  using AttemptCallback = std::function<void(const AttemptInfo&)>;
+  using AttemptCallback = std::function<void(const AttemptRecord&)>;
 
   Mac(const Mac&) = delete;
   Mac& operator=(const Mac&) = delete;

@@ -212,39 +212,23 @@ std::optional<double> TakeOptionalDouble(std::map<std::string, Value>& pairs,
   return NumberOf(*value, key);
 }
 
-int TakeInt(std::map<std::string, Value>& pairs, const std::string& key,
-            int fallback) {
+/// Reads an integer field of type T. `word` names the type in error
+/// replies: "integer" or "unsigned integer".
+template <typename T>
+T TakeInteger(std::map<std::string, Value>& pairs, const std::string& key,
+              T fallback, const char* word) {
   const auto value = Take(pairs, key);
   if (!value) return fallback;
   if (value->kind != Value::Kind::kNumber) {
-    throw ProtocolError("field '" + key + "' must be an integer");
+    throw ProtocolError("field '" + key + "' must be an " + word);
   }
-  int parsed{};
+  T parsed{};
   const char* begin = value->text.data();
   const char* end = begin + value->text.size();
   const auto [ptr, ec] = std::from_chars(begin, end, parsed);
   if (ec != std::errc() || ptr != end) {
-    throw ProtocolError("field '" + key + "' is not a valid integer ('" +
+    throw ProtocolError("field '" + key + "' is not a valid " + word + " ('" +
                         value->text + "')");
-  }
-  return parsed;
-}
-
-std::uint64_t TakeU64(std::map<std::string, Value>& pairs,
-                      const std::string& key, std::uint64_t fallback) {
-  const auto value = Take(pairs, key);
-  if (!value) return fallback;
-  if (value->kind != Value::Kind::kNumber) {
-    throw ProtocolError("field '" + key + "' must be an unsigned integer");
-  }
-  std::uint64_t parsed{};
-  const char* begin = value->text.data();
-  const char* end = begin + value->text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc() || ptr != end) {
-    throw ProtocolError("field '" + key +
-                        "' is not a valid unsigned integer ('" + value->text +
-                        "')");
   }
   return parsed;
 }
@@ -269,17 +253,18 @@ Request ParseWhatIf(std::map<std::string, Value>& pairs) {
   request.verb = Verb::kWhatIf;
   request.config.distance_m =
       TakeDouble(pairs, "distance_m", request.config.distance_m);
-  request.config.pa_level = TakeInt(pairs, "pa_level", request.config.pa_level);
+  request.config.pa_level =
+      TakeInteger(pairs, "pa_level", request.config.pa_level, "integer");
   request.config.max_tries =
-      TakeInt(pairs, "max_tries", request.config.max_tries);
+      TakeInteger(pairs, "max_tries", request.config.max_tries, "integer");
   request.config.retry_delay_ms =
       TakeDouble(pairs, "retry_delay_ms", request.config.retry_delay_ms);
-  request.config.queue_capacity =
-      TakeInt(pairs, "queue_capacity", request.config.queue_capacity);
+  request.config.queue_capacity = TakeInteger(
+      pairs, "queue_capacity", request.config.queue_capacity, "integer");
   request.config.pkt_interval_ms =
       TakeDouble(pairs, "pkt_interval_ms", request.config.pkt_interval_ms);
-  request.config.payload_bytes =
-      TakeInt(pairs, "payload_bytes", request.config.payload_bytes);
+  request.config.payload_bytes = TakeInteger(
+      pairs, "payload_bytes", request.config.payload_bytes, "integer");
   const std::string mac = TakeString(pairs, "mac", "csma");
   if (mac == "csma") {
     request.mac = node::MacKind::kCsma;
@@ -293,8 +278,8 @@ Request ParseWhatIf(std::map<std::string, Value>& pairs) {
   if (request.lpl_wakeup_ms <= 0.0) {
     throw ProtocolError("field 'lpl_wakeup_ms' must be > 0");
   }
-  request.seed = TakeU64(pairs, "seed", request.seed);
-  request.packets = TakeInt(pairs, "packets", request.packets);
+  request.seed = TakeInteger(pairs, "seed", request.seed, "unsigned integer");
+  request.packets = TakeInteger(pairs, "packets", request.packets, "integer");
   if (request.packets < 1 || request.packets > kMaxPackets) {
     throw ProtocolError("field 'packets' must be in [1, " +
                         std::to_string(kMaxPackets) + "]");

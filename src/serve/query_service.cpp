@@ -261,51 +261,38 @@ void QueryService::CountBusyRejected(std::uint64_t count) {
   busy_rejected_.fetch_add(count, std::memory_order_relaxed);
 }
 
-std::optional<std::string> QueryService::AnswerWithoutCompute(
-    const std::string& line, Request* request, std::string* key) {
+std::variant<std::string, Miss> QueryService::Lookup(const std::string& line) {
+  Miss miss;
   try {
-    *request = ParseRequest(line);
+    miss.request = ParseRequest(line);
   } catch (const ProtocolError& e) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
     return ErrorResponse(e.what());
   }
-  if (request->verb == Verb::kStats) {
+  if (miss.request.verb == Verb::kStats) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     return StatsResponse();
   }
-  *key = CanonicalKey(*request);
-  std::string cached = cache_.Lookup(*key);
-  if (cached.empty()) return std::nullopt;
+  miss.key = CanonicalKey(miss.request);
+  std::string cached = cache_.Lookup(miss.key);
+  if (cached.empty()) return miss;
   requests_.fetch_add(1, std::memory_order_relaxed);
   cache_hits_.fetch_add(1, std::memory_order_relaxed);
   return cached;
 }
 
-std::optional<std::string> QueryService::AnswerFromCache(
-    const std::string& line) {
-  Request request;
-  std::string key;
-  return AnswerWithoutCompute(line, &request, &key);
-}
-
-std::string QueryService::Answer(const std::string& line) {
-  Request request;
-  std::string key;
-  if (std::optional<std::string> reply =
-          AnswerWithoutCompute(line, &request, &key)) {
-    return *std::move(reply);
-  }
+std::string QueryService::Compute(const Miss& miss) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
 
   std::string payload;
   try {
-    if (request.verb == Verb::kWhatIf) {
-      payload = ComputeWhatIf(request);
+    if (miss.request.verb == Verb::kWhatIf) {
+      payload = ComputeWhatIf(miss.request);
       computed_what_if_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      payload = ComputeOptimize(request);
+      payload = ComputeOptimize(miss.request);
       computed_optimize_.fetch_add(1, std::memory_order_relaxed);
     }
   } catch (const std::exception& e) {
@@ -313,8 +300,16 @@ std::string QueryService::Answer(const std::string& line) {
     // (OOM, injected fault) must not become a sticky wrong answer.
     return ErrorResponse(std::string("compute failed: ") + e.what());
   }
-  StoreAndMaybePersist(key, payload);
+  StoreAndMaybePersist(miss.key, payload);
   return payload;
+}
+
+std::string QueryService::Answer(const std::string& line) {
+  std::variant<std::string, Miss> looked_up = Lookup(line);
+  if (std::string* reply = std::get_if<std::string>(&looked_up)) {
+    return std::move(*reply);
+  }
+  return Compute(std::get<Miss>(looked_up));
 }
 
 ServiceStats QueryService::Stats() const {

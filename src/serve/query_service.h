@@ -9,21 +9,22 @@
 // cache was cold or warm (cached payloads are the verbatim bytes the cold
 // computation produced).
 //
-// The answer path has two entry points. AnswerFromCache answers whatever
-// needs no computation (parse errors, stats, cache hits) and reports a
-// miss by returning nullopt; the server's poll loop calls it for every
-// line. Answer answers anything, computing a miss; the server runs it for
-// each miss on the process-wide pool (util::ThreadPool::Shared()), and
-// tests, the bench harness and the in-process client call it directly.
-// Both are thread-safe. The TCP layer (server.h) adds framing, reply
-// order and the concurrency limits.
+// The answer path is one lookup and one compute. Lookup parses a line and
+// answers whatever needs no computation (parse errors, stats, cache hits);
+// otherwise it returns the parsed request with its canonical key, the
+// Miss. Compute computes, stores and persists a Miss. Answer is the two in
+// sequence. The server's poll loop runs Lookup on every line and Compute
+// on each miss on the process-wide pool (util::ThreadPool::Shared()), so
+// no line is parsed or looked up twice; tests, the bench harness and the
+// in-process client call Answer. All three are thread-safe. The TCP layer
+// (server.h) adds framing, reply order and the concurrency limits.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <variant>
 
 #include "core/models/model_set.h"
 #include "core/opt/config_space.h"
@@ -69,6 +70,13 @@ struct ServiceStats {
   std::uint64_t cache_entries = 0;
 };
 
+/// A request Lookup could not answer: the parsed request and its
+/// canonical cache key, which names it from the socket to the cache file.
+struct Miss {
+  Request request;
+  std::string key;
+};
+
 class QueryService {
  public:
   /// Warms the cache from options.cache_path when set (tolerating any
@@ -81,17 +89,20 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Answers one request line. Total: every input yields exactly one
-  /// single-line reply — an ok/infeasible/stats payload or a structured
-  /// error. Never throws, never blocks on other requests' locks while
-  /// computing. Thread-safe.
+  /// Answers one request line: Compute(Lookup(line)) on a miss. Total:
+  /// every input yields exactly one single-line reply — an
+  /// ok/infeasible/stats payload or a structured error. Never throws, never
+  /// blocks on other requests' locks while computing. Thread-safe.
   [[nodiscard]] std::string Answer(const std::string& line);
 
-  /// Answer(line) when that computes nothing: a parse error, `stats` or a
-  /// cache hit, counted as Answer counts it. Returns nullopt on a miss and
-  /// counts nothing; Answer(line) then computes it. Thread-safe.
-  [[nodiscard]] std::optional<std::string> AnswerFromCache(
-      const std::string& line);
+  /// Parses `line` and returns its reply when that computes nothing (a
+  /// parse error, `stats` or a cache hit, counted as a request), else the
+  /// Miss, counted by nothing until Compute. Thread-safe.
+  [[nodiscard]] std::variant<std::string, Miss> Lookup(const std::string& line);
+
+  /// Counts, computes, stores and persists `miss`. A failed computation is
+  /// answered with an error and never cached. Thread-safe.
+  [[nodiscard]] std::string Compute(const Miss& miss);
 
   /// Records `count` misses the server rejected as busy (its max-inflight
   /// cap) so stats reflect them.
@@ -109,10 +120,6 @@ class QueryService {
   }
 
  private:
-  /// AnswerFromCache's body; on a miss it leaves the parsed request and
-  /// its canonical key in `request` and `key` for Answer.
-  [[nodiscard]] std::optional<std::string> AnswerWithoutCompute(
-      const std::string& line, Request* request, std::string* key);
   [[nodiscard]] std::string ComputeWhatIf(const Request& request) const;
   [[nodiscard]] std::string ComputeOptimize(const Request& request) const;
   [[nodiscard]] std::string StatsResponse() const;

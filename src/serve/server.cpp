@@ -13,6 +13,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
@@ -198,12 +199,14 @@ bool Server::ReadFrom(Connection& conn) {
 }
 
 void Server::Route(SlotRef slot, const std::string& line) {
-  if (std::optional<std::string> reply = service_.AnswerFromCache(line)) {
-    Fill(slot, *std::move(reply));
+  std::variant<std::string, Miss> looked_up = service_.Lookup(line);
+  if (std::string* reply = std::get_if<std::string>(&looked_up)) {
+    Fill(slot, std::move(*reply));
     return;
   }
-  if (const auto it = misses_.find(line); it != misses_.end()) {
-    it->second.push_back(slot);
+  Miss& miss = std::get<Miss>(looked_up);
+  if (const auto it = misses_.find(miss.key); it != misses_.end()) {
+    it->second.push_back({slot, line});
     return;
   }
   if (misses_.size() >= options_.max_inflight) {
@@ -211,8 +214,8 @@ void Server::Route(SlotRef slot, const std::string& line) {
     Fill(slot, ErrorResponse("busy: max inflight exceeded"));
     return;
   }
-  misses_.emplace(line, std::vector<SlotRef>{slot});
-  queued_.push_back(line);
+  misses_.emplace(miss.key, std::vector<Waiter>{{slot, {}}});
+  queued_.push_back(std::move(miss));
 }
 
 void Server::Fill(SlotRef slot, std::string reply) {
@@ -232,12 +235,12 @@ void Server::StartMisses() {
   const std::size_t limit = threads != 0 ? threads : pool.Workers();
   while (computing_ < limit && !queued_.empty()) {
     ++computing_;
-    pool.Submit([this, line = std::move(queued_.front())]() mutable {
-      std::string reply = service_.Answer(line);
+    pool.Submit([this, miss = std::move(queued_.front())]() mutable {
+      std::string reply = service_.Compute(miss);
       // The task's last touch of the server: Run may return, and the
       // server go, as soon as this lock is released.
       const std::lock_guard<std::mutex> lock(finished_mutex_);
-      finished_.push_back({std::move(line), std::move(reply)});
+      finished_.push_back({std::move(miss.key), std::move(reply)});
       Wake();
       finished_cv_.notify_one();
     });
@@ -253,13 +256,13 @@ void Server::FinishMisses() {
   }
   for (Finished& done : finished) {
     --computing_;
-    auto node = misses_.extract(done.line);
-    const std::vector<SlotRef>& waiting = node.mapped();
-    Fill(waiting.front(), std::move(done.reply));
+    auto node = misses_.extract(done.key);
+    const std::vector<Waiter>& waiting = node.mapped();
+    Fill(waiting.front().slot, std::move(done.reply));
     // Copies that waited are answered from the cache the miss just
     // filled; a failed computation is not cached, so they make a new one.
     for (std::size_t i = 1; i < waiting.size(); ++i) {
-      Route(waiting[i], done.line);
+      Route(waiting[i].slot, waiting[i].line);
     }
   }
 }

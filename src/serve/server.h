@@ -4,9 +4,9 @@
 // The loop frames newline-delimited request lines out of each
 // connection's byte stream (protocol.h ExtractCompleteLines). Each line
 // takes the next reply slot in its connection's FIFO as it is read.
-// QueryService::AnswerFromCache fills the slot at once for a hit, `stats`
-// or a parse error. A miss goes to the process-wide pool
-// (util::ThreadPool::Shared()), where QueryService::Answer computes,
+// QueryService::Lookup fills the slot at once for a hit, `stats` or a
+// parse error. A miss goes, parsed and keyed, to the process-wide pool
+// (util::ThreadPool::Shared()), where QueryService::Compute computes,
 // stores and persists it; the task then posts its reply and writes a byte
 // to the wake pipe. After each poll cycle the loop moves each
 // connection's filled prefix of slots to its output, so replies leave in
@@ -18,12 +18,12 @@
 // Concurrency model: one loop thread owns every connection, slot and
 // queue; pool tasks touch only the service and the finished-miss list.
 // At most ServiceOptions::threads misses compute at once (0 = the pool's
-// width); the others wait in a FIFO. `max_inflight` caps the distinct
-// misses queued or computing, and a miss past it is answered with a
-// structured busy error. A line identical to a miss already queued or
-// computing waits for it and is then answered from the cache, so it
-// computes once. The server starts no thread of its own: the pool the
-// sweeps use starts with the first miss.
+// width); the others wait in a FIFO. Misses are named by canonical key:
+// `max_inflight` caps the distinct keys queued or computing, and a miss
+// past it is answered with a structured busy error. A line whose key is
+// already queued or computing, however it is spelled, waits for it and is
+// then answered from the cache, so it computes once. The server starts no
+// thread of its own: the pool the sweeps use starts with the first miss.
 //
 // There is no wall clock anywhere in this layer: poll() blocks until
 // bytes, a finished miss or a stop wakeup arrive (infinite timeout), and
@@ -51,8 +51,8 @@ namespace wsnlink::serve {
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see Port()).
   std::uint16_t port = 0;
-  /// Most distinct misses queued or computing at once; a miss past it is
-  /// answered with a busy error (counted in ServiceStats::busy_rejected).
+  /// Most distinct miss keys queued or computing at once; a miss past it
+  /// gets a busy error (counted in ServiceStats::busy_rejected).
   /// Hits, `stats` and parse errors are never rejected.
   std::size_t max_inflight = 64;
   /// Crash-drill hook: once this many replies are queued for the wire,
@@ -113,9 +113,15 @@ class Server {
     bool eof = false;
   };
 
-  /// A miss a pool task computed.
-  struct Finished {
+  /// A slot waiting for a miss, with its own line to route once it ends.
+  struct Waiter {
+    SlotRef slot;
     std::string line;
+  };
+
+  /// A miss a pool task computed, by canonical key.
+  struct Finished {
+    std::string key;
     std::string reply;
   };
 
@@ -124,7 +130,7 @@ class Server {
   /// when the connection must be closed.
   bool ReadFrom(Connection& conn);
   /// Answers the line in `slot` from the cache or makes it wait for its
-  /// miss (queued, unless that miss is already queued or computing).
+  /// miss (queued, unless its key is already queued or computing).
   void Route(SlotRef slot, const std::string& line);
   /// Fills `slot`; drops the reply if its connection has closed.
   void Fill(SlotRef slot, std::string reply);
@@ -155,11 +161,11 @@ class Server {
   std::uint64_t answered_ = 0;
   std::uint64_t next_connection_id_ = 0;
   std::vector<Connection> connections_;
-  /// Each miss queued or computing, by line: the slots waiting for it,
-  /// the one that made it first.
-  std::map<std::string, std::vector<SlotRef>> misses_;
+  /// Each miss queued or computing, by canonical key: the slots waiting
+  /// for it, the one that made it first.
+  std::map<std::string, std::vector<Waiter>> misses_;
   /// Misses not yet handed to the pool, oldest first.
-  std::deque<std::string> queued_;
+  std::deque<Miss> queued_;
   /// Misses handed to the pool whose replies FinishMisses has not taken.
   std::size_t computing_ = 0;
 

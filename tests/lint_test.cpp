@@ -12,6 +12,7 @@
 //     if either mutation lands in the tree.
 #include "rules.h"
 #include "runner.h"
+#include "source_tree.h"
 
 #include <gtest/gtest.h>
 
@@ -176,11 +177,11 @@ TEST(Lint, AllowDirectiveSuppressesAndIsChecked) {
 }
 
 TEST(Lint, FixtureDirsAreExcludedFromTreeScans) {
-  EXPECT_TRUE(wsnlint::IsExcluded("tests/lint_fixtures/src/bad_header.h"));
-  EXPECT_TRUE(wsnlint::IsExcluded("tests/golden/contention_n1.csv"));
-  EXPECT_TRUE(wsnlint::IsExcluded("build/foo.cpp"));
-  EXPECT_FALSE(wsnlint::IsExcluded("tests/lint_test.cpp"));
-  EXPECT_FALSE(wsnlint::IsExcluded("src/sim/simulator.cpp"));
+  EXPECT_TRUE(analysis::IsExcluded("tests/lint_fixtures/src/bad_header.h"));
+  EXPECT_TRUE(analysis::IsExcluded("tests/golden/contention_n1.csv"));
+  EXPECT_TRUE(analysis::IsExcluded("build/foo.cpp"));
+  EXPECT_FALSE(analysis::IsExcluded("tests/lint_test.cpp"));
+  EXPECT_FALSE(analysis::IsExcluded("src/sim/simulator.cpp"));
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ struct BasicHarness {
   MacType mac;
   std::optional<SendResult> result;
   std::vector<DeliveryInfo> deliveries;
-  std::vector<AttemptInfo> attempts;
+  std::vector<AttemptRecord> attempts;
 
   /// A non-null `medium` is joined as node 0, which selects the MAC's
   /// event driver.
@@ -56,7 +56,7 @@ struct BasicHarness {
     mac.SetDeliveryCallback(
         [this](const DeliveryInfo& info) { deliveries.push_back(info); });
     mac.SetAttemptCallback(
-        [this](const AttemptInfo& info) { attempts.push_back(info); });
+        [this](const AttemptRecord& r) { attempts.push_back(r); });
   }
 
   void SendAndRun(int payload) {

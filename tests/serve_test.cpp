@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -208,19 +209,29 @@ TEST(ServeService, BatchOfIdenticalWhatIfLinesComputesOnce) {
   EXPECT_EQ(stats.cache_hits, 3u);
 }
 
-TEST(ServeService, AnswerFromCacheAnswersOnlyWhatNeedsNoCompute) {
+TEST(ServeService, LookupAnswersOnlyWhatNeedsNoCompute) {
   QueryService service(ServiceOptions{});
-  EXPECT_FALSE(service.AnswerFromCache(kWhatIfLine).has_value());
+  const auto miss = service.Lookup(kWhatIfLine);
+  ASSERT_TRUE(std::holds_alternative<serve::Miss>(miss));
   EXPECT_EQ(service.Stats().requests, 0u);  // a miss counts nothing
+  EXPECT_EQ(std::get<serve::Miss>(miss).key,
+            CanonicalKey(ParseRequest(kWhatIfLine)));
 
-  const std::string computed = service.Answer(kWhatIfLine);
-  EXPECT_EQ(service.AnswerFromCache(kWhatIfLine), computed);
-  const auto error = service.AnswerFromCache("not json");
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->find("{\"status\":\"error\""), 0u) << *error;
-  const auto stats_reply = service.AnswerFromCache("{\"verb\":\"stats\"}");
-  ASSERT_TRUE(stats_reply.has_value());
-  EXPECT_NE(stats_reply->find("\"verb\":\"stats\""), std::string::npos);
+  // Compute of the returned miss gives the bytes Answer gives.
+  const std::string computed = service.Compute(std::get<serve::Miss>(miss));
+  QueryService fresh(ServiceOptions{});
+  EXPECT_EQ(computed, fresh.Answer(kWhatIfLine));
+
+  const auto hit = service.Lookup(kWhatIfLine);
+  ASSERT_TRUE(std::holds_alternative<std::string>(hit));
+  EXPECT_EQ(std::get<std::string>(hit), computed);
+  const auto error = service.Lookup("not json");
+  ASSERT_TRUE(std::holds_alternative<std::string>(error));
+  EXPECT_EQ(std::get<std::string>(error).find("{\"status\":\"error\""), 0u);
+  const auto stats_reply = service.Lookup("{\"verb\":\"stats\"}");
+  ASSERT_TRUE(std::holds_alternative<std::string>(stats_reply));
+  EXPECT_NE(std::get<std::string>(stats_reply).find("\"verb\":\"stats\""),
+            std::string::npos);
 
   const auto stats = service.Stats();
   EXPECT_EQ(stats.requests, 4u);
@@ -544,6 +555,35 @@ TEST(ServeServer, IdenticalMissesInFlightComputeOnce) {
   EXPECT_EQ(stats.computed_what_if, 1u);
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits, kClients - 1);
+}
+
+// Two spellings of one request pipelined while the first computes: the
+// server names misses by canonical key, so the second waits for the first
+// and is answered from the cache with the same bytes.
+TEST(ServeServer, DifferentSpellingsInFlightComputeOnce) {
+  ServiceOptions options;
+  options.threads = 0;
+  QueryService service(options);
+  RunningServer running(service, serve::ServerOptions{});
+
+  const std::string miss = SlowMiss(2'000);
+  const std::string respelled =
+      "{ \"seed\": 11 ,  \"packets\": 2000, \"pkt_interval_ms\": 2000,"
+      "  \"lpl_wakeup_ms\": 1000, \"mac\": \"lpl\",  \"verb\": \"what_if\" }";
+  ASSERT_EQ(CanonicalKey(ParseRequest(miss)),
+            CanonicalKey(ParseRequest(respelled)));
+
+  TestClient client(running.server.Port());
+  client.Send(miss + "\n" + respelled + "\n");
+  const std::string first = client.ReadLine();
+  const std::string second = client.ReadLine();
+
+  EXPECT_EQ(first.find("{\"status\":\"ok\",\"verb\":\"what_if\""), 0u) << first;
+  EXPECT_EQ(second, first);
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.computed_what_if, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
 }
 
 // A peer that resets while its misses compute: their replies are dropped,

@@ -201,7 +201,7 @@ Meta ReadMeta(const std::string& body) {
 
 TEST(Static, ListRulesCoversEveryFamily) {
   std::vector<std::string> ids;
-  for (const wsnstatic::RuleInfo& rule : wsnstatic::Rules()) {
+  for (const analysis::RuleInfo& rule : wsnstatic::Rules()) {
     ids.push_back(rule.id);
   }
   for (const char* expected : {"serdes-complete", "hot-path-transitive",

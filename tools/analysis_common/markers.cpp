@@ -56,14 +56,14 @@ std::vector<Marker> ParseMarkers(const std::string& tool,
 
 std::vector<Allow> ParseAllows(
     const std::string& tool, const std::string& path,
-    const std::vector<Comment>& comments,
-    const std::function<bool(const std::string&)>& is_known_rule,
+    const std::vector<Comment>& comments, const std::vector<RuleInfo>& rules,
     std::vector<Finding>* out) {
   std::vector<Allow> allows;
   for (const Marker& marker : ParseMarkers(tool, comments)) {
     if (marker.verb != "allow" || marker.ids.empty()) continue;
     for (const std::string& id : marker.ids) {
-      if (!is_known_rule(id)) {
+      if (std::none_of(rules.begin(), rules.end(),
+                       [&](const RuleInfo& rule) { return rule.id == id; })) {
         out->push_back({path, marker.line, "allow-directive",
                         "unknown rule id '" + id + "' in " + tool + ":allow"});
         continue;

@@ -14,7 +14,6 @@
 // report identical diagnostics for malformed or stale directives.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,12 @@ struct Finding {
   int line = 0;
   std::string rule;  // rule id, e.g. "no-wallclock"
   std::string message;
+};
+
+/// Static description of one rule, as `--list-rules` prints it.
+struct RuleInfo {
+  std::string id;
+  std::string summary;
 };
 
 /// One parsed marker directive. `ids` holds the comma-separated arguments
@@ -57,13 +62,12 @@ struct Allow {
 };
 
 /// Parses `<tool>:allow(rule[, rule...]): reason` directives out of
-/// `comments`. Unknown rule ids (per `is_known_rule`) and missing
-/// justifications are reported into `out` under the `allow-directive`
-/// pseudo-rule, with messages byte-identical to historical wsnlint output.
+/// `comments`. Rule ids not in `rules` and missing justifications are
+/// reported into `out` under the `allow-directive` pseudo-rule, with
+/// messages byte-identical to historical wsnlint output.
 [[nodiscard]] std::vector<Allow> ParseAllows(
     const std::string& tool, const std::string& path,
-    const std::vector<Comment>& comments,
-    const std::function<bool(const std::string&)>& is_known_rule,
+    const std::vector<Comment>& comments, const std::vector<RuleInfo>& rules,
     std::vector<Finding>* out);
 
 /// Drops findings suppressed by a matching allow (marking it used), then

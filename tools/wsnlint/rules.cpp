@@ -1,6 +1,5 @@
 #include "rules.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <regex>
 #include <utility>
@@ -248,16 +247,10 @@ const std::vector<RuleInfo>& Rules() {
   return kRules;
 }
 
-bool IsKnownRule(const std::string& id) {
-  const auto& rules = Rules();
-  return std::any_of(rules.begin(), rules.end(),
-                     [&](const RuleInfo& r) { return r.id == id; });
-}
-
 std::vector<Finding> CheckFile(const FileContext& ctx) {
   std::vector<Finding> kept;
   std::vector<analysis::Allow> allows = analysis::ParseAllows(
-      "wsnlint", ctx.path, ctx.scan.comments, IsKnownRule, &kept);
+      "wsnlint", ctx.path, ctx.scan.comments, Rules(), &kept);
 
   std::vector<Finding> raw;
   CheckWallclock(ctx, &raw);

@@ -29,6 +29,7 @@ using analysis::ScanResult;
 using analysis::ScanSource;
 using analysis::SplitLines;
 using Finding = analysis::Finding;
+using RuleInfo = analysis::RuleInfo;
 
 /// Everything a rule needs to inspect one file.
 struct FileContext {
@@ -41,17 +42,8 @@ struct FileContext {
   [[nodiscard]] bool IsHeader() const;
 };
 
-/// Static description of one rule.
-struct RuleInfo {
-  std::string id;
-  std::string summary;
-};
-
 /// All registered rules, in reporting order.
 [[nodiscard]] const std::vector<RuleInfo>& Rules();
-
-/// True if `id` names a registered rule.
-[[nodiscard]] bool IsKnownRule(const std::string& id);
 
 /// Runs every rule over one file and returns the findings, with file-scope
 /// `wsnlint:allow` directives applied. Directive problems (missing

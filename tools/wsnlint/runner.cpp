@@ -1,82 +1,23 @@
 #include "runner.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "source_tree.h"
+
 namespace wsnlint {
-namespace {
-
-namespace fs = std::filesystem;
-
-bool HasSourceExtension(const fs::path& path) {
-  const std::string ext = path.extension().string();
-  return ext == ".h" || ext == ".cpp" || ext == ".cc";
-}
-
-std::string ReadFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("wsnlint: cannot read " + path.string());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-// '/'-separated path relative to root, for stable cross-platform output.
-std::string RelativePath(const fs::path& path, const fs::path& root) {
-  return fs::relative(path, root).generic_string();
-}
-
-}  // namespace
-
-bool IsExcluded(const std::string& relative_path) {
-  static const std::vector<std::string> kExcludedParts = {
-      "lint_fixtures",    // violation corpus for the lint golden test
-      "static_fixtures",  // violation corpus for the wsnstatic golden test
-      "golden",           // checked-in expected outputs, not code
-      ".git",
-  };
-  for (const std::string& part : kExcludedParts) {
-    if (relative_path.find(part) != std::string::npos) return true;
-  }
-  // Out-of-source build trees checked out under the repo root.
-  return relative_path.rfind("build", 0) == 0;
-}
 
 RunResult Run(const Options& options) {
-  const fs::path root = fs::absolute(options.root);
-  std::vector<std::string> roots = options.paths;
-  if (roots.empty()) roots = {"src", "bench", "examples", "tests", "tools"};
-
-  std::vector<fs::path> files;
-  for (const std::string& entry : roots) {
-    const fs::path path = root / entry;
-    if (fs::is_regular_file(path)) {
-      files.push_back(path);
-    } else if (fs::is_directory(path)) {
-      for (const auto& item : fs::recursive_directory_iterator(path)) {
-        if (item.is_regular_file() && HasSourceExtension(item.path())) {
-          files.push_back(item.path());
-        }
-      }
-    } else {
-      throw std::runtime_error("wsnlint: no such file or directory: " +
-                               path.string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-
   RunResult result;
-  for (const fs::path& file : files) {
-    const std::string rel = RelativePath(file, root);
-    if (IsExcluded(rel)) continue;
-    std::string content = ReadFile(file);
+  for (auto& [path, content] : analysis::ReadSourceTree(
+           "wsnlint", options.root, options.paths,
+           {"src", "bench", "examples", "tests", "tools"})) {
     if (options.fix) {
-      const std::string fixed = ApplyFixes(rel, content);
+      const std::string fixed = ApplyFixes(path, content);
       if (fixed != content) {
+        const std::filesystem::path file =
+            std::filesystem::absolute(options.root) / path;
         std::ofstream out(file, std::ios::binary | std::ios::trunc);
         out << fixed;
         if (!out) {
@@ -86,7 +27,7 @@ RunResult Run(const Options& options) {
         ++result.files_fixed;
       }
     }
-    std::vector<Finding> findings = CheckSource(rel, content);
+    std::vector<Finding> findings = CheckSource(path, content);
     result.findings.insert(result.findings.end(),
                            std::make_move_iterator(findings.begin()),
                            std::make_move_iterator(findings.end()));

@@ -1,7 +1,7 @@
-// Filesystem driver for wsnlint: walks the requested directories, builds a
-// FileContext per C++ source file, and aggregates findings. Kept separate
-// from rules.cpp so tests can lint in-memory snippets without touching disk
-// and so the CLI stays a thin shell.
+// Filesystem driver for wsnlint: reads the requested files through the
+// shared walker (source_tree.h), lints each one, and aggregates findings.
+// Kept separate from rules.cpp so tests can lint in-memory snippets without
+// touching disk and so the CLI stays a thin shell.
 #pragma once
 
 #include <string>
@@ -29,13 +29,9 @@ struct RunResult {
   int files_fixed = 0;
 };
 
-/// True if `relative_path` is excluded from scanning: lint-rule fixtures
-/// (which contain violations on purpose), golden files, build trees, and
-/// version-control internals.
-[[nodiscard]] bool IsExcluded(const std::string& relative_path);
-
-/// Lints (and with `options.fix` rewrites) every matching file.
-/// Throws std::runtime_error when a requested path does not exist.
+/// Lints (and with `options.fix` rewrites) every file the shared walker
+/// (analysis::ReadSourceTree) reads. Throws std::runtime_error when a
+/// requested path does not exist.
 [[nodiscard]] RunResult Run(const Options& options);
 
 }  // namespace wsnlint

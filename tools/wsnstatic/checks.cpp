@@ -1,6 +1,5 @@
 #include "checks.h"
 
-#include <algorithm>
 #include <map>
 #include <regex>
 #include <set>
@@ -447,8 +446,8 @@ void ReportTransientProblems(const TransientMap& transients,
 
 }  // namespace
 
-const std::vector<RuleInfo>& Rules() {
-  static const std::vector<RuleInfo> kRules = {
+const std::vector<analysis::RuleInfo>& Rules() {
+  static const std::vector<analysis::RuleInfo> kRules = {
       {"serdes-complete",
        "every field of a struct registered via wsnstatic:serdes(Struct, "
        "WriteFn, ReadFn) is written by WriteFn and read back by ReadFn"},
@@ -465,12 +464,6 @@ const std::vector<RuleInfo>& Rules() {
        "experiment/validate < serve"},
   };
   return kRules;
-}
-
-bool IsKnownRule(const std::string& id) {
-  const auto& rules = Rules();
-  return std::any_of(rules.begin(), rules.end(),
-                     [&](const RuleInfo& r) { return r.id == id; });
 }
 
 const std::vector<LayerEscape>& LayerEscapes() {
@@ -498,7 +491,7 @@ std::vector<Finding> CheckIndex(const Index& index) {
   std::vector<Finding> kept;
   for (const SourceFile& file : index.files) {
     std::vector<analysis::Allow> allows = analysis::ParseAllows(
-        "wsnstatic", file.path, file.scan.comments, IsKnownRule, &kept);
+        "wsnstatic", file.path, file.scan.comments, Rules(), &kept);
     auto it = by_file.find(file.path);
     std::vector<Finding> file_findings;
     if (it != by_file.end()) file_findings = std::move(it->second);

@@ -27,16 +27,8 @@
 
 namespace wsnstatic {
 
-struct RuleInfo {
-  std::string id;
-  std::string summary;
-};
-
 /// All registered rules, in reporting order.
-[[nodiscard]] const std::vector<RuleInfo>& Rules();
-
-/// True if `id` names a registered rule.
-[[nodiscard]] bool IsKnownRule(const std::string& id);
+[[nodiscard]] const std::vector<analysis::RuleInfo>& Rules();
 
 /// One named upward edge tolerated by the layer-dag rule.
 struct LayerEscape {

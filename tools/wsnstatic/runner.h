@@ -1,7 +1,8 @@
-// Filesystem driver for wsnstatic: walks the requested directories, builds
-// the cross-TU Index, and runs the rule families. Kept separate from
-// checks.cpp so tests can analyze in-memory file sets without touching
-// disk and so the CLI stays a thin shell.
+// Filesystem driver for wsnstatic: reads the requested files through the
+// shared walker (source_tree.h), builds the cross-TU Index, and runs the
+// rule families. Kept separate from checks.cpp so tests can analyze
+// in-memory file sets without touching disk and so the CLI stays a thin
+// shell.
 #pragma once
 
 #include <string>
@@ -32,16 +33,12 @@ struct RunResult {
   std::string inventory;
 };
 
-/// True if `relative_path` is excluded from scanning (fixture corpora,
-/// golden files, build trees, version-control internals).
-[[nodiscard]] bool IsExcluded(const std::string& relative_path);
-
 /// Analyzes an in-memory file set (exposed for tests/mutation drills).
 [[nodiscard]] RunResult Check(
     std::vector<std::pair<std::string, std::string>> sources);
 
-/// Walks the filesystem and analyzes every matching file.
-/// Throws std::runtime_error when a requested path does not exist.
+/// Analyzes every file the shared walker (analysis::ReadSourceTree)
+/// reads. Throws std::runtime_error when a requested path does not exist.
 [[nodiscard]] RunResult Run(const Options& options);
 
 }  // namespace wsnstatic

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   }
 
   if (list_rules) {
-    for (const wsnstatic::RuleInfo& rule : wsnstatic::Rules()) {
+    for (const analysis::RuleInfo& rule : wsnstatic::Rules()) {
       std::printf("%-20s %s\n", rule.id.c_str(), rule.summary.c_str());
     }
     return 0;
