@@ -74,7 +74,8 @@ class SocketSession {
     wire += '\n';
     std::size_t sent = 0;
     while (sent < wire.size()) {
-      const ssize_t n = ::send(fd_, wire.data() + sent, wire.size() - sent, 0);
+      const ssize_t n = ::send(fd_, wire.data() + sent, wire.size() - sent,
+                               MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         throw std::runtime_error("client: send failed");
@@ -191,26 +192,34 @@ int main(int argc, char** argv) {
 
     std::vector<RunResult> per_client(static_cast<std::size_t>(clients));
     {
+      // A session's error (a refused connect, a daemon gone mid-trace) is
+      // carried out of its thread and reported like any other.
+      std::vector<std::exception_ptr> errors(per_client.size());
       std::vector<std::thread> threads;
-      for (int c = 0; c < clients; ++c) {
+      for (std::size_t c = 0; c < per_client.size(); ++c) {
         threads.emplace_back([&, c] {
-          if (inprocess) {
-            per_client[static_cast<std::size_t>(c)] =
-                Replay(trace, repeat,
-                       [&](const std::string& line) {
-                         return local->Answer(line);
-                       });
-          } else {
-            SocketSession session(host, port);
-            per_client[static_cast<std::size_t>(c)] =
-                Replay(trace, repeat,
-                       [&](const std::string& line) {
-                         return session.RoundTrip(line);
-                       });
+          try {
+            if (inprocess) {
+              per_client[c] = Replay(trace, repeat,
+                                     [&](const std::string& line) {
+                                       return local->Answer(line);
+                                     });
+            } else {
+              SocketSession session(host, port);
+              per_client[c] = Replay(trace, repeat,
+                                     [&](const std::string& line) {
+                                       return session.RoundTrip(line);
+                                     });
+            }
+          } catch (...) {
+            errors[c] = std::current_exception();
           }
         });
       }
       for (std::thread& t : threads) t.join();
+      for (const std::exception_ptr& error : errors) {
+        if (error) std::rethrow_exception(error);
+      }
     }
 
     // Golden capture uses client 0 (with --clients 1 that is everything).

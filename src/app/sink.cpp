@@ -2,10 +2,8 @@
 
 namespace wsnlink::app {
 
-PacketSink::PacketSink(std::vector<std::uint8_t>& seen,
-                       std::vector<ReceptionRecord>& receptions)
-    : seen_(seen), receptions_(receptions) {
-  seen_.clear();
+PacketSink::PacketSink(std::vector<ReceptionRecord>& receptions)
+    : receptions_(receptions) {
   receptions_.clear();
 }
 
@@ -18,19 +16,10 @@ void PacketSink::AttachTrace(const trace::TraceContext& ctx) {
 }
 
 void PacketSink::Reserve(std::size_t packet_count) {
-  seen_.reserve(packet_count + 1);
   receptions_.reserve(packet_count);
 }
 
-bool PacketSink::MarkSeen(std::uint64_t packet_id) {
-  if (packet_id >= seen_.size()) seen_.resize(packet_id + 1, 0);
-  const bool fresh = seen_[packet_id] == 0;
-  seen_[packet_id] = 1;
-  if (fresh) ++unique_count_;
-  return fresh;
-}
-
-void PacketSink::OnDelivery(const mac::DeliveryInfo& info) {
+void PacketSink::OnDelivery(const mac::DeliveryInfo& info, bool first_copy) {
   ReceptionRecord record;
   record.packet_id = info.packet_id;
   record.payload_bytes = info.payload_bytes;
@@ -38,10 +27,9 @@ void PacketSink::OnDelivery(const mac::DeliveryInfo& info) {
   record.rssi_dbm = info.rssi_dbm;
   record.snr_db = info.snr_db;
   record.lqi = info.lqi;
-
-  const bool fresh = MarkSeen(info.packet_id);
-  record.duplicate = !fresh;
-  if (fresh) {
+  record.duplicate = !first_copy;
+  if (first_copy) {
+    ++unique_count_;
     unique_bytes_ += static_cast<std::uint64_t>(info.payload_bytes);
     last_at_ = info.received_at;
     if (counters_ != nullptr) counters_->Add(id_rx_unique_);

@@ -1,6 +1,7 @@
 // Receiver-side application sink.
 //
-// Counts unique deliveries (suppressing duplicates caused by lost ACKs),
+// Counts unique deliveries and the duplicates caused by lost ACKs (the link
+// layer, whose packet log knows each packet's first delivery, flags them),
 // accumulates goodput bytes and records per-reception channel readings —
 // the receiver mote's half of the paper's per-packet logging.
 #pragma once
@@ -29,22 +30,20 @@ struct ReceptionRecord {
 /// Collects deliveries; wire its OnDelivery into the link layer.
 class PacketSink {
  public:
-  /// The duplicate-suppression table and the reception log live in the
-  /// caller's `seen` and `receptions` (cleared here, capacity kept, so a
-  /// reused worker fills warm heap blocks); both must outlive the sink.
-  PacketSink(std::vector<std::uint8_t>& seen,
-             std::vector<ReceptionRecord>& receptions);
+  /// The reception log lives in the caller's `receptions` (cleared here,
+  /// capacity kept, so a reused worker fills warm heap blocks), which must
+  /// outlive the sink.
+  explicit PacketSink(std::vector<ReceptionRecord>& receptions);
 
-  /// Handles one decoded copy.
-  void OnDelivery(const mac::DeliveryInfo& info);
+  /// Handles one decoded copy; `first_copy` is false for a duplicate.
+  void OnDelivery(const mac::DeliveryInfo& info, bool first_copy);
 
   /// Attaches observability sinks (the "app.rx_unique" / "app.rx_duplicates"
   /// counters; the sink emits no events of its own — deliveries are traced
   /// at the link layer).
   void AttachTrace(const trace::TraceContext& ctx);
 
-  /// Pre-sizes the reception log and the duplicate-suppression table (ids
-  /// are sequential per run, so the caller knows both bounds up front).
+  /// Pre-sizes the reception log for `packet_count` packets.
   void Reserve(std::size_t packet_count);
 
   /// Unique packets received.
@@ -78,10 +77,6 @@ class PacketSink {
   }
 
  private:
-  /// Duplicate suppression: packet ids are small sequential integers, so a
-  /// dense byte-per-id table beats a hash set on the delivery hot path.
-  [[nodiscard]] bool MarkSeen(std::uint64_t packet_id);
-  std::vector<std::uint8_t>& seen_;           // borrowed
   std::vector<ReceptionRecord>& receptions_;  // borrowed
   std::size_t unique_count_ = 0;
   std::uint64_t duplicates_ = 0;

@@ -33,13 +33,14 @@ void TrafficGenerator::Start() {
 }
 
 void TrafficGenerator::Emit() {
+  const auto packet_id = static_cast<std::uint64_t>(generated_) + 1;
   if (counters_ != nullptr) counters_->Add(id_generated_);
   if (tracer_ != nullptr) {
     tracer_->Emit({sim_.Now(), trace::EventType::kPacketGenerated,
-                   trace::Layer::kApp, next_id_, params_.payload_bytes, 0,
+                   trace::Layer::kApp, packet_id, params_.payload_bytes, 0,
                    0.0, node_});
   }
-  link_.Accept(next_id_++, params_.payload_bytes);
+  link_.Accept(packet_id, params_.payload_bytes);
   ++generated_;
   if (Done()) return;
 

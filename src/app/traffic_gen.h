@@ -44,16 +44,13 @@ class TrafficGenerator {
   /// "app.packets_generated" counter). Call before Start().
   void AttachTrace(const trace::TraceContext& ctx);
 
-  /// Packets generated so far.
+  /// Packets generated so far (packet ids run 1, 2, 3, ...).
   [[nodiscard]] int Generated() const noexcept { return generated_; }
 
   /// True once all packets have been generated.
   [[nodiscard]] bool Done() const noexcept {
     return generated_ >= params_.packet_count;
   }
-
-  /// First generated packet id (ids are sequential from here).
-  [[nodiscard]] std::uint64_t FirstPacketId() const noexcept { return 1; }
 
  private:
   void Emit();
@@ -63,7 +60,6 @@ class TrafficGenerator {
   TrafficParams params_;
   util::Rng rng_;
   int generated_ = 0;
-  std::uint64_t next_id_ = 1;
 
   // Observability (null = off).
   trace::Tracer* tracer_ = nullptr;

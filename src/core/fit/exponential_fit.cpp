@@ -1,7 +1,6 @@
 #include "core/fit/exponential_fit.h"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "core/fit/gauss_newton.h"
 #include "util/stats.h"
@@ -45,42 +44,6 @@ std::optional<ScaledExpFitResult> FitScaledExponential(
   result.coefficients.a = refined.params[0];
   result.coefficients.b = refined.params[1];
   result.rmse = std::sqrt(refined.sse / static_cast<double>(all.size()));
-  return result;
-}
-
-std::optional<ExpFitResult> FitExponential(std::span<const double> xs,
-                                           std::span<const double> ys) {
-  if (xs.size() != ys.size()) {
-    throw std::invalid_argument("FitExponential: size mismatch");
-  }
-  std::vector<double> lx;
-  std::vector<double> lz;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (ys[i] > 0.0) {
-      lx.push_back(xs[i]);
-      lz.push_back(std::log(ys[i]));
-    }
-  }
-  if (lx.size() < 3) return std::nullopt;
-  const auto line = util::FitLine(lx, lz);
-  if (!line) return std::nullopt;
-
-  std::vector<double> all_x(xs.begin(), xs.end());
-  std::vector<double> all_y(ys.begin(), ys.end());
-  const ResidualFn residuals = [&all_x, &all_y](std::span<const double> p,
-                                                std::span<double> out) {
-    for (std::size_t i = 0; i < all_x.size(); ++i) {
-      out[i] = p[0] * std::exp(p[1] * all_x[i]) - all_y[i];
-    }
-  };
-  const auto refined = Minimize(
-      residuals, {std::exp(line->intercept), line->slope}, all_x.size());
-
-  ExpFitResult result;
-  result.a = refined.params[0];
-  result.b = refined.params[1];
-  result.rmse = std::sqrt(refined.sse / static_cast<double>(all_x.size()));
-  result.log_r_squared = line->r_squared;
   return result;
 }
 

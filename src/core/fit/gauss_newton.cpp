@@ -35,6 +35,14 @@ void SolveLinearSystem(std::vector<std::vector<double>>& a,
 
 namespace {
 
+constexpr int kMaxIterations = 100;
+/// Stop when the relative SSE improvement falls below this.
+constexpr double kTolerance = 1e-10;
+/// Initial Levenberg damping factor.
+constexpr double kInitialLambda = 1e-3;
+/// Relative step for numeric (forward-difference) Jacobians.
+constexpr double kJacobianStep = 1e-6;
+
 double SumSquares(std::span<const double> v) noexcept {
   double acc = 0.0;
   for (const double x : v) acc += x * x;
@@ -45,8 +53,7 @@ double SumSquares(std::span<const double> v) noexcept {
 
 GaussNewtonResult Minimize(const ResidualFn& residuals,
                            std::vector<double> initial,
-                           std::size_t residual_count,
-                           const GaussNewtonOptions& options) {
+                           std::size_t residual_count) {
   if (initial.empty()) {
     throw std::invalid_argument("Minimize: at least one parameter required");
   }
@@ -65,15 +72,14 @@ GaussNewtonResult Minimize(const ResidualFn& residuals,
   residuals(result.params, r);
   result.sse = SumSquares(r);
 
-  double lambda = options.initial_lambda;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  double lambda = kInitialLambda;
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter + 1;
 
     // Numeric forward-difference Jacobian.
     for (std::size_t j = 0; j < np; ++j) {
       std::vector<double> perturbed = result.params;
-      const double step =
-          options.jacobian_step * (std::abs(perturbed[j]) + 1e-8);
+      const double step = kJacobianStep * (std::abs(perturbed[j]) + 1e-8);
       perturbed[j] += step;
       residuals(perturbed, r_perturbed);
       for (std::size_t i = 0; i < nr; ++i) {
@@ -119,7 +125,7 @@ GaussNewtonResult Minimize(const ResidualFn& residuals,
         result.sse = candidate_sse;
         lambda = std::max(lambda * 0.3, 1e-12);
         improved = true;
-        if (relative_gain < options.tolerance) {
+        if (relative_gain < kTolerance) {
           result.converged = true;
           return result;
         }

@@ -14,17 +14,6 @@
 
 namespace wsnlink::core::fit {
 
-/// Options controlling the LM iteration.
-struct GaussNewtonOptions {
-  int max_iterations = 100;
-  /// Stop when the relative SSE improvement falls below this.
-  double tolerance = 1e-10;
-  /// Initial Levenberg damping factor.
-  double initial_lambda = 1e-3;
-  /// Relative step for numeric (forward-difference) Jacobians.
-  double jacobian_step = 1e-6;
-};
-
 /// Result of a solve.
 struct GaussNewtonResult {
   std::vector<double> params;
@@ -44,8 +33,7 @@ using ResidualFn =
 /// std::invalid_argument on empty parameters/observations.
 [[nodiscard]] GaussNewtonResult Minimize(const ResidualFn& residuals,
                                          std::vector<double> initial,
-                                         std::size_t residual_count,
-                                         const GaussNewtonOptions& options = {});
+                                         std::size_t residual_count);
 
 /// Solves the square linear system A x = b in place (partial pivoting).
 /// Throws std::runtime_error if A is singular. Exposed for tests.

@@ -118,6 +118,10 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
     throw std::invalid_argument(
         "RunNetworkSimulation: sim_threads must be 1 (runs are sequential)");
   }
+  if (options.nodes.size() > sim::Simulator::kMaxLanes) {
+    throw std::invalid_argument(
+        "RunNetworkSimulation: at most 65536 senders (one event lane each)");
+  }
 
   // The result's long-lived storage is allocated outside the run's: the
   // per-node vector before the run, the counter roll-ups after the run's
@@ -132,13 +136,8 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
     sim::Simulator simulator;
     // Lane-structured event keys: same-time events tie-break by (node,
     // per-node sequence) instead of global scheduling order, which fixes the
-    // contention output bytes (sim/simulator.h). Oversized topologies
-    // (beyond the 16-bit lane space) keep the single-lane keys.
-    const bool laned = options.nodes.size() <= sim::Simulator::kMaxLanes;
-    if (laned) {
-      simulator.ConfigureLanes(
-          static_cast<std::uint32_t>(options.nodes.size()));
-    }
+    // contention output bytes (sim/simulator.h).
+    simulator.ConfigureLanes(static_cast<std::uint32_t>(options.nodes.size()));
 
     // The medium only exists when two or more senders can actually contend:
     // a single node with a medium would pay the bookkeeping, drive the MAC
@@ -176,7 +175,7 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
     }
 
     for (std::size_t i = 0; i < stacks.size(); ++i) {
-      if (laned) simulator.SetCurrentLane(static_cast<std::uint32_t>(i));
+      simulator.SetCurrentLane(static_cast<std::uint32_t>(i));
       stacks[i]->Start();
     }
     simulator.Run();

@@ -40,7 +40,8 @@ struct NetworkOptions {
   /// tracer, counters). Per-node fields overridden by NodeSpec: config,
   /// spatial_shadow_db, packet_count.
   SimulationOptions base;
-  /// One entry per sender; must be non-empty.
+  /// One entry per sender; must be non-empty and hold at most
+  /// sim::Simulator::kMaxLanes (65,536) entries, one event lane each.
   std::vector<NodeSpec> nodes;
   /// Couple the senders through a shared medium (real contention). With
   /// false — or with a single node — every stack keeps a private air and

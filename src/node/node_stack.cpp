@@ -34,9 +34,8 @@ NodeStack::NodeStack(sim::Simulator& simulator,
       channel_(MakeChannelConfig(options), SelectBer(options.analytic_ber),
                root.Derive("channel")),
       mac_(BuildMac(simulator, options, root)),
-      link_(simulator, mac_, options.config.queue_capacity, scratch.queue_buf,
-            scratch.open_buf),
-      sink_(scratch.seen_buf, scratch.reception_buf),
+      link_(simulator, mac_, options.config.queue_capacity),
+      sink_(scratch.reception_buf),
       generator_(simulator, link_, MakeTrafficParams(options),
                  root.Derive("traffic")) {
   if (medium != nullptr) channel_.AttachMedium(medium, node_id_);
@@ -49,7 +48,9 @@ NodeStack::NodeStack(sim::Simulator& simulator,
       packets, packets * static_cast<std::size_t>(options.config.max_tries));
   sink_.Reserve(packets);
   link_.SetDeliveryCallback(
-      [this](const mac::DeliveryInfo& info) { sink_.OnDelivery(info); });
+      [this](const mac::DeliveryInfo& info, bool first_copy) {
+        sink_.OnDelivery(info, first_copy);
+      });
 }
 
 mac::Mac& NodeStack::BuildMac(sim::Simulator& simulator,

@@ -1,7 +1,7 @@
 // One sender stack of a (possibly multi-node) simulation.
 //
-// Channel (from the config's distance), MAC (CSMA or LPL), bounded queue +
-// link layer, traffic source and per-node sink, all driven by a shared
+// Channel (from the config's distance), MAC (CSMA or LPL), link layer with
+// its bounded queue, traffic source and per-node sink, all driven by a shared
 // discrete-event kernel. Each stack derives a private RNG lineage from its
 // root and counts into its own scratch's registry, so N stacks on one
 // simulator stay independent everywhere except the air they share
@@ -36,7 +36,7 @@ class NodeStack {
   /// may be null (uncontended); when set, the channel joins it as
   /// `node_id`. `options` must already be validated (ResolveNodeOptions).
   /// The stack borrows its counter registry and every growable buffer
-  /// (queue ring, packet/attempt logs, sink state) from `scratch`.
+  /// (packet/attempt logs, reception log) from `scratch`.
   /// `simulator`, `medium` and `scratch` must outlive the stack.
   NodeStack(sim::Simulator& simulator, const SimulationOptions& options,
             util::Rng root, channel::Medium* medium, int node_id,

@@ -9,13 +9,10 @@
 // counters snapshot. A network run gives each node a fresh NodeScratch.
 #pragma once
 
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "app/sink.h"
 #include "link/packet_log.h"
-#include "link/transmit_queue.h"
 #include "sim/simulator.h"
 #include "trace/counters.h"
 
@@ -27,9 +24,6 @@ struct NodeScratch {
   trace::CounterRegistry registry;
   std::vector<link::PacketRecord> packet_buf;
   std::vector<link::AttemptRecord> attempt_buf;
-  std::vector<link::QueuedPacket> queue_buf;
-  std::vector<std::pair<std::uint64_t, std::size_t>> open_buf;
-  std::vector<std::uint8_t> seen_buf;
   std::vector<app::ReceptionRecord> reception_buf;
 };
 

@@ -35,7 +35,7 @@ namespace wsnlink::sim {
 class Simulator {
  public:
   /// Largest lane table ConfigureLanes accepts (the key's 16-bit lane
-  /// field); topologies beyond it fall back to single-lane keys.
+  /// field), and so the most senders a network run may have.
   static constexpr std::uint32_t kMaxLanes = 1u << 16;
 
   Simulator() = default;

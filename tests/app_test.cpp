@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "app/sink.h"
@@ -19,14 +20,13 @@ struct AppHarness {
   sim::Simulator simulator;
   channel::Channel channel;
   mac::CsmaMac mac;
-  std::vector<link::QueuedPacket> queue_ring;
-  std::vector<link::LinkLayer::OpenRecord> open_records;
   link::LinkLayer link;
 
-  explicit AppHarness(std::uint64_t seed, double distance = 5.0)
+  explicit AppHarness(std::uint64_t seed, double distance = 5.0,
+                      mac::MacParams mac_params = {})
       : channel(MakeChannel(distance), util::Rng(seed)),
-        mac(simulator, channel, mac::MacParams{}, util::Rng(seed + 1)),
-        link(simulator, mac, 30, queue_ring, open_records) {}
+        mac(simulator, channel, mac_params, util::Rng(seed + 1)),
+        link(simulator, mac, 30) {}
 
   static channel::ChannelConfig MakeChannel(double distance) {
     channel::ChannelConfig config;
@@ -56,7 +56,7 @@ TEST(TrafficGenerator, GeneratesExactCountAtFixedInterval) {
               50 * sim::kMillisecond);
   }
   // Sequential ids from 1.
-  EXPECT_EQ(packets.front().id, gen.FirstPacketId());
+  EXPECT_EQ(packets.front().id, 1u);
   EXPECT_EQ(packets.back().id, 10u);
 }
 
@@ -99,9 +99,8 @@ TEST(TrafficGenerator, InvalidParamsRejected) {
 }
 
 TEST(PacketSink, CountsUniqueAndDuplicates) {
-  std::vector<std::uint8_t> seen;
   std::vector<ReceptionRecord> receptions;
-  PacketSink sink(seen, receptions);
+  PacketSink sink(receptions);
   mac::DeliveryInfo info;
   info.packet_id = 1;
   info.payload_bytes = 50;
@@ -109,11 +108,11 @@ TEST(PacketSink, CountsUniqueAndDuplicates) {
   info.rssi_dbm = -70.0;
   info.snr_db = 25.0;
   info.lqi = 105;
-  sink.OnDelivery(info);
-  sink.OnDelivery(info);  // duplicate copy
+  sink.OnDelivery(info, true);
+  sink.OnDelivery(info, false);  // duplicate copy
   info.packet_id = 2;
   info.received_at = 2000;
-  sink.OnDelivery(info);
+  sink.OnDelivery(info, true);
 
   EXPECT_EQ(sink.UniqueCount(), 2u);
   EXPECT_EQ(sink.DuplicateCount(), 1u);
@@ -128,11 +127,12 @@ TEST(PacketSink, CountsUniqueAndDuplicates) {
 
 TEST(PacketSink, EndToEndWithLink) {
   AppHarness h(303);
-  std::vector<std::uint8_t> seen;
   std::vector<ReceptionRecord> receptions;
-  PacketSink sink(seen, receptions);
+  PacketSink sink(receptions);
   h.link.SetDeliveryCallback(
-      [&sink](const mac::DeliveryInfo& info) { sink.OnDelivery(info); });
+      [&sink](const mac::DeliveryInfo& info, bool first_copy) {
+        sink.OnDelivery(info, first_copy);
+      });
   TrafficParams params;
   params.pkt_interval = 30 * sim::kMillisecond;
   params.payload_bytes = 60;
@@ -145,6 +145,50 @@ TEST(PacketSink, EndToEndWithLink) {
   EXPECT_EQ(sink.UniqueCount(), 100u);
   EXPECT_EQ(sink.UniquePayloadBytes(), 6000u);
   EXPECT_GT(sink.LqiStats().Mean(), 100.0);
+}
+
+// A lost ACK makes the sender retransmit a packet the receiver already
+// decoded. The link layer's record knows the packet's first delivery, so it
+// flags the second copy and the sink counts it as a duplicate.
+TEST(PacketSink, DuplicateAfterLostAckIsFlaggedByTheLink) {
+  mac::MacParams grey_zone;  // PA 3 at 25 m: ACKs get lost after decoded data
+  grey_zone.pa_level = 3;
+  grey_zone.max_tries = 8;
+  AppHarness h(304, 25.0, grey_zone);
+  std::vector<ReceptionRecord> receptions;
+  PacketSink sink(receptions);
+  std::vector<std::pair<mac::DeliveryInfo, bool>> copies;
+  h.link.SetDeliveryCallback(
+      [&](const mac::DeliveryInfo& info, bool first_copy) {
+        copies.emplace_back(info, first_copy);
+        sink.OnDelivery(info, first_copy);
+      });
+  for (std::uint64_t id = 1; id <= 50; ++id) {
+    ASSERT_TRUE(h.link.Accept(id, 110));
+    h.simulator.Run();
+  }
+
+  ASSERT_EQ(receptions.size(), copies.size());
+  std::uint64_t duplicates = 0;
+  std::uint64_t last_id = 0;
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    const auto& [info, first_copy] = copies[i];
+    // Copies arrive packet by packet; only a packet's first one is fresh.
+    EXPECT_EQ(first_copy, info.packet_id != last_id) << info.packet_id;
+    EXPECT_EQ(receptions[i].duplicate, !first_copy);
+    const link::PacketRecord& record =
+        h.link.Log().Packets()[info.packet_id - 1];
+    if (first_copy) {
+      EXPECT_EQ(record.first_delivered_at, info.received_at);
+    } else {
+      ++duplicates;
+      EXPECT_LT(record.first_delivered_at, info.received_at);
+    }
+    last_id = info.packet_id;
+  }
+  ASSERT_GT(duplicates, 0u);
+  EXPECT_EQ(sink.DuplicateCount(), duplicates);
+  EXPECT_EQ(sink.UniqueCount() + duplicates, copies.size());
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Unit tests for the transmit queue and link layer.
+// Unit tests for the link layer and its bounded transmit queue.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "channel/channel.h"
 #include "link/link_layer.h"
-#include "link/transmit_queue.h"
 #include "mac/csma_mac.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -13,65 +12,12 @@
 namespace wsnlink::link {
 namespace {
 
-// ------------------------------------------------------ transmit queue ----
-
-TEST(TransmitQueue, CapacityOneMeansNoBuffering) {
-  std::vector<QueuedPacket> ring;
-  TransmitQueue q(1, ring);
-  EXPECT_TRUE(q.Offer({1, 10, 0}));
-  (void)q.StartService();
-  // In-service packet occupies the single slot: next arrival drops.
-  EXPECT_FALSE(q.Offer({2, 10, 0}));
-  EXPECT_EQ(q.Drops(), 1u);
-  q.FinishService();
-  EXPECT_TRUE(q.Offer({3, 10, 0}));
-}
-
-TEST(TransmitQueue, FifoOrder) {
-  std::vector<QueuedPacket> ring;
-  TransmitQueue q(10, ring);
-  for (std::uint64_t id = 1; id <= 5; ++id) EXPECT_TRUE(q.Offer({id, 10, 0}));
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    EXPECT_EQ(q.StartService().id, id);
-    q.FinishService();
-  }
-}
-
-TEST(TransmitQueue, OccupancyCountsInService) {
-  std::vector<QueuedPacket> ring;
-  TransmitQueue q(3, ring);
-  EXPECT_EQ(q.Occupancy(), 0);
-  (void)q.Offer({1, 10, 0});
-  (void)q.Offer({2, 10, 0});
-  EXPECT_EQ(q.Occupancy(), 2);
-  (void)q.StartService();
-  EXPECT_EQ(q.Occupancy(), 2);  // 1 in service + 1 waiting
-  (void)q.Offer({3, 10, 0});
-  EXPECT_TRUE(q.Full());
-  EXPECT_FALSE(q.Offer({4, 10, 0}));
-  EXPECT_EQ(q.Accepted(), 3u);
-  EXPECT_EQ(q.Drops(), 1u);
-}
-
-TEST(TransmitQueue, MisuseThrows) {
-  std::vector<QueuedPacket> ring;
-  TransmitQueue q(2, ring);
-  EXPECT_THROW((void)q.StartService(), std::logic_error);  // nothing waiting
-  EXPECT_THROW(q.FinishService(), std::logic_error);       // nothing serving
-  (void)q.Offer({1, 10, 0});
-  (void)q.StartService();
-  EXPECT_THROW((void)q.StartService(), std::logic_error);  // already serving
-  EXPECT_THROW(TransmitQueue(0, ring), std::invalid_argument);
-}
-
 // ---------------------------------------------------------- link layer ----
 
 struct LinkHarness {
   sim::Simulator simulator;
   channel::Channel channel;
   mac::CsmaMac mac;
-  std::vector<QueuedPacket> queue_ring;
-  std::vector<LinkLayer::OpenRecord> open_records;
   LinkLayer link;
 
   LinkHarness(double distance, int pa_level, int max_tries, int queue_cap,
@@ -79,7 +25,7 @@ struct LinkHarness {
       : channel(MakeChannel(distance), util::Rng(seed)),
         mac(simulator, channel, MakeMac(pa_level, max_tries),
             util::Rng(seed + 1)),
-        link(simulator, mac, queue_cap, queue_ring, open_records) {}
+        link(simulator, mac, queue_cap) {}
 
   static channel::ChannelConfig MakeChannel(double distance) {
     channel::ChannelConfig config;
@@ -152,7 +98,83 @@ TEST(LinkLayer, QueueOverflowDropsAreLogged) {
     }
   }
   EXPECT_EQ(drops, 4);  // capacity 2: ids 1-2 held, 3-6 dropped
-  EXPECT_EQ(h.link.Queue().Drops(), 4u);
+}
+
+// Q_max counts the in-service packet: with capacity 1 there is no waiting
+// room, so an arrival during service drops and one after it is accepted.
+TEST(LinkLayer, CapacityOneMeansNoBuffering) {
+  LinkHarness h(5.0, 31, 1, 1, 207);
+  EXPECT_TRUE(h.link.Accept(1, 20));
+  EXPECT_FALSE(h.link.Idle());
+  EXPECT_FALSE(h.link.Accept(2, 20));
+  h.simulator.Run();
+  EXPECT_TRUE(h.link.Idle());
+  EXPECT_TRUE(h.link.Accept(3, 20));
+  h.simulator.Run();
+
+  const auto& packets = h.link.Log().Packets();
+  ASSERT_EQ(packets.size(), 3u);
+  EXPECT_FALSE(packets[0].dropped_at_queue);
+  EXPECT_TRUE(packets[1].dropped_at_queue);
+  EXPECT_FALSE(packets[2].dropped_at_queue);
+  EXPECT_TRUE(packets[2].acked);
+}
+
+// Service follows arrival order and skips the records dropped at the queue,
+// also when the link went idle in between.
+TEST(LinkLayer, ServesInArrivalOrderSkippingDrops) {
+  LinkHarness h(5.0, 31, 1, 3, 208);
+  for (std::uint64_t id = 1; id <= 5; ++id) (void)h.link.Accept(id, 20);
+  h.simulator.Run();
+  EXPECT_TRUE(h.link.Accept(6, 20));
+  h.simulator.Run();
+
+  const auto& packets = h.link.Log().Packets();
+  ASSERT_EQ(packets.size(), 6u);
+  EXPECT_TRUE(packets[3].dropped_at_queue);
+  EXPECT_TRUE(packets[4].dropped_at_queue);
+  // Each served packet starts the moment its predecessor completes.
+  EXPECT_EQ(packets[0].service_start, packets[0].arrived_at);
+  EXPECT_EQ(packets[1].service_start, packets[0].completed_at);
+  EXPECT_EQ(packets[2].service_start, packets[1].completed_at);
+  EXPECT_EQ(packets[5].service_start, packets[5].arrived_at);
+  for (const std::size_t i : {0u, 1u, 2u, 5u}) {
+    EXPECT_TRUE(packets[i].acked) << "packet " << i + 1;
+  }
+}
+
+TEST(LinkLayer, QueueDepthCountsThePacketInService) {
+  LinkHarness h(5.0, 31, 1, 3, 209);
+  for (std::uint64_t id = 1; id <= 4; ++id) (void)h.link.Accept(id, 20);
+  const auto& packets = h.link.Log().Packets();
+  // Packet 1 went straight into service; packet 2 saw it there.
+  EXPECT_NE(packets[0].service_start, kNever);
+  EXPECT_EQ(packets[1].queue_depth_at_arrival, 1);
+  EXPECT_EQ(packets[2].queue_depth_at_arrival, 2);
+  // 1 in service + 2 waiting fill capacity 3.
+  EXPECT_EQ(packets[3].queue_depth_at_arrival, 3);
+  EXPECT_TRUE(packets[3].dropped_at_queue);
+  h.simulator.Run();
+}
+
+TEST(LinkLayer, RejectsCapacityBelowOne) {
+  sim::Simulator simulator;
+  channel::Channel channel(LinkHarness::MakeChannel(5.0), util::Rng(1));
+  mac::CsmaMac mac(simulator, channel, LinkHarness::MakeMac(31, 1),
+                   util::Rng(2));
+  EXPECT_THROW(LinkLayer(simulator, mac, 0), std::invalid_argument);
+}
+
+// Packet n is record n - 1 of the log, so ids must run 1, 2, 3, ...
+TEST(LinkLayer, RejectsNonSequentialIds) {
+  LinkHarness h(5.0, 31, 1, 5, 210);
+  EXPECT_THROW((void)h.link.Accept(2, 20), std::logic_error);
+  EXPECT_TRUE(h.link.Accept(1, 20));
+  EXPECT_THROW((void)h.link.Accept(1, 20), std::logic_error);
+  EXPECT_THROW((void)h.link.Accept(3, 20), std::logic_error);
+  EXPECT_TRUE(h.link.Accept(2, 20));
+  h.simulator.Run();
+  EXPECT_EQ(h.link.Log().Packets().size(), 2u);
 }
 
 TEST(LinkLayer, QueueDepthAtArrivalRecorded) {
@@ -186,7 +208,7 @@ TEST(LinkLayer, DeliveryCallbackForwarded) {
   LinkHarness h(5.0, 31, 3, 15, 205);
   int delivered = 0;
   h.link.SetDeliveryCallback(
-      [&delivered](const mac::DeliveryInfo&) { ++delivered; });
+      [&delivered](const mac::DeliveryInfo&, bool) { ++delivered; });
   for (std::uint64_t id = 1; id <= 10; ++id) (void)h.link.Accept(id, 30);
   h.simulator.Run();
   EXPECT_EQ(delivered, 10);

@@ -23,6 +23,7 @@
 #include "experiment/sweep.h"
 #include "node/link_simulation.h"
 #include "node/network_simulation.h"
+#include "sim/simulator.h"
 #include "trace/trace.h"
 
 namespace wsnlink {
@@ -186,6 +187,17 @@ TEST(NetworkSimulation, RejectsNonPositivePacketCountOverride) {
   auto base = BaseOptions();
   auto options = node::SingleLinkNetwork(base);
   options.nodes[0].packet_count = -3;
+  EXPECT_THROW(node::RunNetworkSimulation(options), std::invalid_argument);
+}
+
+// Same-time events order by sender lane, and the kernel has 65,536 lanes:
+// a larger topology is an error, not a run with a second event order. The
+// check runs before any stack is built.
+TEST(NetworkSimulation, RejectsMoreSendersThanLanes) {
+  node::NetworkOptions options;
+  options.base = BaseOptions();
+  options.nodes.resize(std::size_t{sim::Simulator::kMaxLanes} + 1,
+                       node::SingleLinkNetwork(options.base).nodes.front());
   EXPECT_THROW(node::RunNetworkSimulation(options), std::invalid_argument);
 }
 

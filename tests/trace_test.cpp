@@ -312,9 +312,13 @@ TEST(TraceInvariants, CountersMatchPacketLog) {
 
   EXPECT_EQ(value("app.packets_generated"),
             static_cast<std::uint64_t>(result.generated));
+  EXPECT_GT(drops, 0u);
   EXPECT_EQ(value("link.queue_drops"), drops);
   EXPECT_EQ(value("link.accepted") + drops,
             static_cast<std::uint64_t>(result.generated));
+  // The queue.* names mirror the two link counters.
+  EXPECT_EQ(value("queue.drops"), drops);
+  EXPECT_EQ(value("queue.accepted"), value("link.accepted"));
   EXPECT_EQ(value("link.acked"), acked);
   EXPECT_EQ(value("link.completed"), value("link.served"));
   EXPECT_EQ(value("mac.tx_attempts"),
