@@ -34,7 +34,9 @@ CONFIGS_LINE = r"  configs/sec\s+(\S+)$"
 GATES = [
     ("sweep", ["perf_sweep", "--threads", "1", "--repeat", "1"],
      CONFIGS_LINE, "configs/s"),
-    ("network", ["perf_network"],
+    # Best of five runs per process: one N=1024 run takes about 30 ms,
+    # too short for a single sample to time steadily.
+    ("network", ["perf_network", "--repeat", "5"],
      r"  nodes=\s*\d+\s+(\S+) node-packets/sec", "node-packets/s"),
     ("serve", ["perf_serve", "--hot-repeat", "200"],
      r"  cache hit\s+(\S+) req/s", "hits/s"),

@@ -4,6 +4,9 @@
 // paper's system — they bound how big a campaign is practical.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "channel/channel.h"
 #include "core/models/model_set.h"
 #include "core/opt/config_space.h"
@@ -28,6 +31,49 @@ void BM_EventKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_EventKernel);
+
+// The kernel at contention depth: one lane per node, each holding two
+// pending events as a contended network run's nodes do (the MAC's next step
+// and the next packet). Every event reschedules itself in its own lane at a
+// seeded delay, ties included, until the run's budget is spent.
+void BM_EventKernelLanes(benchmark::State& state) {
+  const auto lanes = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::int64_t kEvents = 200'000;
+  std::vector<sim::Duration> delays(4'096);
+  util::Rng rng(7);
+  for (sim::Duration& delay : delays) delay = rng.UniformInt(0, 4'000);
+
+  struct Run {
+    sim::Simulator* simulator;
+    const std::vector<sim::Duration>* delays;
+    std::size_t next = 0;
+    std::int64_t remaining = 0;
+  };
+  struct Hop {
+    Run* run;
+    void operator()() const {
+      if (run->remaining-- <= 0) return;
+      const auto& delays = *run->delays;
+      run->simulator->Schedule(delays[run->next++ % delays.size()], Hop{run});
+    }
+  };
+
+  sim::Simulator simulator;
+  for (auto _ : state) {
+    simulator.Reset();
+    simulator.ConfigureLanes(lanes);
+    Run run{&simulator, &delays, 0, kEvents - 2 * std::int64_t{lanes}};
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      simulator.SetCurrentLane(lane);
+      for (int k = 0; k < 2; ++k) {
+        simulator.Schedule(delays[run.next++ % delays.size()], Hop{&run});
+      }
+    }
+    benchmark::DoNotOptimize(simulator.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_EventKernelLanes)->Arg(512);
 
 void BM_ChannelTransmit(benchmark::State& state) {
   channel::ChannelConfig config;

@@ -2,9 +2,10 @@
 //
 // Runs contended uniform topologies at a ladder of node counts on the
 // sequential kernel and reports generated node-packets/sec per rung, with
-// the events each rung took. Deeper event heaps and more contenders make
-// every packet dearer as N grows, so this is the N-scaling curve of the
-// event kernel, the medium and the event-path MAC together. The unit of
+// the events each rung took. A taller lane tree, a busier medium and more
+// contenders make every packet dearer as N grows, so this is the
+// N-scaling curve of the event kernel, the medium and the event-path MAC
+// together. The unit of
 // work is the node-packet, not the event: the MAC's event driver runs
 // CCAs the medium already proves busy inside an earlier event, so events
 // per packet vary by design. The run is single-threaded by construction;

@@ -8,13 +8,14 @@ namespace wsnlink::channel {
 namespace {
 
 // How far back a finished frame can still matter to StrongestOverlapDbm.
-// Receivers look back one frame airtime from the reception instant; the
-// largest 802.15.4 frame is 133 bytes at 32 us/byte = 4256 us. Twice that
-// is a comfortable margin and bounds the active list by the frames begun
-// in the last ~13 ms, whatever the run length. That is not a handful: in
-// 400-packet contention_sweep runs (seeds 1-3) it held up to 63 frames at
-// N=128 and 211 at N=512.
-constexpr sim::Duration kMediumRetentionWindow = 8'512;
+// Receivers look back one frame airtime from the reception instant, at most
+// the longest frame's. Twice that is a comfortable margin and bounds the
+// active list by the frames begun in the last ~13 ms, whatever the run
+// length. That is not a handful: in 400-packet contention_sweep runs
+// (seeds 1-3) it held up to 63 frames at N=128 and 211 at N=512, which is
+// why the overlap scan reads only the newest of them.
+constexpr sim::Duration kMediumRetentionWindow =
+    2 * Medium::kLongestFrameAirtime;
 
 }  // namespace
 
@@ -30,6 +31,10 @@ void Medium::Begin(int node, sim::Time start, sim::Time end,
   if (end <= start) {
     throw std::invalid_argument("Medium::Begin: frame must have end > start");
   }
+  if (end - start > kLongestFrameAirtime) {
+    throw std::invalid_argument(
+        "Medium::Begin: frame outlasts the longest 802.15.4 frame");
+  }
   if (start < latest_start_) {
     throw std::logic_error("Medium::Begin: frame starts before an earlier one");
   }
@@ -42,12 +47,16 @@ void Medium::Begin(int node, sim::Time start, sim::Time end,
   } else if (end > runner_up_.end) {
     runner_up_ = {node, end};
   }
-  // Prune frames that ended long before any query can still reach them.
-  // Simulated time is monotonic, so everything retained stays relevant.
+  // Prune from the front the frames that ended long before any query can
+  // still reach them. Simulated time is monotonic, so everything retained
+  // stays relevant.
   if (start > kMediumRetentionWindow) {
     const sim::Time horizon = start - kMediumRetentionWindow;
-    std::erase_if(active_,
-                  [horizon](const Frame& f) { return f.end < horizon; });
+    active_.erase(active_.begin(),
+                  std::find_if(active_.begin(), active_.end(),
+                               [horizon](const Frame& f) {
+                                 return f.end >= horizon;
+                               }));
   }
   active_.push_back({node, start, end, sink_rssi_dbm});
   ++stats_.frames;
@@ -66,7 +75,12 @@ std::optional<double> Medium::StrongestOverlapDbm(sim::Time start,
                                                   sim::Time end,
                                                   int node) const {
   std::optional<double> strongest;
-  for (const Frame& f : active_) {
+  // Frames are in start order and none outlasts kLongestFrameAirtime, so
+  // the first frame (from the newest) that began that long before `start`
+  // ended by `start`, and so did every earlier one.
+  for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
+    const Frame& f = *it;
+    if (f.start <= start - kLongestFrameAirtime) break;
     if (f.node == node) continue;
     // Open-interval overlap: frames that merely touch at an endpoint do not
     // collide (the receiver resynchronises between back-to-back frames).

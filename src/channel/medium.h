@@ -62,9 +62,15 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
+  /// Airtime of the longest 802.15.4 frame: a 127-byte MPDU plus the
+  /// 6-byte PHY header at 32 us per byte (250 kb/s). A frame that began
+  /// this long before an instant has ended by it.
+  static constexpr sim::Duration kLongestFrameAirtime = (127 + 6) * 32;
+
   /// Registers a frame node `node` radiates over [start, end) whose mean
   /// received power at the sink is `sink_rssi_dbm`. Throws
-  /// std::logic_error when `start` precedes an earlier frame's start
+  /// std::invalid_argument unless 0 < end - start <= kLongestFrameAirtime,
+  /// and std::logic_error when `start` precedes an earlier frame's start
   /// (simulated time is monotonic).
   void Begin(int node, sim::Time start, sim::Time end, double sink_rssi_dbm);
 
@@ -85,7 +91,9 @@ class Medium {
 
   /// Strongest sink-side RSSI among frames from nodes other than `node`
   /// overlapping the open interval (start, end); nullopt when the air was
-  /// clear. Pure: no RNG, no stats mutation.
+  /// clear. Pure: no RNG, no stats mutation. Scans back from the newest
+  /// frame and stops at the first that began kLongestFrameAirtime or more
+  /// before `start`, so it reads only the frames that can overlap.
   [[nodiscard]] std::optional<double> StrongestOverlapDbm(sim::Time start,
                                                          sim::Time end,
                                                          int node) const;
@@ -113,7 +121,7 @@ class Medium {
     sim::Time end = 0;
   };
 
-  std::vector<Frame> active_;
+  std::vector<Frame> active_;  // in start order
   NodeEnd latest_;     // latest end over all nodes
   NodeEnd runner_up_;  // latest end over nodes other than latest_.node
   sim::Time latest_start_ = 0;

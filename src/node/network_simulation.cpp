@@ -134,10 +134,6 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
   trace::CounterRegistry run_registry;
   {
     sim::Simulator simulator;
-    // Lane-structured event keys: same-time events tie-break by (node,
-    // per-node sequence) instead of global scheduling order, which fixes the
-    // contention output bytes (sim/simulator.h).
-    simulator.ConfigureLanes(static_cast<std::uint32_t>(options.nodes.size()));
 
     // The medium only exists when two or more senders can actually contend:
     // a single node with a medium would pay the bookkeeping, drive the MAC
@@ -162,6 +158,14 @@ NetworkResult RunNetworkSimulation(const NetworkOptions& options) {
           node_root, medium ? &*medium : nullptr, static_cast<int>(i),
           scratches[i]));
     }
+
+    // One event lane per node: same-time events tie-break by (node,
+    // per-node order) instead of global scheduling order, which fixes the
+    // contention output bytes (sim/simulator.h). The lane tables and the
+    // slot pool are allocated here, after the stacks: allocated before
+    // them, they left the contention ladder's peak RSS dependent on the
+    // heap layout (docs/PERF.md).
+    simulator.ConfigureLanes(static_cast<std::uint32_t>(options.nodes.size()));
 
     // Observability: the kernel's counters are run-scoped (one simulator
     // serves every node); each stack attaches its own registry and stamps

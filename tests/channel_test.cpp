@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "channel/noise.h"
 #include "channel/path_loss.h"
 #include "channel/shadowing.h"
+#include "phy/frame.h"
 #include "sim/time.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -482,6 +484,75 @@ TEST(Medium, BusyAtMatchesBruteForceScan) {
     }
     EXPECT_EQ(medium.Stats().busy_hits, busy) << "seed " << seed;
     EXPECT_EQ(medium.Stats().frames, frames.size()) << "seed " << seed;
+  }
+}
+
+// The overlap scan stops one longest-frame airtime before the query window,
+// so the bound must be the longest frame's real airtime, and no registered
+// frame may outlast it.
+TEST(Medium, LongestFrameAirtimeBoundsEveryFrame) {
+  EXPECT_EQ(Medium::kLongestFrameAirtime,
+            phy::AirTime(phy::kMaxMpduBytes + phy::kPhyOverheadBytes));
+  EXPECT_EQ(Medium::kLongestFrameAirtime,
+            phy::DataFrameAirTime(phy::kMaxPayloadBytes));
+  Medium medium;
+  medium.Begin(0, 1'000, 1'000 + Medium::kLongestFrameAirtime, -60.0);
+  EXPECT_THROW(
+      medium.Begin(1, 2'000, 2'001 + Medium::kLongestFrameAirtime, -60.0),
+      std::invalid_argument);
+  EXPECT_EQ(medium.Stats().frames, 1u);
+}
+
+// The definition StrongestOverlapDbm must agree with: the strongest frame
+// of another node overlapping the open interval (start, end).
+std::optional<double> BruteForceStrongest(
+    const std::vector<LedgerFrame>& frames, const std::vector<double>& rssi,
+    sim::Time start, sim::Time end, int node) {
+  std::optional<double> strongest;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const LedgerFrame& f = frames[i];
+    if (f.node != node && f.start < end && f.end > start &&
+        (!strongest || rssi[i] > *strongest)) {
+      strongest = rssi[i];
+    }
+  }
+  return strongest;
+}
+
+TEST(Medium, StrongestOverlapMatchesBruteForceScan) {
+  constexpr int kNodes = 12;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    util::Rng rng(seed);
+    Medium medium;
+    std::vector<LedgerFrame> frames;
+    std::vector<double> rssi;
+    sim::Time now = 0;
+    int overlaps = 0;
+    for (int step = 0; step < 1'500; ++step) {
+      // Dense traffic: often a dozen frames on the air, from ACK length to
+      // the longest frame, so the window cuts a long retained list.
+      now += rng.UniformInt(0, 600);
+      if (rng.NextDouble() < 0.7) {
+        const auto node = static_cast<int>(rng.UniformInt(0, kNodes - 1));
+        const sim::Time end =
+            now + rng.UniformInt(352, Medium::kLongestFrameAirtime);
+        const double dbm = -90.0 + rng.NextDouble() * 40.0;
+        medium.Begin(node, now, end, dbm);
+        frames.push_back({node, now, end});
+        rssi.push_back(dbm);
+      }
+      // A reception resolved at or after the latest start looks back over
+      // its own airtime, as Channel::Transmit does.
+      const sim::Time at = now + rng.UniformInt(0, 5'000);
+      const sim::Time from =
+          at - rng.UniformInt(352, Medium::kLongestFrameAirtime);
+      const auto node = static_cast<int>(rng.UniformInt(0, kNodes - 1));
+      const auto expected = BruteForceStrongest(frames, rssi, from, at, node);
+      overlaps += expected ? 1 : 0;
+      ASSERT_EQ(medium.StrongestOverlapDbm(from, at, node), expected)
+          << "seed " << seed << " step " << step;
+    }
+    EXPECT_GT(overlaps, 500) << "seed " << seed;
   }
 }
 
