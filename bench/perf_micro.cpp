@@ -1,17 +1,24 @@
 // Microbenchmarks of the library itself (google-benchmark): event-kernel
-// throughput, channel sampling, full-stack packet rate, model evaluation
-// and optimizer sweep rates. These characterise the *simulator*, not the
-// paper's system — they bound how big a campaign is practical.
+// throughput, channel sampling, full-stack packet rate, model evaluation,
+// optimizer sweep rates and the wsnlinkd warm start. These characterise
+// the *simulator*, not the paper's system — they bound how big a campaign
+// is practical.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "channel/channel.h"
 #include "core/models/model_set.h"
 #include "core/opt/config_space.h"
 #include "core/opt/epsilon_constraint.h"
+#include "experiment/journal.h"
 #include "node/link_simulation.h"
+#include "serve/protocol.h"
+#include "serve/result_cache.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 #include "util/rng.h"
@@ -193,6 +200,80 @@ void BM_EpsilonConstraintSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * space.Size());
 }
 BENCHMARK(BM_EpsilonConstraintSweep);
+
+// A compacted cache file shaped like perfbench's serve warm cache: 2,000
+// `what_if` records of about 585 bytes (a ~110-byte key and a ~450-byte
+// reply), about 1.17 MB in key order. Written once per process and
+// removed at exit.
+struct WarmCache {
+  WarmCache()
+      : path((std::filesystem::temp_directory_path() /
+              ("perf_micro_warm_" + std::to_string(::getpid()) + ".cache"))
+                 .string()) {
+    serve::ResultCache cache{std::string(serve::kServeVersionTag)};
+    util::Rng rng(2015);
+    for (int i = 0; i < 2'000; ++i) {
+      std::string key = "what_if";
+      for (const char* field : {"d", "pa", "mt", "rd", "qc", "ti", "pb"}) {
+        key += std::string("|") + field + "=" +
+               std::to_string(rng.UniformInt(0, 200));
+      }
+      key += "|mac=csma|lw=100|seed=" +
+             std::to_string(rng.UniformInt(100'000'000, 999'999'999)) +
+             "|pk=120|tag=" + std::string(serve::kServeVersionTag);
+      std::string reply = "{\"status\":\"ok\",\"verb\":\"what_if\"";
+      for (const char* field :
+           {"plr_radio", "plr_total", "goodput_kbps", "energy_uj_per_bit",
+            "mean_delay_ms", "delay_p50_ms", "delay_p99_ms", "delay_max_ms",
+            "utilization", "mean_snr_db", "mean_tries", "per",
+            "duration_s"}) {
+        reply += std::string(",\"") + field +
+                 "\":" + serve::FormatDouble(rng.Uniform(0.0, 100.0));
+      }
+      reply += '}';
+      cache.Store(key, reply);
+    }
+    cache.Save(path);
+  }
+  ~WarmCache() {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  }
+  WarmCache(const WarmCache&) = delete;
+  WarmCache& operator=(const WarmCache&) = delete;
+
+  std::string path;
+};
+
+const std::string& WarmCacheFile() {
+  static const WarmCache cache;
+  return cache.path;
+}
+
+// Splitting and verifying the warm cache's records (the checksum of every
+// byte), as a warm start and a campaign resume do.
+void BM_JournalScan(benchmark::State& state) {
+  const std::string contents = *experiment::ReadJournalFile(WarmCacheFile());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(experiment::ScanJournal(contents));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(contents.size()));
+}
+BENCHMARK(BM_JournalScan);
+
+// A whole warm start of the result cache: read, scan, map build and FIFO.
+void BM_CacheWarmLoad(benchmark::State& state) {
+  const std::string& path = WarmCacheFile();
+  for (auto _ : state) {
+    serve::ResultCache cache{std::string(serve::kServeVersionTag)};
+    benchmark::DoNotOptimize(cache.Load(path));
+  }
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(std::filesystem::file_size(path)));
+}
+BENCHMARK(BM_CacheWarmLoad);
 
 }  // namespace
 

@@ -180,15 +180,6 @@ Checkpoint ReadVersion2(std::string_view contents, const std::string& path) {
 
 }  // namespace
 
-std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
-  for (const unsigned char ch : bytes) {
-    hash ^= ch;
-    hash *= 0x100000001B3ULL;  // FNV prime
-  }
-  return hash;
-}
-
 void AppendHeaderRecord(std::string* out, const CheckpointMeta& meta) {
   const std::size_t start = out->size();
   *out += kHeaderPrefix;

@@ -1,6 +1,14 @@
 #include "experiment/journal.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
+#include <cerrno>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,20 +23,61 @@ namespace {
 /// Bytes the frame adds after a record's body: ' ' + 16 hex digits.
 constexpr std::size_t kFrameBytes = 17;
 
-/// The body of one record line (LF stripped), or nullopt when the line is
-/// not a well-framed record whose checksum matches.
-std::optional<std::string_view> VerifiedBody(std::string_view line) {
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;  // FNV-1a 64
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+
+std::uint64_t FnvStep(std::uint64_t hash, char byte) {
+  return (hash ^ static_cast<unsigned char>(byte)) * kFnvPrime;
+}
+
+/// One record line (LF stripped): its body and the checksum stored after it.
+struct Framed {
+  std::string_view body;
+  std::uint64_t stored = 0;
+};
+
+/// Splits a record line into body and stored checksum, or nullopt when the
+/// line is not framed as a record.
+std::optional<Framed> SplitFrame(std::string_view line) {
   if (line.size() < kFrameBytes || line[line.size() - kFrameBytes] != ' ') {
     return std::nullopt;
   }
   const std::string_view hex = line.substr(line.size() - kFrameBytes + 1);
-  std::uint64_t stored{};
+  Framed framed{line.substr(0, line.size() - kFrameBytes)};
   const auto [ptr, ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
+      std::from_chars(hex.data(), hex.data() + hex.size(), framed.stored, 16);
   if (ec != std::errc() || ptr != hex.data() + hex.size()) return std::nullopt;
-  const std::string_view body = line.substr(0, line.size() - kFrameBytes);
-  if (CheckpointChecksum(body) != stored) return std::nullopt;
-  return body;
+  return framed;
+}
+
+/// Data records ScanJournal verifies in one pass.
+using Group = std::array<Framed, 4>;
+
+/// CheckpointChecksum of each body in `group`. One FNV-1a chain waits on
+/// its multiply at every byte, so four chains share one loop up to the
+/// shortest body, and the longer ones finish interleaved.
+std::array<std::uint64_t, 4> GroupChecksums(const Group& group) {
+  std::size_t common = SIZE_MAX;
+  std::size_t longest = 0;
+  for (const Framed& framed : group) {
+    common = std::min(common, framed.body.size());
+    longest = std::max(longest, framed.body.size());
+  }
+  std::uint64_t h0 = kFnvBasis, h1 = kFnvBasis, h2 = kFnvBasis, h3 = kFnvBasis;
+  std::size_t i = 0;
+  for (; i < common; ++i) {
+    h0 = FnvStep(h0, group[0].body[i]);
+    h1 = FnvStep(h1, group[1].body[i]);
+    h2 = FnvStep(h2, group[2].body[i]);
+    h3 = FnvStep(h3, group[3].body[i]);
+  }
+  std::array<std::uint64_t, 4> sums{h0, h1, h2, h3};
+  for (; i < longest; ++i) {
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      if (i < group[k].body.size()) sums[k] = FnvStep(sums[k], group[k].body[i]);
+    }
+  }
+  return sums;
 }
 
 /// The "checkpoint.write" fault site: an armed schedule fails the write
@@ -51,40 +100,75 @@ void FrameRecord(std::string* out, std::size_t body_start) {
   out->push_back('\n');
 }
 
+std::uint64_t CheckpointChecksum(std::string_view bytes) noexcept {
+  std::uint64_t hash = kFnvBasis;
+  for (const char byte : bytes) hash = FnvStep(hash, byte);
+  return hash;
+}
+
 JournalScan ScanJournal(std::string_view contents) {
   JournalScan scan;
-  bool first = true;
-  std::size_t pos = 0;
-  while (pos < contents.size()) {
+  // An unterminated first line is a torn header: no header, no records.
+  std::size_t pos = contents.find('\n');
+  if (pos == std::string_view::npos) return scan;
+  const std::optional<Framed> header = SplitFrame(contents.substr(0, pos));
+  if (header && CheckpointChecksum(header->body) == header->stored) {
+    scan.header = header->body;
+  }
+
+  // Data records: framed as they are split, verified a group at a time.
+  Group group{};
+  std::size_t grouped = 0;
+  const auto verify_group = [&] {
+    const std::array<std::uint64_t, 4> sums = GroupChecksums(group);
+    for (std::size_t k = 0; k < grouped; ++k) {
+      if (sums[k] == group[k].stored) {
+        scan.records.push_back(group[k].body);
+      } else {
+        ++scan.dropped;
+      }
+    }
+    group = {};  // a short last group hashes no stale bytes
+    grouped = 0;
+  };
+  // `pos` is at the LF that ends the previous line.
+  while (++pos < contents.size()) {
     const std::size_t nl = contents.find('\n', pos);
     // An unterminated last line is a torn append, whatever its bytes.
-    const std::optional<std::string_view> body =
-        nl == std::string_view::npos
-            ? std::nullopt
-            : VerifiedBody(contents.substr(pos, nl - pos));
-    if (first) {
-      first = false;
-      if (body) scan.header = *body;
-    } else if (body) {
-      scan.records.push_back(*body);
+    if (nl == std::string_view::npos) {
+      ++scan.dropped;
+      break;
+    }
+    if (const std::optional<Framed> framed =
+            SplitFrame(contents.substr(pos, nl - pos))) {
+      group[grouped++] = *framed;
+      if (grouped == group.size()) verify_group();
     } else {
       ++scan.dropped;
     }
-    if (nl == std::string_view::npos) break;
-    pos = nl + 1;
+    pos = nl;
   }
+  if (grouped != 0) verify_group();
   return scan;
 }
 
 std::optional<std::string> ReadJournalFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return std::nullopt;
-  const std::streamoff size = in.tellg();
-  if (size < 0) return std::nullopt;
-  std::string contents(static_cast<std::size_t>(size), '\0');
-  in.seekg(0);
-  in.read(contents.data(), static_cast<std::streamsize>(size));
-  if (!in) return std::nullopt;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> contents;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0) {
+    std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+      const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    if (got == bytes.size()) contents = std::move(bytes);
+  }
+  ::close(fd);
   return contents;
 }
 

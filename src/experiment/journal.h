@@ -52,10 +52,14 @@ struct JournalScan {
 };
 
 /// Splits `contents` into records and verifies each one. Never throws;
-/// every body is hashed exactly once.
+/// every body is hashed exactly once. Data records are verified four per
+/// pass: four independent FNV-1a chains in one loop, each equal to
+/// CheckpointChecksum of its body, since one chain waits on its multiply
+/// at every byte.
 [[nodiscard]] JournalScan ScanJournal(std::string_view contents);
 
-/// The whole file at `path`, or nullopt when it cannot be opened.
+/// The whole file at `path`, read with one read(2) into a string sized by
+/// fstat(2), or nullopt when it cannot be opened or read.
 [[nodiscard]] std::optional<std::string> ReadJournalFile(
     const std::string& path);
 

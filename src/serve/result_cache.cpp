@@ -59,9 +59,9 @@ ResultCache::ResultCache(std::string version_tag, std::size_t max_entries)
 std::size_t ResultCache::EvictOverCapLocked() {
   std::size_t evicted = 0;
   while (max_entries_ != 0 && entries_.size() > max_entries_) {
-    // insertion_order_ and entries_ always hold the same key set, so the
-    // front key is present by construction. The unsaved entries are the
-    // newest, so the oldest is unsaved only when all of them are.
+    // insertion_order_ holds an iterator to every entry, so the front one
+    // is live by construction. The unsaved entries are the newest, so the
+    // oldest is unsaved only when all of them are.
     if (unsaved_ == insertion_order_.size()) {
       --unsaved_;
     } else {
@@ -92,11 +92,11 @@ void ResultCache::Store(const std::string& key, const std::string& payload) {
         "ResultCache: payloads must be non-empty single lines");
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  const bool inserted = entries_.emplace(key, payload).second;
+  const auto [it, inserted] = entries_.emplace(key, payload);
   // A duplicate store is a no-op that must not refresh the entry's FIFO
   // position — eviction order is pure insertion order, never recency.
   if (!inserted) return;
-  insertion_order_.push_back(key);
+  insertion_order_.push_back(it);
   ++unsaved_;
   (void)EvictOverCapLocked();
 }
@@ -125,7 +125,7 @@ void ResultCache::Save(const std::string& path) {
       for (auto it = insertion_order_.end() -
                      static_cast<std::ptrdiff_t>(unsaved_);
            it != insertion_order_.end(); ++it) {
-        AppendEntryRecord(&records, *it, entries_.find(*it)->second);
+        AppendEntryRecord(&records, (*it)->first, (*it)->second);
       }
       appended = unsaved_;
       unsaved_ = 0;
@@ -157,7 +157,7 @@ void ResultCache::Save(const std::string& path) {
 
 CacheLoadReport ResultCache::Load(const std::string& path) {
   CacheLoadReport report;
-  std::map<std::string, std::string> loaded;
+  Entries loaded;
   // Set when every record of the file verified under today's tag.
   struct Intact {
     std::size_t records = 0;
@@ -188,7 +188,10 @@ CacheLoadReport ResultCache::Load(const std::string& path) {
         std::string_view key;
         std::string_view payload;
         if (SplitEntryRecord(record, &key, &payload)) {
-          loaded.try_emplace(std::string(key), payload);
+          // A compacted file is in key order, so its entries join the
+          // tree's right edge; an appended one misses the hint and takes a
+          // normal insert. Either way the first record of a key wins.
+          loaded.try_emplace(loaded.end(), std::string(key), payload);
         } else {
           ++dropped;
         }
@@ -203,13 +206,13 @@ CacheLoadReport ResultCache::Load(const std::string& path) {
 
   const std::lock_guard<std::mutex> save_lock(save_mutex_);
   const std::lock_guard<std::mutex> lock(mutex_);
+  insertion_order_.clear();
   entries_ = std::move(loaded);
   // Re-anchor the FIFO to key order so capping a loaded cache keeps the
   // *last* max_entries keys no matter which daemon wrote the file, or in
   // which order its records were appended.
-  insertion_order_.clear();
-  for (const auto& [key, payload] : entries_) {
-    insertion_order_.push_back(key);
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    insertion_order_.push_back(it);
   }
   unsaved_ = 0;
   evicted_from_file_ = 0;

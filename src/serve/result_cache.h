@@ -122,14 +122,17 @@ class ResultCache {
   /// mutex_. Returns how many entries were evicted.
   std::size_t EvictOverCapLocked();
 
+  using Entries = std::map<std::string, std::string>;
+
   std::string version_tag_;
   const std::size_t max_entries_;
   /// Guards `entries_` through `evictions_`.
   mutable std::mutex mutex_;
-  std::map<std::string, std::string> entries_;
-  /// Keys in insertion order, oldest first; rebuilt (in key order) by Load.
-  /// Its last `unsaved_` keys are the entries the next append writes.
-  std::deque<std::string> insertion_order_;
+  Entries entries_;
+  /// Every entry in insertion order, oldest first, as an iterator into
+  /// `entries_` (never a copy of its key); rebuilt (in key order) by Load.
+  /// Its last `unsaved_` entries are the ones the next append writes.
+  std::deque<Entries::iterator> insertion_order_;
   std::size_t unsaved_ = 0;
   /// Entries evicted since the last compaction that were in the file.
   std::size_t evicted_from_file_ = 0;

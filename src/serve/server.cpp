@@ -282,14 +282,26 @@ void Server::QueueReplies() {
 }
 
 bool Server::WriteSome(Connection& conn) {
-  while (!conn.out.empty()) {
-    const ssize_t n = SendChunk(conn.fd, conn.out.data(), conn.out.size());
+  while (conn.out_sent < conn.out.size()) {
+    const ssize_t n = SendChunk(conn.fd, conn.out.data() + conn.out_sent,
+                                conn.out.size() - conn.out_sent);
     if (n > 0) {
-      conn.out.erase(0, static_cast<std::size_t>(n));
+      conn.out_sent += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // A fatal error: the peer is gone, and so are its unsent bytes.
+    conn.out.clear();
+    conn.out_sent = 0;
+    return false;
+  }
+  // Drop the sent prefix once it is half the buffer or more: each drop
+  // moves no more bytes than it frees, so a backlog drains in linear time,
+  // and an empty `out` still means nothing is left to send.
+  if (conn.out_sent * 2 >= conn.out.size()) {
+    conn.out.erase(0, conn.out_sent);
+    conn.out_sent = 0;
   }
   return true;
 }
@@ -300,7 +312,7 @@ void Server::FlushAllBlocking() {
     pending.clear();
     for (Connection& conn : connections_) {
       if (conn.fd < 0) continue;
-      if (!WriteSome(conn)) conn.out.clear();
+      (void)WriteSome(conn);
       if (!conn.out.empty()) pending.push_back({conn.fd, POLLOUT, 0});
     }
     if (pending.empty() || round == kFlushRounds) return;

@@ -99,8 +99,9 @@ class Server {
     int fd = -1;
     /// Bytes received but not yet framed into complete lines.
     std::string in;
-    /// Reply bytes not yet written to the socket.
+    /// Reply bytes; those from `out_sent` on are not yet on the socket.
     std::string out;
+    std::size_t out_sent = 0;
     /// One slot per request line in arrival order, empty until answered;
     /// the front slot has sequence number `first_seq`.
     std::deque<std::optional<std::string>> slots;
@@ -140,7 +141,8 @@ class Server {
   void FinishMisses();
   /// Moves each connection's filled prefix of slots to its output.
   void QueueReplies();
-  /// Writes what `conn` takes without blocking; false on a fatal error.
+  /// Writes what `conn` takes without blocking; false on a fatal error,
+  /// which drops the unsent bytes.
   static bool WriteSome(Connection& conn);
   /// Best-effort flush of every pending reply within a bounded wait
   /// (shutdown and crash-drill paths).

@@ -11,18 +11,22 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "experiment/campaign.h"
 #include "experiment/checkpoint.h"
 #include "experiment/dataset.h"
+#include "experiment/journal.h"
 #include "util/fault_injection.h"
 
 namespace wsnlink::experiment {
@@ -340,6 +344,137 @@ TEST(Checkpoint, CorruptionFuzzNeverCrashesOrMisparses) {
     }
   }
   std::filesystem::remove(path);
+}
+
+/// ScanJournal as a plain per-record reader computes it: each line split,
+/// unframed and hashed on its own with CheckpointChecksum.
+JournalScan ReferenceScan(std::string_view contents) {
+  JournalScan scan;
+  bool first = true;
+  std::size_t pos = 0;
+  while (pos < contents.size()) {
+    const std::size_t nl = contents.find('\n', pos);
+    std::optional<std::string_view> body;
+    if (nl != std::string_view::npos) {
+      const std::string_view line = contents.substr(pos, nl - pos);
+      if (line.size() >= 17 && line[line.size() - 17] == ' ') {
+        const std::string_view hex = line.substr(line.size() - 16);
+        std::uint64_t stored = 0;
+        const auto [ptr, ec] =
+            std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
+        const std::string_view candidate = line.substr(0, line.size() - 17);
+        if (ec == std::errc() && ptr == hex.data() + hex.size() &&
+            CheckpointChecksum(candidate) == stored) {
+          body = candidate;
+        }
+      }
+    }
+    if (first) {
+      first = false;
+      if (body) scan.header = *body;
+    } else if (body) {
+      scan.records.push_back(*body);
+    } else {
+      ++scan.dropped;
+    }
+    if (nl == std::string_view::npos) break;
+    pos = nl + 1;
+  }
+  return scan;
+}
+
+/// Where each of a scan's views sits in `contents`: (offset, length) of
+/// the header (or (-1, 0) when it has none), then of every record.
+std::vector<std::pair<std::ptrdiff_t, std::size_t>> Spans(
+    const JournalScan& scan, std::string_view contents) {
+  std::vector<std::pair<std::ptrdiff_t, std::size_t>> spans;
+  spans.emplace_back(scan.header.empty() ? -1
+                                         : scan.header.data() - contents.data(),
+                     scan.header.size());
+  for (const std::string_view record : scan.records) {
+    spans.emplace_back(record.data() - contents.data(), record.size());
+  }
+  return spans;
+}
+
+/// A header record, then `records` data records of random bytes (any but
+/// LF). Body lengths run from 0 to 2,000 and differ within a group of four.
+std::string SeededJournal(std::mt19937& rng, int records) {
+  std::string journal = "wsnlink-checkpoint 2 seeded";
+  FrameRecord(&journal, 0);
+  std::uniform_int_distribution<int> length(0, 2000);
+  for (int r = 0; r < records; ++r) {
+    const std::size_t start = journal.size();
+    int bytes = length(rng);
+    if (rng() % 4 == 0) bytes = rng() % 2 == 0 ? 0 : 2000;
+    for (int i = 0; i < bytes; ++i) {
+      char byte = '\n';
+      while (byte == '\n') byte = static_cast<char>(rng() & 0xFF);
+      journal.push_back(byte);
+    }
+    FrameRecord(&journal, start);
+  }
+  return journal;
+}
+
+// ScanJournal verifies data records four at a time; whatever the damage
+// and whatever the remainder after the groups of four, it must find the
+// same header, records and dropped count as a per-record scan.
+TEST(Checkpoint, GroupedScanMatchesPerRecordScan) {
+  const auto expect_same = [](std::string_view contents,
+                              const std::string& what) {
+    const JournalScan got = ScanJournal(contents);
+    const JournalScan want = ReferenceScan(contents);
+    EXPECT_EQ(Spans(got, contents), Spans(want, contents)) << what;
+    EXPECT_EQ(got.dropped, want.dropped) << what;
+  };
+  expect_same("", "empty file");
+  std::mt19937 rng(20150629);
+  const std::string header_only = SeededJournal(rng, 0);
+  expect_same(header_only, "header only");
+  expect_same(std::string_view(header_only).substr(0, header_only.size() - 1),
+              "header without its LF");
+
+  int damaged_records = 0;
+  for (int records = 0; records <= 9; ++records) {
+    for (int trial = 0; trial < 25; ++trial) {
+      std::string journal = SeededJournal(rng, records);
+      const std::string what = std::to_string(records) + " records, trial " +
+                               std::to_string(trial);
+      // The end of one record's checksum field, past the header.
+      const std::size_t header_end = journal.find('\n');
+      std::size_t field_end = header_end;
+      for (int r = records == 0 ? 0 : static_cast<int>(rng() % records) + 1;
+           r > 0; --r) {
+        field_end = journal.find('\n', field_end + 1);
+      }
+      switch (trial % 5) {
+        case 0:  // intact
+          break;
+        case 1:  // flipped bytes, LFs included
+          for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0;
+               --flips) {
+            journal[rng() % journal.size()] =
+                static_cast<char>(rng() & 0xFF);
+          }
+          break;
+        case 2:  // a bad checksum digit
+          journal[field_end - 1 - rng() % 16] = "0fg "[rng() % 4];
+          break;
+        case 3:  // a short checksum field
+          journal.erase(field_end - 1 - rng() % 16, 1);
+          break;
+        default:  // a torn last line
+          journal.resize(journal.size() - 1 - rng() % 40);
+          break;
+      }
+      const JournalScan want = ReferenceScan(journal);
+      damaged_records += static_cast<int>(want.dropped);
+      expect_same(journal, what);
+    }
+  }
+  // The damage really reached the data records.
+  EXPECT_GT(damaged_records, 100);
 }
 
 TEST(CampaignResume, InterruptedRunResumesBitIdentical) {

@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -517,6 +519,137 @@ TEST(ServeCache, LoadAppliesCapDeterministically) {
   EXPECT_EQ(second.loaded, 2u);
   EXPECT_EQ(second.cap_evicted, 0u);
   EXPECT_EQ(reloaded.Lookup("key|4"), "{\"status\":\"ok\",\"value\":40}");
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Warm load of a file in mixed key order
+// ---------------------------------------------------------------------------
+
+using Entries = std::map<std::string, std::string>;
+
+/// The framed version 2 header record under kTag.
+std::string HeaderRecord() {
+  std::string record = std::string("wsnlink-servecache 2 version_tag ") + kTag;
+  experiment::FrameRecord(&record, 0);
+  return record;
+}
+
+/// The file a compaction of `entries` writes: the header, then every entry
+/// in key order.
+std::string CompactedFile(const Entries& entries) {
+  std::string file = HeaderRecord();
+  for (const auto& [key, payload] : entries) file += EntryRecord(key, payload);
+  return file;
+}
+
+constexpr const char* kRestated = "{\"restated\":true}";
+
+/// A cache file as a daemon leaves it, and what it holds.
+struct MixedFile {
+  std::string bytes;
+  /// A per-record insert in file order, the first record of a key winning.
+  Entries entries;
+};
+
+/// A compaction of key|10 .. key|21 (key order), then records appended out
+/// of key order. Two restate a key with other bytes: key|17 from the
+/// compaction and key|40 from the appends.
+MixedFile MixedOrderFile() {
+  MixedFile file{HeaderRecord(), {}};
+  const auto add = [&file](const std::string& key, const std::string& payload) {
+    file.bytes += EntryRecord(key, payload);
+    file.entries.try_emplace(key, payload);
+  };
+  for (int i = 10; i < 22; ++i) add(EntryKey(i), EntryPayload(i));
+  for (const int i : {40, 5, 33, 17, 2, 29, 40, 99, 0, 23, 61, 1}) {
+    const bool restated = i == 17 || (i == 40 && file.entries.count(EntryKey(i)));
+    add(EntryKey(i), restated ? kRestated : EntryPayload(i));
+  }
+  return file;
+}
+
+TEST(ServeCache, MixedOrderFileLoadsTheFirstRecordOfEachKeyThenAppends) {
+  const std::string path = TempPath("mixedorder");
+  const MixedFile file = MixedOrderFile();
+  WriteFile(path, file.bytes);
+
+  ResultCache cache(kTag);
+  const CacheLoadReport report = cache.Load(path);
+  EXPECT_EQ(report.loaded, file.entries.size());
+  EXPECT_EQ(report.corrupt_dropped, 0u);
+  EXPECT_EQ(report.cap_evicted, 0u);
+  EXPECT_FALSE(report.salvaged);
+  EXPECT_EQ(cache.Size(), file.entries.size());
+  for (const auto& [key, payload] : file.entries) {
+    EXPECT_EQ(cache.Lookup(key), payload) << key;
+  }
+
+  // The load was intact, so the first Save appends to the same file.
+  const ino_t inode = Inode(path);
+  cache.Store(EntryKey(7), EntryPayload(7));
+  cache.Save(path);
+  EXPECT_EQ(Inode(path), inode);
+  EXPECT_EQ(ReadFile(path), file.bytes + EntryRecord(EntryKey(7), EntryPayload(7)));
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, CappedMixedOrderLoadKeepsTheLastKeysInKeyOrder) {
+  const std::string path = TempPath("mixedcap");
+  const MixedFile file = MixedOrderFile();
+  WriteFile(path, file.bytes);
+
+  constexpr std::size_t kCap = 7;
+  ResultCache capped(kTag, kCap);
+  const CacheLoadReport report = capped.Load(path);
+  Entries survivors(std::prev(file.entries.end(), kCap), file.entries.end());
+  EXPECT_EQ(report.loaded, kCap);
+  EXPECT_EQ(report.cap_evicted, file.entries.size() - kCap);
+  EXPECT_EQ(capped.Evictions(), file.entries.size() - kCap);
+  for (const auto& [key, payload] : file.entries) {
+    EXPECT_EQ(capped.Lookup(key),
+              survivors.count(key) != 0 ? payload : std::string())
+        << key;
+  }
+
+  // The FIFO goes on in key order: two new entries evict the load's two
+  // smallest survivors. The load trimmed the file, so the first Save
+  // compacts.
+  const ino_t inode = Inode(path);
+  survivors.erase(survivors.begin(), std::next(survivors.begin(), 2));
+  for (const int i : {3, 8}) {
+    capped.Store(EntryKey(i), EntryPayload(i));
+    survivors.emplace(EntryKey(i), EntryPayload(i));
+  }
+  capped.Save(path);
+  EXPECT_NE(Inode(path), inode);
+  EXPECT_EQ(ReadFile(path), CompactedFile(survivors));
+  std::remove(path.c_str());
+}
+
+TEST(ServeCache, DamagedMixedOrderLoadCompactsOnItsFirstSave) {
+  const std::string path = TempPath("mixeddamaged");
+  const MixedFile file = MixedOrderFile();
+  // Damage the first record of key|40: its restatement becomes the first.
+  std::string bytes = file.bytes;
+  bytes[bytes.find(EntryRecord(EntryKey(40), EntryPayload(40))) + 20] ^= 1;
+  WriteFile(path, bytes);
+  Entries expected = file.entries;
+  expected[EntryKey(40)] = kRestated;
+
+  ResultCache cache(kTag);
+  const CacheLoadReport report = cache.Load(path);
+  EXPECT_EQ(report.corrupt_dropped, 1u);
+  EXPECT_TRUE(report.salvaged);
+  EXPECT_EQ(report.loaded, expected.size());
+  for (const auto& [key, payload] : expected) {
+    EXPECT_EQ(cache.Lookup(key), payload) << key;
+  }
+
+  const ino_t inode = Inode(path);
+  cache.Save(path);
+  EXPECT_NE(Inode(path), inode);
+  EXPECT_EQ(ReadFile(path), CompactedFile(expected));
   std::remove(path.c_str());
 }
 

@@ -636,6 +636,39 @@ TEST(ServeServer, StopReturnsWhileAPeerNeverReads) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
+// A peer that pipelines thousands of hits and reads late leaves megabytes
+// queued on its connection. Short writes at the "serve.send" site split
+// the drain into many sends; every reply must still arrive, in order.
+TEST(ServeServer, LargeBacklogDrainsByteExact) {
+  QueryService service(ServiceOptions{});
+  const std::string expected = service.Answer(kWhatIfLine);
+  RunningServer running(service, serve::ServerOptions{});
+  // Loopback send buffers take megabytes per send, so most sends are cut
+  // short for the site to fire often whatever the buffer sizes.
+  util::ScopedFaultInjection injection;
+  injection->FailWithProbability("serve.send", 0.9, /*seed=*/34);
+
+  // About 5 MB of replies behind a 4 KB receive window.
+  constexpr std::uint64_t kRequests = 12'000;
+  TestClient late(running.server.Port(), /*receive_buffer=*/4096);
+  std::string burst;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    burst += kWhatIfLine;
+    burst += '\n';
+  }
+  late.Send(burst);
+  while (service.Stats().cache_hits < kRequests) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  std::uint64_t exact = 0;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    exact += late.ReadLine() == expected ? 1 : 0;
+  }
+  EXPECT_EQ(exact, kRequests);
+  EXPECT_GT(util::FaultInjector::Global().Injected("serve.send"), 10u);
+}
+
 /// Highest open descriptor of this process.
 int HighestOpenFd() {
   int highest = 2;
